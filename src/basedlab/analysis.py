@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import feature_maps as fm
 from . import linear_attention as la
 from . import mqar as mq
 from .errors import ConfigError, ParameterError
-from .feature_maps import unique_dim
 from .model import HybridModel, ModelConfig, TrainConfig, build, train_mqar
 from .tensor import Tensor
 
@@ -75,7 +75,7 @@ class StateSizeReport:
 def state_size(spec: ArchSpec, bytes_per_element: int = DEFAULT_BYTES_PER_ELEMENT) -> StateSizeReport:
     """Recurrent-state scalar count for one architecture."""
     if spec.kind == "Based":
-        unique = unique_dim(spec.d_prime)
+        unique = fm.unique_dim(spec.d_prime)
         elements = (spec.d + 1) * unique
         formula = f"(d + 1) * (1 + 3d'/2 + d'^2/2) = {spec.d + 1} * {unique}"
     elif spec.kind == "Attention":
@@ -109,8 +109,7 @@ def model_state_size(config: ModelConfig, n_tokens: int) -> int:
     total = 0
     for ch in config.layer_pattern:
         if ch == "L":
-            width = unique_dim(config.d_prime) if config.feature_map == "TaylorExp2" else config.d_prime
-            total += config.heads * width * (config.head_dim + 1)
+            total += config.heads * fm.feature_dim(config.kind()) * (config.head_dim + 1)
         elif ch == "S":
             total += 2 * config.d_model * min(n_tokens, config.window)
         else:
@@ -148,15 +147,6 @@ class IoCostReport:
         return self.hbm_total * self.bytes_per_element
 
 
-def _feature_width(d_prime: int, pad_tile: int | None) -> int:
-    width = 1 + d_prime + d_prime * d_prime
-    if pad_tile is not None:
-        if pad_tile < 1:
-            raise ParameterError(f"pad_tile must be >= 1, got {pad_tile}")
-        width = ((width + pad_tile - 1) // pad_tile) * pad_tile
-    return width
-
-
 def io_cost_prefill(
     mode: str,
     b: int,
@@ -180,7 +170,7 @@ def io_cost_prefill(
         if value < 1:
             raise ParameterError(f"io_cost_prefill: {name} must be >= 1, got {value}")
     bhn = b * h * n
-    width = _feature_width(d_prime, pad_tile)
+    width = fm.dims(fm.taylor_exp2(d_prime), 1 if pad_tile is None else pad_tile).padded
     savings = 2 * bhn * width
     if mode == "baseline":
         featurize = PhaseCost(hbm_sram=2 * bhn * width, sram_register=0)
@@ -219,7 +209,7 @@ def io_cost_decode(
     for name, value in (("b", b), ("h", h), ("d", d), ("d_prime", d_prime)):
         if value < 1:
             raise ParameterError(f"io_cost_decode: {name} must be >= 1, got {value}")
-    width = _feature_width(d_prime, pad_tile)
+    width = fm.dims(fm.taylor_exp2(d_prime), 1 if pad_tile is None else pad_tile).padded
     per_token = b * h * (2 * width + 2 * d)
     state = b * h * width * d
     traffic = 0 if state_resident else 2 * state

@@ -85,13 +85,14 @@ def create_gated(
         raise ParameterError(f"expand and taps must be >= 1, got {expand} and {taps}")
     rng = rng or np.random.default_rng(0)
     wide = expand * d_model
-    def w(rows, cols):
-        return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
     def b(width):
         return Tensor(np.zeros(width, dtype=dtype), requires_grad=True)
     return GatedBaseConv(
-        w1=w(d_model, wide), w2=w(d_model, wide), w3=w(wide, d_model),
-        b1=b(wide), b2=b(wide), b3=b(d_model), filt=w(taps, wide),
+        w1=T.init_normal(rng, d_model, wide, dtype),
+        w2=T.init_normal(rng, d_model, wide, dtype),
+        w3=T.init_normal(rng, wide, d_model, dtype),
+        b1=b(wide), b2=b(wide), b3=b(d_model),
+        filt=T.init_normal(rng, taps, wide, dtype),
     )
 
 

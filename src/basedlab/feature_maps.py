@@ -1,12 +1,15 @@
 """Feature maps for linear attention, including the 2nd-order Taylor map.
 
 The Taylor map approximates exp(q.k / sqrt(d')) with its quadratic Taylor
-expansion. With the scaling baked into the feature layout,
+expansion. It keeps one feature per distinct monomial,
 
-    phi(x) = [1 | x / d'^(1/4) | vec(x outer x) / (sqrt(2) * sqrt(d'))]
+    phi(x) = [1 | x_i / d'^(1/4) | x_i x_j * c_ij for i <= j]
 
-the inner product comes out as phi(q).phi(k) = 1 + a + a^2/2 for
-a = q.k / sqrt(d'), which is bounded below by 1/2.
+with c_ii = 1/(sqrt2 * sqrt d') and c_ij = 1/sqrt(d') off the diagonal, so
+that phi(q).phi(k) = 1 + a + a^2/2 for a = q.k / sqrt(d'), which is bounded
+below by 1/2. That is 1 + d' + d'(d'+1)/2 features; the paper's baseline
+materializes all 1 + d' + d'^2 products instead, a width `dims` still reports
+for the IO formulas but no code path computes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ def taylor_exp2(d_prime: int) -> FeatureMapKind:
 
 @dataclass(frozen=True)
 class DimReport:
-    """Feature counts: fully materialized, symmetric-unique, and tile-padded."""
+    """Feature counts: the paper's materialized baseline, unique, and tile-padded.
+
+    `materialized` (1 + d' + d'^2 for Taylor) is the width the featurized
+    baseline writes to HBM; only the IO formulas use it, and `padded` rounds
+    it up to the tile.
+    """
 
     materialized: int
     unique: int
@@ -59,7 +67,7 @@ def unique_dim(d_prime: int) -> int:
 def feature_dim(kind: FeatureMapKind) -> int:
     """Output width of `apply` for this kind."""
     if kind.tag == "TaylorExp2":
-        return 1 + kind.d_prime + kind.d_prime * kind.d_prime
+        return unique_dim(kind.d_prime)
     if kind.d_prime is None:
         raise ParameterError(f"{kind.tag} needs d_prime to state its width")
     return kind.d_prime
@@ -69,37 +77,52 @@ def dims(kind: FeatureMapKind, tile: int = 1) -> DimReport:
     """Materialized / unique / padded widths; padding rounds up to `tile`."""
     if tile < 1:
         raise ParameterError(f"tile must be >= 1, got {tile}")
-    if kind.tag == "TaylorExp2":
-        materialized = 1 + kind.d_prime + kind.d_prime * kind.d_prime
-        unique = unique_dim(kind.d_prime)
-    else:
-        materialized = unique = feature_dim(kind)
+    unique = feature_dim(kind)
+    materialized = 1 + kind.d_prime + kind.d_prime * kind.d_prime if kind.tag == "TaylorExp2" else unique
     padded = ((materialized + tile - 1) // tile) * tile
     return DimReport(materialized, unique, padded)
 
 
-def _taylor_features(x: Tensor) -> Tensor:
-    """Materialize [1 | x/d'^(1/4) | vec(outer)/ (sqrt2 * sqrt d')] on the last axis."""
-    d = x.shape[-1]
+def _pairs(d: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column of each i <= j monomial, and its coefficient c_ij."""
+    iu, ju = np.triu_indices(d)
     rd = math.sqrt(d)
-    rrd = math.sqrt(rd)
-    r2 = math.sqrt(2.0)
-    lead = x.shape[:-1]
-    ones = np.ones(lead + (1,), dtype=x.dtype)
-    lin = x.data / rrd
-    outer = (x.data[..., :, None] * x.data[..., None, :]).reshape(lead + (d * d,)) / (r2 * rd)
-    out = np.concatenate([ones, lin, outer], axis=-1)
+    coeff = np.where(iu == ju, 1.0 / (math.sqrt(2.0) * rd), 1.0 / rd).astype(dtype)
+    return iu, ju, coeff
+
+
+def taylor_compact(x: np.ndarray) -> np.ndarray:
+    """The Taylor map on the trailing axis, one entry per distinct monomial."""
+    x = np.asarray(x)
+    d = x.shape[-1]
+    iu, ju, coeff = _pairs(d, x.dtype)
+    parts = [
+        np.ones(x.shape[:-1] + (1,), dtype=x.dtype),
+        x / math.sqrt(math.sqrt(d)),
+        x[..., iu] * x[..., ju] * coeff,
+    ]
+    return np.concatenate(parts, axis=-1)
+
+
+def _taylor_features(x: Tensor) -> Tensor:
+    """Graph op over `taylor_compact`.
+
+    The pair gradients fill the upper triangle of a symmetric d' x d' matrix
+    G[iu, ju] = g_pair * c_ij, so dx = g_lin / d'^(1/4) + (G + G^T) x.
+    """
+    d = x.shape[-1]
 
     def backward(g):
         if not x.requires_grad:
             return
-        g_lin = g[..., 1:1 + d]
-        g_outer = g[..., 1 + d:].reshape(lead + (d, d))
-        sym = g_outer + np.swapaxes(g_outer, -1, -2)
-        dx = g_lin / rrd + np.einsum("...ij,...j->...i", sym, x.data) / (r2 * rd)
+        iu, ju, coeff = _pairs(d, x.dtype)
+        pair = np.zeros(g.shape[:-1] + (d, d), dtype=g.dtype)
+        pair[..., iu, ju] = g[..., 1 + d:] * coeff
+        sym = pair + np.swapaxes(pair, -1, -2)
+        dx = g[..., 1:1 + d] / math.sqrt(math.sqrt(d)) + np.einsum("...ij,...j->...i", sym, x.data)
         T.accumulate(x, dx)
 
-    return T.from_op(out, (x,), backward)
+    return T.from_op(taylor_compact(x.data), (x,), backward)
 
 
 def apply(kind: FeatureMapKind, x: Tensor) -> Tensor:
@@ -123,39 +146,12 @@ def apply(kind: FeatureMapKind, x: Tensor) -> Tensor:
     return x  # Identity
 
 
-def taylor_compact(x: np.ndarray) -> np.ndarray:
-    """Unique-monomial layout of the Taylor map (numpy-only decode path).
-
-    One entry per monomial: [1 | x_i/d'^(1/4) | x_i x_j * c_ij for i <= j]
-    with c_ii = 1/(sqrt2 * sqrt d') and c_ij = 1/sqrt(d') off the diagonal,
-    so that compact(q).compact(k) equals the materialized inner product.
-    """
-    x = np.asarray(x)
-    d = x.shape[-1]
-    rd = math.sqrt(d)
-    rrd = math.sqrt(rd)
-    iu, ju = np.triu_indices(d)
-    coeff = np.where(iu == ju, 1.0 / (math.sqrt(2.0) * rd), 1.0 / rd)
-    parts = [
-        np.ones(x.shape[:-1] + (1,), dtype=x.dtype),
-        x / rrd,
-        x[..., iu] * x[..., ju] * coeff,
-    ]
-    return np.concatenate(parts, axis=-1)
-
-
 def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
     """Graph-free twin of `apply` for decode-time code paths."""
     if kind.tag == "TaylorExp2":
-        d = x.shape[-1]
-        if d != kind.d_prime:
+        if x.shape[-1] != kind.d_prime:
             raise ShapeError(f"TaylorExp2 expects width {kind.d_prime}, got input shape {x.shape}")
-        rd = math.sqrt(d)
-        outer = (x[..., :, None] * x[..., None, :]).reshape(x.shape[:-1] + (d * d,))
-        return np.concatenate(
-            [np.ones(x.shape[:-1] + (1,), dtype=x.dtype), x / math.sqrt(rd), outer / (math.sqrt(2.0) * rd)],
-            axis=-1,
-        )
+        return taylor_compact(x)
     if kind.tag == "PosELU":
         return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
     if kind.tag == "ReLU":

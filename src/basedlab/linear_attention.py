@@ -10,7 +10,9 @@ Per head, with feature map phi and value sequence v:
 sums, `recurrent_step` carries (s, z) one token at a time, and
 `chunked_forward` runs the tiled schedule that featurizes each tile in fast
 memory. The three agree to roundoff; optional per-head decay multiplies both
-states by gamma each step.
+states by gamma each step. Every view uses the Taylor map's unique-monomial
+layout, so the state width D is 1 + d' + d'(d'+1)/2, and the recurrent state
+doubles as the decode cache.
 """
 
 from __future__ import annotations
@@ -111,13 +113,11 @@ def create(
             )
         head_dim = d_model // heads
     kind = kind or fm.taylor_exp2(d_prime)
-    def w(rows, cols):
-        return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
     return LinAttnParams(
-        wq=w(d_model, heads * d_prime),
-        wk=w(d_model, heads * d_prime),
-        wv=w(d_model, heads * head_dim),
-        wo=w(heads * head_dim, d_model),
+        wq=T.init_normal(rng, d_model, heads * d_prime, dtype),
+        wk=T.init_normal(rng, d_model, heads * d_prime, dtype),
+        wv=T.init_normal(rng, d_model, heads * head_dim, dtype),
+        wo=T.init_normal(rng, heads * head_dim, d_model, dtype),
         kind=kind,
         heads=heads,
         eps=eps,
@@ -239,8 +239,13 @@ def mix_heads(decay: DecayConfig, u: Tensor, per_head_y: list[Tensor], wo: Tenso
 
 @dataclass
 class LinAttnState:
-    """Running (s, z) pair per head; s is (heads, D, head_dim), z is (heads, D)."""
+    """Running (s, z) pair per head; s is (heads, D, head_dim), z is (heads, D).
 
+    It is also the layer's constant-memory decode cache: `step` runs one
+    layer-input row through the whole layer.
+    """
+
+    params: LinAttnParams
     s: np.ndarray
     z: np.ndarray
     t: int = 0
@@ -249,6 +254,7 @@ class LinAttnState:
     def zeros(cls, params: LinAttnParams, dtype=np.float64) -> "LinAttnState":
         width = params.feature_width
         return cls(
+            params,
             s=np.zeros((params.heads, width, params.head_dim), dtype=dtype),
             z=np.zeros((params.heads, width), dtype=dtype),
         )
@@ -256,12 +262,22 @@ class LinAttnState:
     def scalar_count(self) -> int:
         return self.s.size + self.z.size
 
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """Project one (d_model,) row, advance the state, and return the output row."""
+        p = self.params
+        q = (x @ p.wq.data).reshape(p.heads, p.d_prime)
+        k = (x @ p.wk.data).reshape(p.heads, p.d_prime)
+        v = (x @ p.wv.data).reshape(p.heads, p.head_dim)
+        _, y = recurrent_step(p, self, q, k, v)
+        return _combine_heads_numpy(p, x[None], y[:, None])[0]
+
 
 def recurrent_step(
     params: LinAttnParams, state: LinAttnState, q_t: np.ndarray, k_t: np.ndarray, v_t: np.ndarray
 ) -> tuple[LinAttnState, np.ndarray]:
     """Advance one token. Inputs are per-head rows: q_t, k_t (heads, d'),
-    v_t (heads, head_dim). Returns the new state and y_t (heads, head_dim)."""
+    v_t (heads, head_dim). Returns the state (updated in place; a state is
+    single-owner) and y_t (heads, head_dim)."""
     if q_t.shape != (params.heads, params.d_prime) or v_t.shape != (params.heads, params.head_dim):
         raise ShapeError(
             f"recurrent_step: expected q {(params.heads, params.d_prime)} and v "
@@ -270,33 +286,27 @@ def recurrent_step(
     phi_q = fm.apply_numpy(params.kind, q_t)
     phi_k = fm.apply_numpy(params.kind, k_t)
     if params.decay is not None:
-        gamma = params.decay.gamma
-        s = gamma[:, None, None] * state.s + phi_k[:, :, None] * v_t[:, None, :]
-        z = gamma[:, None] * state.z + phi_k
+        gamma = params.decay.gamma.astype(state.s.dtype)
+        state.s = gamma[:, None, None] * state.s + phi_k[:, :, None] * v_t[:, None, :]
+        state.z = gamma[:, None] * state.z + phi_k
     else:
-        s = state.s + phi_k[:, :, None] * v_t[:, None, :]
-        z = state.z + phi_k
-    num = np.einsum("hf,hfd->hd", phi_q, s)
-    den = np.maximum(np.einsum("hf,hf->h", phi_q, z), params.eps)
-    return LinAttnState(s=s, z=z, t=state.t + 1), num / den[:, None]
+        state.s = state.s + phi_k[:, :, None] * v_t[:, None, :]
+        state.z = state.z + phi_k
+    state.t += 1
+    num = np.einsum("hf,hfd->hd", phi_q, state.s)
+    den = np.maximum(np.einsum("hf,hf->h", phi_q, state.z), params.eps)
+    return state, num / den[:, None]
 
 
 def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
-    """Token-by-token rollout of the full layer (projections, mix, output).
+    """Token-by-token rollout of the full layer through the decode step.
 
     Graph-free like chunked_forward; equality with the parallel view is the
     point, not trainability.
     """
     un = u.data if isinstance(u, Tensor) else np.asarray(u)
-    n = un.shape[0]
-    q = (un @ params.wq.data).reshape(n, params.heads, params.d_prime)
-    k = (un @ params.wk.data).reshape(n, params.heads, params.d_prime)
-    v = (un @ params.wv.data).reshape(n, params.heads, params.head_dim)
     state = LinAttnState.zeros(params, dtype=un.dtype)
-    ys = np.empty((n, params.heads, params.head_dim), dtype=un.dtype)
-    for i in range(n):
-        state, ys[i] = recurrent_step(params, state, q[i], k[i], v[i])
-    return Tensor(_combine_heads_numpy(params, un, np.swapaxes(ys, 0, 1)))
+    return Tensor(np.stack([state.step(row) for row in un]))
 
 
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
@@ -346,11 +356,12 @@ def chunked_forward(
                 counter["k_read"] = counter.get("k_read", 0) + c * dp
                 counter["v_read"] = counter.get("v_read", 0) + c * dh
             phi_qc = fm.apply_numpy(params.kind, qc)
+            phi_kc = fm.apply_numpy(params.kind, kc)
             if taylor:
                 sc = (qc @ kc.T) / math.sqrt(dp)
                 scores = 1.0 + sc + 0.5 * sc * sc
             else:
-                scores = phi_qc @ fm.apply_numpy(params.kind, kc).T
+                scores = phi_qc @ phi_kc.T
             scores = scores * _decay_mask(c, gamma, un.dtype)
             num = scores @ vc
             den = scores.sum(axis=1)
@@ -364,7 +375,6 @@ def chunked_forward(
             ys[h, base:base + c] = num / np.maximum(den, params.eps)[:, None]
             if counter is not None:
                 counter["y_write"] = counter.get("y_write", 0) + c * dh
-            phi_kc = fm.apply_numpy(params.kind, kc)
             if gamma == 1.0:
                 s = s + phi_kc.T @ vc
                 z = z + phi_kc.sum(axis=0)

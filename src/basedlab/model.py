@@ -229,96 +229,39 @@ def build(config: ModelConfig) -> HybridModel:
     dtype = _DTYPES[config.dtype]
     dm = config.d_model
 
-    def w(rows, cols):
-        return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
-
     def ones(width):
         return Tensor(np.ones(width, dtype=dtype), requires_grad=True)
 
-    embedding = w(config.vocab, dm)
+    embedding = T.init_normal(rng, config.vocab, dm, dtype)
     layers = []
     for ch in config.layer_pattern:
         norm = ones(dm)
         if ch == "L":
             decay = None
             if config.use_decay:
-                w_mix = w(dm, config.heads) if config.head_mixing else None
+                w_mix = T.init_normal(rng, dm, config.heads, dtype) if config.head_mixing else None
                 decay = la.DecayConfig(la.default_decay_gammas(config.heads), w_mix)
-            mixer = la.LinAttnParams(
-                wq=w(dm, config.heads * config.d_prime),
-                wk=w(dm, config.heads * config.d_prime),
-                wv=w(dm, dm),
-                wo=w(dm, dm),
-                kind=config.kind(),
-                heads=config.heads,
-                decay=decay,
-            )
+            mixer = la.create(dm, config.heads, config.d_prime, kind=config.kind(), decay=decay, rng=rng, dtype=dtype)
         elif ch == "S":
-            mixer = sw.SwaParams(
-                wq=w(dm, dm), wk=w(dm, dm), wv=w(dm, dm), wo=w(dm, dm),
-                window=config.window, heads=config.heads, rotary=config.rotary,
-            )
+            mixer = sw.create(dm, config.heads, config.window, rotary=config.rotary, rng=rng, dtype=dtype)
         else:
-            wide = config.conv_expand * dm
-            mixer = bc.GatedBaseConv(
-                w1=w(dm, wide), w2=w(dm, wide), w3=w(wide, dm),
-                b1=Tensor(np.zeros(wide, dtype=dtype), requires_grad=True),
-                b2=Tensor(np.zeros(wide, dtype=dtype), requires_grad=True),
-                b3=Tensor(np.zeros(dm, dtype=dtype), requires_grad=True),
-                filt=w(config.conv_taps, wide),
-            )
+            mixer = bc.create_gated(dm, expand=config.conv_expand, taps=config.conv_taps, rng=rng, dtype=dtype)
         mlp_norm = mlp = None
         if config.include_mlp:
             mlp_norm = ones(dm)
             width = config.mlp_width * dm
-            mlp = MlpParams(w_gate=w(dm, width), w_up=w(dm, width), w_down=w(width, dm))
+            mlp = MlpParams(
+                w_gate=T.init_normal(rng, dm, width, dtype),
+                w_up=T.init_normal(rng, dm, width, dtype),
+                w_down=T.init_normal(rng, width, dm, dtype),
+            )
         layers.append(Layer(ch, norm, mixer, mlp_norm, mlp))
     final_norm = ones(dm)
-    head = None if config.tie_embeddings else w(dm, config.vocab)
+    head = None if config.tie_embeddings else T.init_normal(rng, dm, config.vocab, dtype)
     return HybridModel(config, embedding, layers, final_norm, head)
 
 
 # -- constant-memory decode state ------------------------------------------------
-
-
-class _LinDecodeState:
-    """Unique-monomial (s, z) pair: one row per distinct Taylor feature."""
-
-    def __init__(self, params: la.LinAttnParams, dtype):
-        width = fm.unique_dim(params.d_prime) if params.kind.tag == "TaylorExp2" else params.feature_width
-        self.s = np.zeros((params.heads, width, params.head_dim), dtype=dtype)
-        self.z = np.zeros((params.heads, width), dtype=dtype)
-        self.params = params
-
-    def scalar_count(self) -> int:
-        return self.s.size + self.z.size
-
-    def _featurize(self, x: np.ndarray) -> np.ndarray:
-        if self.params.kind.tag == "TaylorExp2":
-            return fm.taylor_compact(x)
-        return fm.apply_numpy(self.params.kind, x)
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        q = (x @ p.wq.data).reshape(p.heads, p.d_prime)
-        k = (x @ p.wk.data).reshape(p.heads, p.d_prime)
-        v = (x @ p.wv.data).reshape(p.heads, p.head_dim)
-        cq, ck = self._featurize(q), self._featurize(k)
-        if p.decay is not None:
-            g = p.decay.gamma
-            self.s = g[:, None, None] * self.s + ck[:, :, None] * v[:, None, :]
-            self.z = g[:, None] * self.z + ck
-        else:
-            self.s = self.s + ck[:, :, None] * v[:, None, :]
-            self.z = self.z + ck
-        num = np.einsum("hu,hud->hd", cq, self.s)
-        den = np.maximum(np.einsum("hu,hu->h", cq, self.z), p.eps)
-        y = num / den[:, None]
-        if p.decay is not None and p.decay.w_mix is not None:
-            logits = x @ p.decay.w_mix.data
-            e = np.exp(logits - logits.max())
-            y = y * (e / e.sum())[:, None]
-        return y.reshape(-1) @ p.wo.data
 
 
 class _ConvTail:
@@ -353,7 +296,7 @@ class DecodeState:
         self.caches = []
         for layer in model.layers:
             if layer.kind == "L":
-                self.caches.append(_LinDecodeState(layer.mixer, dtype))
+                self.caches.append(la.LinAttnState.zeros(layer.mixer, dtype))
             elif layer.kind == "S":
                 self.caches.append(sw.WindowCache(layer.mixer, dtype))
             else:
@@ -510,40 +453,45 @@ def save_checkpoint(path: str | Path, model: HybridModel) -> None:
 
 
 def load_checkpoint(path: str | Path) -> HybridModel:
-    """Rebuild the model and restore parameters bit-exactly."""
+    """Rebuild the model and restore parameters bit-exactly.
+
+    Raises ConfigError on a file that is not exactly one checkpoint: bad
+    magic or format, a section cut short, or bytes after the last section.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
         raise ConfigError(f"{path}: not a checkpoint (bad magic)")
-    (fmt,) = struct.unpack_from("<I", raw, 4)
+    off = 4
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(raw):
+            raise ConfigError(f"{path}: truncated checkpoint ({len(raw)} bytes, needs at least {off + size})")
+        off += size
+        return raw[off - size:off]
+
+    (fmt,) = struct.unpack("<I", take(4))
     if fmt != _FORMAT:
         raise ConfigError(f"{path}: unsupported checkpoint format {fmt}")
-    off = 8
-    (cfg_len,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    config = ModelConfig.from_dict(json.loads(raw[off:off + cfg_len].decode()))
-    off += cfg_len
-    (n_params,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (cfg_len,) = struct.unpack("<Q", take(8))
+    config = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
+    (n_params,) = struct.unpack("<I", take(4))
     model = build(config)
     table = dict(model.named_parameters())
     if len(table) != n_params:
         raise ConfigError(f"{path}: checkpoint has {n_params} sections, model expects {len(table)}")
     dtype = _DTYPES[config.dtype]
     for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        name = raw[off:off + name_len].decode()
-        off += name_len
-        (rank,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        shape = struct.unpack_from(f"<{rank}Q", raw, off)
-        off += 8 * rank
-        count = int(np.prod(shape)) if rank else 1
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
+        (name_len,) = struct.unpack("<I", take(4))
+        name = take(name_len).decode()
+        (rank,) = struct.unpack("<Q", take(8))
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank))
+        values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if name not in table:
             raise ConfigError(f"{path}: unexpected parameter section {name!r}")
         if table[name].shape != tuple(shape):
             raise ShapeError(f"{path}: section {name!r} has shape {tuple(shape)}, model expects {table[name].shape}")
         table[name].data = values.astype(dtype)
+    if off != len(raw):
+        raise ConfigError(f"{path}: {len(raw) - off} trailing bytes after the last section")
     return model

@@ -119,6 +119,13 @@ def stream(cfg: MqarConfig, batch_size: int):
         yield generate(cfg, batch_size, rng=rng)
 
 
+def _correct(model, batch: MqarBatch) -> np.ndarray:
+    """Greedy hits: True where a query position's argmax is its target."""
+    logits = model.forward(batch.tokens)
+    pred = np.argmax(logits.data if hasattr(logits, "data") else logits, axis=-1)
+    return (pred == batch.targets) & batch.query_mask
+
+
 def evaluate(model, batch: MqarBatch) -> dict:
     """Greedy accuracy at query positions, overall and per gap bucket.
 
@@ -126,10 +133,8 @@ def evaluate(model, batch: MqarBatch) -> dict:
     smallest 2^k >= g. Returns {"accuracy", "n_queries", "by_gap"} where
     by_gap maps edge -> {"correct", "total", "accuracy"}.
     """
-    logits = model.forward(batch.tokens)
-    pred = np.argmax(logits.data if hasattr(logits, "data") else logits, axis=-1)
     mask = batch.query_mask
-    correct = (pred == batch.targets) & mask
+    correct = _correct(model, batch)
     n = int(mask.sum())
     by_gap: dict[int, dict] = {}
     edges = np.zeros_like(batch.gaps)
@@ -149,9 +154,7 @@ def evaluate(model, batch: MqarBatch) -> dict:
 
 def accuracy_split(model, batch: MqarBatch, gap_threshold: int) -> tuple[float, float]:
     """Accuracy over queries with gap <= threshold and gap > threshold."""
-    logits = model.forward(batch.tokens)
-    pred = np.argmax(logits.data if hasattr(logits, "data") else logits, axis=-1)
-    correct = (pred == batch.targets) & batch.query_mask
+    correct = _correct(model, batch)
     near = batch.query_mask & (batch.gaps <= gap_threshold)
     far = batch.query_mask & (batch.gaps > gap_threshold)
     acc = lambda sel: float(correct[sel].sum() / sel.sum()) if sel.any() else 0.0

@@ -63,22 +63,15 @@ def create(
 ) -> SwaParams:
     """Fresh parameters with scaled-normal init (std 0.02)."""
     rng = rng or np.random.default_rng(0)
-    def w(rows, cols):
-        return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
     return SwaParams(
-        wq=w(d_model, d_model),
-        wk=w(d_model, d_model),
-        wv=w(d_model, d_model),
-        wo=w(d_model, d_model),
+        wq=T.init_normal(rng, d_model, d_model, dtype),
+        wk=T.init_normal(rng, d_model, d_model, dtype),
+        wv=T.init_normal(rng, d_model, d_model, dtype),
+        wo=T.init_normal(rng, d_model, d_model, dtype),
         window=window,
         heads=heads,
         rotary=rotary,
     )
-
-
-def rotary_apply(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate feature pairs of each row by its absolute position."""
-    return T.rotary(x, positions, base)
 
 
 def window_mask(n: int, window: int, dtype=np.float64) -> np.ndarray:
@@ -141,17 +134,6 @@ class WindowCache:
         return int(self.positions[self.cursor]) if self.count == self.k.shape[1] else int(self.positions[0])
 
 
-def _rotate_rows(x: np.ndarray, position: int, base: float) -> np.ndarray:
-    d = x.shape[-1]
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
-    theta = position * freqs
-    cos, sin = np.cos(theta), np.sin(theta)
-    out = np.empty_like(x)
-    out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
-    out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
-    return out
-
-
 def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple[WindowCache, np.ndarray]:
     """Append one token's k, v and attend over the live window.
 
@@ -166,8 +148,8 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     k = (x_t @ params.wk.data).reshape(h, dh)
     v = (x_t @ params.wv.data).reshape(h, dh)
     if params.rotary:
-        q = _rotate_rows(q, cache.t, params.rotary_base)
-        k = _rotate_rows(k, cache.t, params.rotary_base)
+        q = T.rotary_np(q, cache.t, params.rotary_base)
+        k = T.rotary_np(k, cache.t, params.rotary_base)
     cache.k[:, cache.cursor] = k
     cache.v[:, cache.cursor] = v
     cache.positions[cache.cursor] = cache.t

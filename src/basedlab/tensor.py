@@ -273,6 +273,32 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def rotary_np(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
+    """Rotary position encoding on a plain array (shared with decode paths).
+
+    Pair m of a width-d row at position p turns by theta = p * base^(-2m/d);
+    `positions` broadcasts against the rows x.shape[:-1]. The map is
+    orthogonal, so inner products depend only on position offsets, and
+    negated positions undo it.
+    """
+    d = x.shape[-1]
+    freqs = base ** (-2.0 * np.arange(d // 2) / d)
+    theta = np.asarray(positions, dtype=np.float64)[..., None] * freqs
+    cos = np.cos(theta).astype(x.dtype)
+    sin = np.sin(theta).astype(x.dtype)
+    even = x[..., 0::2]
+    odd = x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def init_normal(rng: np.random.Generator, rows: int, cols: int, dtype) -> Tensor:
+    """Trainable (rows, cols) weight drawn from N(0, 0.02^2): the one parameter init."""
+    return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
+
+
 def silu(a: Tensor) -> Tensor:
     s = sigmoid_np(a.data)
     def backward(g):
@@ -479,11 +505,7 @@ def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def rotary(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate consecutive feature pairs by position-dependent angles.
-
-    Pair m of a width-d row at position p turns by theta = p * base^(-2m/d).
-    The map is orthogonal, so inner products depend only on position offsets.
-    """
+    """Rotate consecutive feature pairs by position-dependent angles (`rotary_np`)."""
     d = x.shape[-1]
     if d % 2 != 0:
         raise ShapeError(f"rotary: feature width must be even, got {d}")
@@ -491,20 +513,9 @@ def rotary(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     positions = np.asarray(positions, dtype=np.float64)
     if positions.shape != (n,):
         raise ShapeError(f"rotary: positions {positions.shape} do not match sequence length {n}")
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
-    theta = positions[:, None] * freqs[None, :]
-    cos = np.cos(theta).astype(x.dtype)
-    sin = np.sin(theta).astype(x.dtype)
-    def apply(arr, c, s):
-        even = arr[..., 0::2]
-        odd = arr[..., 1::2]
-        out = np.empty_like(arr)
-        out[..., 0::2] = even * c - odd * s
-        out[..., 1::2] = even * s + odd * c
-        return out
     def backward(g):
-        accumulate(x, apply(g, cos, -sin))
-    return from_op(apply(x.data, cos, sin), (x,), backward)
+        accumulate(x, rotary_np(g, -positions, base))
+    return from_op(rotary_np(x.data, positions, base), (x,), backward)
 
 
 def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from basedlab import analysis as an
+from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
 from basedlab import model as md
 from basedlab.errors import ConfigError, ParameterError
@@ -116,11 +117,11 @@ def test_io_savings_formula_exact():
 def test_io_cost_padding():
     padded = an.io_cost_prefill("baseline", b=1, h=16, n=1024, d=64, d_prime=16, pad_tile=64)
     assert padded.featurize.hbm_sram == 2 * 16 * 1024 * 320  # 273 padded up to 320
-    assert an._feature_width(16, None) == 273
-    assert an._feature_width(16, 64) == 320
-    assert an._feature_width(16, 1) == 273
+    assert fm.dims(fm.taylor_exp2(16)).padded == 273
+    assert fm.dims(fm.taylor_exp2(16), 64).padded == 320
+    assert fm.dims(fm.taylor_exp2(16), 1).padded == 273
     with pytest.raises(ParameterError):
-        an._feature_width(16, 0)
+        an.io_cost_prefill("baseline", b=1, h=16, n=1024, d=64, d_prime=16, pad_tile=0)
 
 
 def test_io_cost_decode_oracles():

@@ -140,6 +140,16 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt")]) == 2
 
 
+def test_eval_corrupt_checkpoint(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"train": {"steps": 0}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    raw = (tmp_path / "run" / "model.ckpt").read_bytes()
+    for name, bad in (("truncated.ckpt", raw[:-3]), ("trailing.ckpt", raw + b"junk")):
+        (tmp_path / name).write_bytes(bad)
+        assert main(["eval", "--config", cfg, "--checkpoint", str(tmp_path / name)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_train_zero_steps_still_checkpoints(tmp_path):
     cfg = write_config(tmp_path, {"train": {"steps": 0}})
     run = tmp_path / "run"

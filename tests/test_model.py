@@ -1,5 +1,6 @@
 """Hybrid stacks: wiring, training loop behavior, checkpoints, decode paths."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -114,6 +115,20 @@ def test_decode_state_scalar_count_saturates():
     dh = 16 // 2
     want = [2 * 2 * min(t + 1, 4) * dh for t in range(7)]
     assert counts == want
+
+
+@pytest.mark.parametrize("use_decay", [False, True])
+@pytest.mark.parametrize("pattern", ["C", "L", "S", "CLCS"])
+def test_f32_decode_stays_f32(pattern, use_decay):
+    model = md.build(tiny_config(layer_pattern=pattern, dtype="f32", use_decay=use_decay, head_mixing=use_decay))
+    state = model.start_decode()
+    for tok in (3, 1, 4, 1, 5):
+        assert state.step(tok).dtype == np.float32
+    for cache in state.caches:
+        for name, value in vars(cache).items():
+            if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+                assert value.dtype == np.float32, (pattern, type(cache).__name__, name)
+    assert model.decode_logits(np.arange(4)).dtype == np.float32
 
 
 def test_greedy_decode_breaks_ties_low():
@@ -242,7 +257,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
     good = tmp_path / "good.ckpt"
     md.save_checkpoint(good, model)
     raw = bytearray(good.read_bytes())
-    raw[4] = 99  # unsupported format word
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ConfigError):
-        md.load_checkpoint(path)
+    for bad in (
+        raw[:4] + bytes([99]) + raw[5:],  # unsupported format word
+        raw[:-3],  # truncated inside the last section
+        raw + b"junk",  # trailing bytes after the last section
+    ):
+        path.write_bytes(bytes(bad))
+        with pytest.raises(ConfigError):
+            md.load_checkpoint(path)
+
+
+# sha256 of save_checkpoint(build(config)); any change to the init draws shows here
+INIT_HASHES = [
+    (dict(), "12deffe05a31b0832b0cef2affa28a251c0d8447b3440d14b4761e7db63b4c16"),
+    (dict(dtype="f32", tie_embeddings=True), "977614b5f0840e7f84376590e7a7c7d85cadb0a177185d379191a06ec23c427c"),
+]
+
+
+@pytest.mark.parametrize("extra,digest", INIT_HASHES)
+def test_init_is_pinned(extra, digest, tmp_path):
+    cfg = md.ModelConfig(vocab=20, d_model=16, heads=2, d_prime=4, window=4, layer_pattern="CLCS",
+                         include_mlp=True, use_decay=True, head_mixing=True, **extra)
+    path = tmp_path / "init.ckpt"
+    md.save_checkpoint(path, md.build(cfg))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -70,8 +70,8 @@ def test_rotary_dot_products_depend_only_on_offset():
     k = rng.normal(size=(8,))
     base = 10000.0
     for i, j, shift in [(5, 2, 7), (9, 9, 3), (4, 0, 100)]:
-        a = sw._rotate_rows(q, i, base) @ sw._rotate_rows(k, j, base)
-        b = sw._rotate_rows(q, i + shift, base) @ sw._rotate_rows(k, j + shift, base)
+        a = T.rotary_np(q, i, base) @ T.rotary_np(k, j, base)
+        b = T.rotary_np(q, i + shift, base) @ T.rotary_np(k, j + shift, base)
         assert abs(a - b) < 1e-9
 
 
@@ -79,7 +79,7 @@ def test_rotary_preserves_norm():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 10))
     for pos in [0, 1, 17, 512]:
-        r = sw._rotate_rows(x, pos, 10000.0)
+        r = T.rotary_np(x, pos, 10000.0)
         assert np.abs(np.linalg.norm(r, axis=-1) - np.linalg.norm(x, axis=-1)).max() < 1e-12
 
 
