@@ -14,6 +14,7 @@ for the IO formulas but no code path computes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +84,14 @@ def dims(kind: FeatureMapKind, tile: int = 1) -> DimReport:
     return DimReport(materialized, unique, padded)
 
 
-def _pairs(d: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column of each i <= j monomial, and its coefficient c_ij."""
+@functools.lru_cache(maxsize=32)
+def _pairs(d: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and coefficient c_ij of each i <= j monomial; cached, read-only."""
     iu, ju = np.triu_indices(d)
     rd = math.sqrt(d)
     coeff = np.where(iu == ju, 1.0 / (math.sqrt(2.0) * rd), 1.0 / rd).astype(dtype)
+    for a in (iu, ju, coeff):
+        a.flags.writeable = False
     return iu, ju, coeff
 
 

@@ -6,19 +6,20 @@ Per head, with feature map phi and value sequence v:
     s_i = sum_{j<=i} phi(k_j)^T v_j        (D x d KV state)
     z_i = sum_{j<=i} phi(k_j)              (D   normalizer state)
 
-`parallel_forward` materializes the running sums with sequential cumulative
-sums, `recurrent_step` carries (s, z) one token at a time, and
-`chunked_forward` runs the tiled schedule that featurizes each tile in fast
-memory. The three agree to roundoff; optional per-head decay multiplies both
-states by gamma each step. Every view uses the Taylor map's unique-monomial
-layout, so the state width D is 1 + d' + d'(d'+1)/2, and the recurrent state
-doubles as the decode cache.
+`parallel_forward` runs every head and decay through one tiled core: an exact
+causal quadratic form inside each tile of CORE_TILE positions plus the (s, z)
+carried between tiles, forward and backward. `recurrent_step` carries (s, z)
+one token at a time, and `chunked_forward` is the instrumented per-head tile
+loop that featurizes each tile in fast memory. The three agree to roundoff;
+optional per-head decay multiplies both states by gamma each step. Every
+view uses the Taylor map's unique-monomial layout, so the state width D is
+1 + d' + d'(d'+1)/2, and the recurrent state doubles as the decode cache.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,57 +126,78 @@ def create(
     )
 
 
-# -- fused causal core ---------------------------------------------------------
+# -- tiled causal core -----------------------------------------------------------
+
+CORE_TILE = 64
 
 
-def _decay_mask(n: int, gamma: float, dtype) -> np.ndarray:
-    if gamma == 1.0:
-        return np.tril(np.ones((n, n), dtype=dtype))
-    i = np.arange(n)
+def _tile_decay(gamma, c: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Causal mask gamma^(i-j), carry-in gamma^(i+1) and lift gamma^(c-1-j) of a
+    c-position tile (the last two as (c, 1) columns), with gamma's shape in front."""
+    g = np.asarray(gamma, dtype=np.float64)[..., None, None]
+    i = np.arange(c)
     expo = i[:, None] - i[None, :]
-    return np.where(expo >= 0, gamma ** np.maximum(expo, 0), 0.0).astype(dtype)
+    mask = np.where(expo >= 0, g ** np.maximum(expo, 0), 0.0).astype(dtype)
+    carry = (g ** (i[:, None] + 1)).astype(dtype)
+    lift = (g ** (c - 1 - i[:, None])).astype(dtype)
+    return mask, carry, lift
 
 
-def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: float = 1.0) -> Tensor:
+def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0) -> Tensor:
     """y_i = phi(q_i).s_i / max(phi(q_i).z_i, eps) over the second-to-last axis.
 
-    Forward accumulates states with sequential cumulative sums (one
-    multiply-add per position); backward uses the closed-form quadratic view.
+    `gamma` is a scalar or one decay per head (the third-to-last axis). Each
+    tile of CORE_TILE positions takes its exact quadratic form (Q K^T) * mask
+    plus the state carried in, S_t = sum_{u<t} gamma^(c(t-1-u)) (lift K_u)^T
+    [V_u | 1]; the ones column carries z as column d of s. The backward runs
+    in the same tiles, so nothing of size N x F x d is ever formed.
     """
-    n, width = phi_q.shape[-2], phi_q.shape[-1]
+    n = phi_q.shape[-2]
     if phi_k.shape != phi_q.shape or v.shape[:-1] != phi_q.shape[:-1]:
         raise ShapeError(f"attention_core: shapes {phi_q.shape}, {phi_k.shape}, {v.shape} disagree")
-    if gamma == 1.0:
-        kv = phi_k.data[..., :, :, None] * v.data[..., :, None, :]
-        np.cumsum(kv, axis=-3, out=kv)
-        num = np.einsum("...nf,...nfd->...nd", phi_q.data, kv)
-        den = np.einsum("...nf,...nf->...n", phi_q.data, np.cumsum(phi_k.data, axis=-2))
-    else:
-        s = np.zeros(phi_q.shape[:-2] + (width, v.shape[-1]), dtype=phi_q.dtype)
-        z = np.zeros(phi_q.shape[:-2] + (width,), dtype=phi_q.dtype)
-        num = np.empty_like(v.data)
-        den = np.empty(phi_q.shape[:-1], dtype=phi_q.dtype)
-        for i in range(n):
-            s = gamma * s + phi_k.data[..., i, :, None] * v.data[..., i, None, :]
-            z = gamma * z + phi_k.data[..., i, :]
-            num[..., i, :] = np.einsum("...f,...fd->...d", phi_q.data[..., i, :], s)
-            den[..., i] = np.einsum("...f,...f->...", phi_q.data[..., i, :], z)
+    g = np.asarray(gamma, dtype=np.float64).reshape(-1)
+    if g.size > 1 and (phi_q.ndim < 3 or phi_q.shape[-3] != g.size):
+        raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {phi_q.shape}")
+    lead, d, dtype = phi_q.shape[:-2], v.shape[-1], phi_q.dtype
+    c = min(CORE_TILE, max(n, 1))
+    nt = -(-n // c)
+
+    def tiles(x: np.ndarray) -> np.ndarray:  # (..., n, w) -> (B, heads, nt, c, w), zero-padded
+        x = x.reshape((math.prod(lead) // g.size, g.size) + x.shape[-2:])
+        if nt * c > n:
+            x = np.concatenate([x, np.zeros(x.shape[:2] + (nt * c - n, x.shape[-1]), dtype)], axis=-2)
+        return x.reshape(x.shape[:2] + (nt, c, x.shape[-1]))
+
+    def untile(x: np.ndarray) -> np.ndarray:
+        return x.reshape(lead + (nt * c, x.shape[-1]))[..., :n, :]
+
+    def across_tiles(x: np.ndarray, weights: np.ndarray) -> np.ndarray:  # mixes the tile axis
+        return (weights @ x.reshape(x.shape[:3] + (math.prod(x.shape[3:]),))).reshape(x.shape)
+
+    mask, carry, lift = _tile_decay(g[:, None], c, dtype)
+    across = np.zeros((g.size, nt, nt), dtype)  # across[t, u] = gamma^(c(t-1-u)) for u < t
+    across[:, 1:] = _tile_decay(g ** c, nt, dtype)[0][:, :-1]
+    q, k = tiles(phi_q.data), tiles(phi_k.data)
+    v1 = tiles(np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1))
+    scores = (q @ np.swapaxes(k, -1, -2)) * mask
+    k_lift = k * lift
+    state = across_tiles(np.swapaxes(k_lift, -1, -2) @ v1, across)
+    nd = untile(scores @ v1 + carry * (q @ state))
+    num, den = nd[..., :d], nd[..., d]
     floored = np.maximum(den, eps)
     out = num / floored[..., None]
 
-    def backward(g):
-        dnum = g / floored[..., None]
-        dden = -(g * num).sum(axis=-1) / (floored * floored)
+    def backward(grad):
+        dnum = grad / floored[..., None]
+        dden = -(grad * num).sum(axis=-1) / (floored * floored)
         dden = np.where(den > eps, dden, 0.0)
-        pair = dnum @ np.swapaxes(v.data, -1, -2) + dden[..., :, None]
-        pair = pair * _decay_mask(n, gamma, phi_q.dtype)
-        if phi_q.requires_grad:
-            T.accumulate(phi_q, pair @ phi_k.data)
-        if phi_k.requires_grad:
-            T.accumulate(phi_k, np.swapaxes(pair, -1, -2) @ phi_q.data)
-        if v.requires_grad:
-            scores = (phi_q.data @ np.swapaxes(phi_k.data, -1, -2)) * _decay_mask(n, gamma, phi_q.dtype)
-            T.accumulate(v, np.swapaxes(scores, -1, -2) @ dnum)
+        dnd = tiles(np.concatenate([dnum, dden[..., None]], axis=-1))
+        pair = (dnd @ np.swapaxes(v1, -1, -2)) * mask
+        dnd_carry = carry * dnd
+        dstate = across_tiles(np.swapaxes(q, -1, -2) @ dnd_carry, np.swapaxes(across, -1, -2))
+        T.accumulate(phi_q, untile(pair @ k + dnd_carry @ np.swapaxes(state, -1, -2)))
+        T.accumulate(phi_k, untile(np.swapaxes(pair, -1, -2) @ q + lift * (v1 @ np.swapaxes(dstate, -1, -2))))
+        T.accumulate(v, untile(np.swapaxes(scores, -1, -2) @ dnd + k_lift @ dstate)[..., :d])
 
     return T.from_op(out, (phi_q, phi_k, v), backward)
 
@@ -206,35 +228,13 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
     v = _split_heads(T.matmul(u, params.wv), params.heads)
     phi_q = fm.apply(params.kind, q)
     phi_k = fm.apply(params.kind, k)
-    if params.decay is None:
-        y = attention_core(phi_q, phi_k, v, params.eps)
-        out = T.matmul(_merge_heads(y), params.wo)
-    else:
-        per_head = [
-            attention_core(
-                T.take_axis(phi_q, 1, h),
-                T.take_axis(phi_k, 1, h),
-                T.take_axis(v, 1, h),
-                params.eps,
-                float(params.decay.gamma[h]),
-            )
-            for h in range(params.heads)
-        ]
-        out = mix_heads(params.decay, u, per_head, params.wo)
+    y = attention_core(phi_q, phi_k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma)
+    if params.decay is not None and params.decay.w_mix is not None:
+        # weigh each head's output by softmax(u @ w_mix) before the projection
+        weights = T.softmax_last(T.matmul(u, params.decay.w_mix))
+        y = T.mul_rowscale(y, T.transpose(weights, (0, 2, 1)))
+    out = T.matmul(_merge_heads(y), params.wo)
     return T.take_axis(out, 0, 0) if squeeze else out
-
-
-def mix_heads(decay: DecayConfig, u: Tensor, per_head_y: list[Tensor], wo: Tensor) -> Tensor:
-    """Weigh each head's output by softmax(u @ w_mix) before the projection.
-
-    Without mixing weights the heads are concatenated unscaled, which is
-    exactly the no-decay combination.
-    """
-    if decay.w_mix is None:
-        return T.matmul(T.concat_last(per_head_y), wo)
-    weights = T.softmax_last(T.matmul(u, decay.w_mix))
-    scaled = [T.mul_rowscale(y, T.take_axis(weights, -1, h)) for h, y in enumerate(per_head_y)]
-    return T.matmul(T.concat_last(scaled), wo)
 
 
 @dataclass
@@ -285,13 +285,9 @@ def recurrent_step(
         )
     phi_q = fm.apply_numpy(params.kind, q_t)
     phi_k = fm.apply_numpy(params.kind, k_t)
-    if params.decay is not None:
-        gamma = params.decay.gamma.astype(state.s.dtype)
-        state.s = gamma[:, None, None] * state.s + phi_k[:, :, None] * v_t[:, None, :]
-        state.z = gamma[:, None] * state.z + phi_k
-    else:
-        state.s = state.s + phi_k[:, :, None] * v_t[:, None, :]
-        state.z = state.z + phi_k
+    gamma = (np.ones(params.heads) if params.decay is None else params.decay.gamma).astype(state.s.dtype)
+    state.s = gamma[:, None, None] * state.s + phi_k[:, :, None] * v_t[:, None, :]
+    state.z = gamma[:, None] * state.z + phi_k
     state.t += 1
     num = np.einsum("hf,hfd->hd", phi_q, state.s)
     den = np.maximum(np.einsum("hf,hf->h", phi_q, state.z), params.eps)
@@ -310,7 +306,7 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
 
 
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
-    """per_head_y is (heads, N, head_dim); mirrors mix_heads without the graph."""
+    """per_head_y is (heads, N, head_dim); the head mixing of parallel_forward without the graph."""
     if params.decay is not None and params.decay.w_mix is not None:
         logits = un @ params.decay.w_mix.data
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -362,24 +358,13 @@ def chunked_forward(
                 scores = 1.0 + sc + 0.5 * sc * sc
             else:
                 scores = phi_qc @ phi_kc.T
-            scores = scores * _decay_mask(c, gamma, un.dtype)
-            num = scores @ vc
-            den = scores.sum(axis=1)
-            if gamma == 1.0:
-                num += phi_qc @ s
-                den += phi_qc @ z
-            else:
-                carry = gamma ** np.arange(1, c + 1)
-                num += carry[:, None] * (phi_qc @ s)
-                den += carry * (phi_qc @ z)
+            mask, carry, lift = _tile_decay(gamma, c, un.dtype)
+            scores = scores * mask
+            num = scores @ vc + carry * (phi_qc @ s)
+            den = scores.sum(axis=1) + carry[:, 0] * (phi_qc @ z)
             ys[h, base:base + c] = num / np.maximum(den, params.eps)[:, None]
             if counter is not None:
                 counter["y_write"] = counter.get("y_write", 0) + c * dh
-            if gamma == 1.0:
-                s = s + phi_kc.T @ vc
-                z = z + phi_kc.sum(axis=0)
-            else:
-                lift = gamma ** np.arange(c - 1, -1, -1)
-                s = gamma ** c * s + (phi_kc * lift[:, None]).T @ vc
-                z = gamma ** c * z + (phi_kc * lift[:, None]).sum(axis=0)
+            s = gamma ** c * s + (phi_kc * lift).T @ vc
+            z = gamma ** c * z + (phi_kc * lift).sum(axis=0)
     return Tensor(_combine_heads_numpy(params, un, ys))

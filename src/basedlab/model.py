@@ -25,7 +25,7 @@ from . import feature_maps as fm
 from . import linear_attention as la
 from . import sliding_window as sw
 from . import tensor as T
-from .errors import ConfigError, InputError, ShapeError, TrainingDiverged
+from .errors import ConfigError, InputError, TrainingDiverged
 from .mqar import MqarBatch
 from .tensor import Tensor
 
@@ -97,10 +97,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        for key in d:
-            if key not in known:
+        types = {f.name: f.type for f in fields(cls)}  # "int", "str" or "bool"
+        for key, value in d.items():
+            if key not in types:
                 raise ConfigError(f"model.{key}: unknown key")
+            if type(value).__name__ != types[key]:
+                raise ConfigError(f"model.{key}: expected {types[key]}, got {value!r}")
         return cls(**d)
 
 
@@ -138,12 +140,10 @@ class HybridModel:
             prefix = f"layers.{i}"
             out.append((f"{prefix}.norm", layer.norm))
             m = layer.mixer
-            if layer.kind == "L":
+            if layer.kind in ("L", "S"):
                 out += [(f"{prefix}.wq", m.wq), (f"{prefix}.wk", m.wk), (f"{prefix}.wv", m.wv), (f"{prefix}.wo", m.wo)]
-                if m.decay is not None and m.decay.w_mix is not None:
+                if layer.kind == "L" and m.decay is not None and m.decay.w_mix is not None:
                     out.append((f"{prefix}.w_mix", m.decay.w_mix))
-            elif layer.kind == "S":
-                out += [(f"{prefix}.wq", m.wq), (f"{prefix}.wk", m.wk), (f"{prefix}.wv", m.wv), (f"{prefix}.wo", m.wo)]
             else:
                 out += [
                     (f"{prefix}.w1", m.w1), (f"{prefix}.w2", m.w2), (f"{prefix}.w3", m.w3),
@@ -381,8 +381,9 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
     """Adam on cross-entropy at query positions; fully seed-deterministic.
 
     `data` yields MqarBatch objects. Raises TrainingDiverged on a non-finite
-    loss, naming the step. Returns {"metrics": [...], "final_loss": float}
-    plus "final_accuracy" when an eval batch is given.
+    loss or gradient norm, naming the step, before the update. Returns
+    {"metrics": [...], "final_loss": float} plus "final_accuracy" when an
+    eval batch is given.
     """
     from .mqar import evaluate  # local import keeps module load acyclic
 
@@ -403,11 +404,11 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
             p.grad = None
         loss.backward()
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-        if tcfg.grad_clip > 0:
-            norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
-            if norm > tcfg.grad_clip:
-                scale = tcfg.grad_clip / norm
-                grads = [g * scale for g in grads]
+        norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        if not math.isfinite(norm):
+            raise TrainingDiverged(step, f"non-finite gradient norm at step {step}")
+        if 0 < tcfg.grad_clip < norm:
+            grads = [g * (tcfg.grad_clip / norm) for g in grads]
         lr = tcfg.lr_at(step)
         t = step + 1
         bc1 = 1.0 - tcfg.beta1 ** t
@@ -456,7 +457,8 @@ def load_checkpoint(path: str | Path) -> HybridModel:
     """Rebuild the model and restore parameters bit-exactly.
 
     Raises ConfigError on a file that is not exactly one checkpoint: bad
-    magic or format, a section cut short, or bytes after the last section.
+    magic or format, a config that is not a UTF-8 JSON object, a section cut
+    short, misnamed, misshapen or non-finite, or bytes after the last section.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -474,7 +476,13 @@ def load_checkpoint(path: str | Path) -> HybridModel:
     if fmt != _FORMAT:
         raise ConfigError(f"{path}: unsupported checkpoint format {fmt}")
     (cfg_len,) = struct.unpack("<Q", take(8))
-    config = ModelConfig.from_dict(json.loads(take(cfg_len).decode()))
+    try:
+        cfg = json.loads(take(cfg_len).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"{path}: config is not UTF-8 JSON ({err})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config is a JSON {type(cfg).__name__}, not an object")
+    config = ModelConfig.from_dict(cfg)
     (n_params,) = struct.unpack("<I", take(4))
     model = build(config)
     table = dict(model.named_parameters())
@@ -483,14 +491,16 @@ def load_checkpoint(path: str | Path) -> HybridModel:
     dtype = _DTYPES[config.dtype]
     for _ in range(n_params):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode()
+        name = take(name_len).decode(errors="replace")  # a name that is not UTF-8 matches no section
         (rank,) = struct.unpack("<Q", take(8))
         shape = struct.unpack(f"<{rank}Q", take(8 * rank))
         values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if name not in table:
             raise ConfigError(f"{path}: unexpected parameter section {name!r}")
         if table[name].shape != tuple(shape):
-            raise ShapeError(f"{path}: section {name!r} has shape {tuple(shape)}, model expects {table[name].shape}")
+            raise ConfigError(f"{path}: section {name!r} has shape {tuple(shape)}, model expects {table[name].shape}")
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{path}: section {name!r} holds non-finite values")
         table[name].data = values.astype(dtype)
     if off != len(raw):
         raise ConfigError(f"{path}: {len(raw) - off} trailing bytes after the last section")

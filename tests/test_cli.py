@@ -5,6 +5,7 @@ import json
 import pytest
 
 from basedlab.cli import main, parse_config
+from basedlab.model import load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, extra=None):
@@ -85,6 +86,9 @@ def test_type_errors_in_config(tmp_path, capsys):
     assert main(["statesize", "--config", str(path)]) == 2
     path.write_text(json.dumps({"sweep": {"d_primes": []}}))
     assert main(["statesize", "--config", str(path)]) == 2
+    path.write_text(json.dumps({"model": {"d_model": "x"}}))
+    assert main(["statesize", "--config", str(path)]) == 2
+    assert "model.d_model" in capsys.readouterr().err
 
 
 def test_mqar_gen_writes_batches(tmp_path, capsys):
@@ -144,7 +148,16 @@ def test_eval_corrupt_checkpoint(tmp_path, capsys):
     cfg = write_config(tmp_path, {"train": {"steps": 0}})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     raw = (tmp_path / "run" / "model.ckpt").read_bytes()
-    for name, bad in (("truncated.ckpt", raw[:-3]), ("trailing.ckpt", raw + b"junk")):
+    model = load_checkpoint(tmp_path / "run" / "model.ckpt")
+    model.embedding.data = model.embedding.data.T.copy()
+    save_checkpoint(tmp_path / "shape.ckpt", model)
+    cases = (
+        ("truncated.ckpt", raw[:-3]),
+        ("trailing.ckpt", raw + b"junk"),
+        ("utf8.ckpt", raw[:16] + b"\xff" + raw[17:]),  # first byte of the config JSON
+        ("shape.ckpt", (tmp_path / "shape.ckpt").read_bytes()),  # embedding stored transposed
+    )
+    for name, bad in cases:
         (tmp_path / name).write_bytes(bad)
         assert main(["eval", "--config", cfg, "--checkpoint", str(tmp_path / name)]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Linear attention: the three views agree, states count, decay behaves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -232,3 +234,74 @@ def test_validation_errors():
         la.parallel_forward(params, Tensor(np.ones((4, 7))))
     with pytest.raises(ParameterError):
         make_params(decay=la.DecayConfig(np.array([0.9])))  # one gamma for two heads
+
+
+def masked_reference(pq, pk, v, gammas, eps=1e-12):
+    """Explicit N x N form: weights phi(q_i).phi(k_j) gamma_h^(i-j) for j <= i."""
+    n = pq.shape[-2]
+    i = np.arange(n)
+    expo = i[:, None] - i[None, :]
+    decay = np.where(expo >= 0, np.asarray(gammas)[:, None, None] ** np.maximum(expo, 0), 0.0)
+    scores = (pq @ np.swapaxes(pk, -1, -2)) * decay
+    return (scores @ v) / np.maximum(scores.sum(axis=-1), eps)[..., None]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+def test_tiled_core_matches_masked_reference(n):
+    # tile edges: empty, one position, one short of a tile, exactly one, one past, several padded
+    kind = fm.taylor_exp2(4)
+    rng = np.random.default_rng(20 + n)
+    gammas = la.default_decay_gammas(3)
+    pq = fm.apply_numpy(kind, rng.normal(size=(2, 3, n, 4)))
+    pk = fm.apply_numpy(kind, rng.normal(size=(2, 3, n, 4)))
+    v = rng.normal(size=(2, 3, n, 5))
+    y = la.attention_core(Tensor(pq), Tensor(pk), Tensor(v), 1e-12, gammas).data
+    assert y.shape == v.shape
+    assert np.abs(y - masked_reference(pq, pk, v, gammas)).max(initial=0.0) < 1e-12
+    plain = la.attention_core(Tensor(pq), Tensor(pk), Tensor(v), 1e-12).data
+    assert np.abs(plain - masked_reference(pq, pk, v, np.ones(3))).max(initial=0.0) < 1e-12
+
+
+def test_tiled_core_rejects_gamma_per_head_mismatch():
+    x = Tensor(np.ones((1, 2, 5, 3)))
+    with pytest.raises(ShapeError):
+        la.attention_core(x, x, x, 1e-12, np.array([0.5, 0.5, 0.5]))
+
+
+def test_gradients_across_padded_tiles_with_decay_and_mixing():
+    # N = 70 runs two tiles, the second padded by 58 positions
+    rng = np.random.default_rng(21)
+    decay = la.DecayConfig(la.default_decay_gammas(2), w_mix=Tensor(rng.normal(size=(8, 2))))
+    params = make_params(d_model=8, heads=2, d_prime=4, seed=21, decay=decay)
+    u = Tensor(rng.normal(size=(la.CORE_TILE + 6, 8)))
+    assert grad_check(lambda t: T.sum_all(la.parallel_forward(params, t)), u) < 1e-6
+
+
+def test_tiled_core_keeps_f32():
+    kind = fm.taylor_exp2(4)
+    rng = np.random.default_rng(22)
+    q = Tensor(rng.normal(size=(1, 2, 70, 4)), requires_grad=True, dtype=np.float32)
+    k = Tensor(rng.normal(size=(1, 2, 70, 4)), requires_grad=True, dtype=np.float32)
+    v = Tensor(rng.normal(size=(1, 2, 70, 6)), requires_grad=True, dtype=np.float32)
+    y = la.attention_core(fm.apply(kind, q), fm.apply(kind, k), v, 1e-12, la.default_decay_gammas(2))
+    assert y.dtype == np.float32
+    T.sum_all(y).backward()
+    assert q.grad.dtype == k.grad.dtype == v.grad.dtype == np.float32
+
+
+def test_tiled_core_memory_stays_per_tile():
+    # The forward holds nt tiles of F x (d + 1) state and N x tile scores; an
+    # N x F x d running state would take 320 MB at this shape.
+    rng = np.random.default_rng(23)
+    n, width, d = 4096, fm.unique_dim(16), 64
+    pq = Tensor(np.abs(rng.normal(size=(1, 1, n, width))))
+    pk = Tensor(np.abs(rng.normal(size=(1, 1, n, width))))
+    v = Tensor(rng.normal(size=(1, 1, n, d)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        la.attention_core(pq, pk, v, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

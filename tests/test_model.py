@@ -2,12 +2,14 @@
 
 import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from basedlab import model as md
 from basedlab import mqar as mq
+from basedlab import tensor as T
 from basedlab.errors import ConfigError, InputError, ShapeError, TrainingDiverged
 
 
@@ -197,6 +199,30 @@ def test_divergence_raises_with_step():
     assert err.value.step == 0
 
 
+@pytest.mark.parametrize("grad_clip", [0.0, 1.0])
+def test_non_finite_gradient_stops_before_the_update(grad_clip, monkeypatch):
+    task = make_task()
+    model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=16, d_prime=4, layer_pattern="CL"))
+    forward = model.forward
+    calls = []
+
+    def poisoned(tokens):
+        # finite logits whose backward sends NaN into every parameter on the third step
+        logits = forward(tokens)
+        calls.append([p.data.copy() for p in model.parameters()])
+        if len(calls) < 3:
+            return logits
+        return T.from_op(logits.data, (logits,), lambda g: T.accumulate(logits, np.full_like(g, np.nan)))
+
+    monkeypatch.setattr(model, "forward", poisoned)
+    tcfg = md.TrainConfig(steps=5, batch_size=4, lr=1e-3, grad_clip=grad_clip)
+    with pytest.raises(TrainingDiverged) as err:
+        md.train_mqar(model, mq.stream(task, 4), tcfg)
+    assert err.value.step == 2
+    for before, p in zip(calls[-1], model.parameters()):
+        assert np.array_equal(before, p.data)
+
+
 def test_lr_schedule_shapes():
     tcfg = md.TrainConfig(steps=100, batch_size=1, lr=1.0, warmup=0.1)
     warm = 10
@@ -257,10 +283,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
     good = tmp_path / "good.ckpt"
     md.save_checkpoint(good, model)
     raw = bytearray(good.read_bytes())
+    cfg_len = struct.unpack_from("<Q", raw, 8)[0]  # the config JSON starts at byte 16
+    name_at = raw.index(b"layers.0.norm")
+    pattern_at = raw.index(b'"layer_pattern":"CL"')
+    model.embedding.data = model.embedding.data.T.copy()
+    md.save_checkpoint(path, model)
+    wrong_shape = path.read_bytes()
+    model.embedding.data = model.embedding.data.T.copy()
+    model.head.data[0, 0] = np.inf
+    md.save_checkpoint(path, model)
+    non_finite = path.read_bytes()
     for bad in (
         raw[:4] + bytes([99]) + raw[5:],  # unsupported format word
         raw[:-3],  # truncated inside the last section
         raw + b"junk",  # trailing bytes after the last section
+        raw[:16] + b"\xff" + raw[17:],  # config is not UTF-8
+        raw[:16] + b"x" + raw[17:],  # config is not JSON
+        raw[:16] + b"[" + b" " * (cfg_len - 2) + b"]" + raw[16 + cfg_len:],  # config is not an object
+        raw[:pattern_at] + b'"layer_pattern":1234' + raw[pattern_at + 20:],  # config value of the wrong type
+        raw[:name_at] + b"\xff" + raw[name_at + 1:],  # section name is not UTF-8
+        wrong_shape,  # embedding stored as (d_model, vocab)
+        non_finite,  # an inf in the head
     ):
         path.write_bytes(bytes(bad))
         with pytest.raises(ConfigError):
