@@ -112,3 +112,27 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     gate = T.add(T.matmul(u, params.w1), params.b1)
     conv = T.add(T.causal_conv1d(T.matmul(u, params.w2), params.filt), params.b2)
     return T.add(T.matmul(T.mul(gate, T.silu(conv)), params.w3), params.b3)
+
+
+class ConvCache:
+    """Decode cache of `forward_gated`: the last taps-1 up-projected rows,
+    oldest first (zeros are the causal padding)."""
+
+    def __init__(self, params: GatedBaseConv, dtype=np.float64):
+        self.params = params
+        self.tail = np.zeros((params.taps - 1, params.expanded), dtype=dtype)
+
+    def scalar_count(self) -> int:
+        return self.tail.size
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One (d_model,) layer-input row in, one output row out."""
+        p = self.params
+        row = x @ p.w2.data
+        conv = p.filt.data[0] * row
+        for t in range(1, p.taps):
+            conv = conv + p.filt.data[t] * self.tail[-t]
+        if p.taps > 1:
+            self.tail = np.concatenate([self.tail[1:], row[None, :]])
+        gated = (x @ p.w1.data + p.b1.data) * T.silu_np(conv + p.b2.data)
+        return gated @ p.w3.data + p.b3.data

@@ -4,7 +4,7 @@ cost reports, and the exhaustive theory checks.
 Every run resolves its JSON config (unknown keys are fatal, defaults fill the
 rest), writes `resolved-config.json` next to its outputs, and is byte-for-byte
 reproducible from that file. Exit codes: 0 success, 1 failed check or
-diverged run, 2 config problem.
+diverged run, 2 config problem or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -77,11 +77,17 @@ _IO_DEFAULTS = {
 }
 
 # keys that may be null or a positive int
-_OPTIONAL_INT = {"n", "window", "d_state", "pad_tile"}
+_OPTIONAL_INT = {"analysis.n", "analysis.window", "analysis.d_state", "io.pad_tile"}
+
+# counts and sizes that must be >= 1 when set
+_POSITIVE = {
+    "task.batches", "task.batch_size", "analysis.bytes_per_element",
+    "io.b", "io.h", "io.n", "io.d", "io.d_prime", "io.bytes_per_element", "io.pad_tile",
+}
 
 
 def _check_value(path: str, value, default):
-    if path.endswith(tuple("." + k for k in _OPTIONAL_INT)):
+    if path in _OPTIONAL_INT:
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"{path}: expected an integer or null")
         return value
@@ -119,7 +125,10 @@ def _resolve_section(name: str, raw, defaults: dict) -> dict:
             raise ConfigError(f"{name}.{key}: unknown key")
     out = dict(defaults)
     for key, value in raw.items():
-        out[key] = _check_value(f"{name}.{key}", value, defaults[key])
+        path = f"{name}.{key}"
+        out[key] = _check_value(path, value, defaults[key])
+        if path in _POSITIVE and value is not None and value < 1:
+            raise ConfigError(f"{path}: must be >= 1, got {value}")
     return out
 
 
@@ -138,7 +147,10 @@ def parse_config(path: str | None, seed_override: int | None = None) -> dict:
     """
     raw = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {err.start})") from None
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as err:
@@ -399,7 +411,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
+    except OSError as err:  # a path that cannot be read or written, e.g. missing or a directory
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BasedLabError as err:

@@ -108,50 +108,14 @@ def taylor_compact(x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def _taylor_features(x: Tensor) -> Tensor:
-    """Graph op over `taylor_compact`.
-
-    The pair gradients fill the upper triangle of a symmetric d' x d' matrix
-    G[iu, ju] = g_pair * c_ij, so dx = g_lin / d'^(1/4) + (G + G^T) x.
-    """
-    d = x.shape[-1]
-
-    def backward(g):
-        if not x.requires_grad:
-            return
-        iu, ju, coeff = _pairs(d, x.dtype)
-        pair = np.zeros(g.shape[:-1] + (d, d), dtype=g.dtype)
-        pair[..., iu, ju] = g[..., 1 + d:] * coeff
-        sym = pair + np.swapaxes(pair, -1, -2)
-        dx = g[..., 1:1 + d] / math.sqrt(math.sqrt(d)) + np.einsum("...ij,...j->...i", sym, x.data)
-        T.accumulate(x, dx)
-
-    return T.from_op(taylor_compact(x.data), (x,), backward)
-
-
-def apply(kind: FeatureMapKind, x: Tensor) -> Tensor:
-    """Apply the map along the trailing axis of `x`.
+def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
+    """Apply the map along the trailing axis of a plain array.
 
     Raises on non-finite input and, for the Taylor map, on a trailing-axis
     width other than d'.
     """
-    if not np.isfinite(x.data).all():
+    if not np.isfinite(x).all():
         raise NumericError(f"{kind.tag}: non-finite input")
-    if kind.tag == "TaylorExp2":
-        if x.shape[-1] != kind.d_prime:
-            raise ShapeError(f"TaylorExp2 expects width {kind.d_prime}, got input shape {x.shape}")
-        return _taylor_features(x)
-    if kind.tag == "PosELU":
-        return T.pos_elu(x)
-    if kind.tag == "ReLU":
-        return T.relu(x)
-    if kind.tag == "Square":
-        return T.mul(x, x)
-    return x  # Identity
-
-
-def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
-    """Graph-free twin of `apply` for decode-time code paths."""
     if kind.tag == "TaylorExp2":
         if x.shape[-1] != kind.d_prime:
             raise ShapeError(f"TaylorExp2 expects width {kind.d_prime}, got input shape {x.shape}")
@@ -163,3 +127,31 @@ def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
     if kind.tag == "Square":
         return x * x
     return x
+
+
+def apply(kind: FeatureMapKind, x: Tensor) -> Tensor:
+    """Graph op over `apply_numpy`.
+
+    The Taylor backward fills the upper triangle of a symmetric d' x d'
+    matrix G[iu, ju] = g_pair * c_ij with the pair gradients, so
+    dx = g_lin / d'^(1/4) + (G + G^T) x.
+    """
+    out = apply_numpy(kind, x.data)
+
+    def backward(g):
+        if kind.tag == "TaylorExp2":
+            d = x.shape[-1]
+            iu, ju, coeff = _pairs(d, x.dtype)
+            pair = np.zeros(g.shape[:-1] + (d, d), dtype=g.dtype)
+            pair[..., iu, ju] = g[..., 1 + d:] * coeff
+            sym = pair + np.swapaxes(pair, -1, -2)
+            g = g[..., 1:1 + d] / math.sqrt(math.sqrt(d)) + np.einsum("...ij,...j->...i", sym, x.data)
+        elif kind.tag == "PosELU":
+            g = g * np.where(x.data > 0, 1.0, out)
+        elif kind.tag == "ReLU":
+            g = g * (x.data > 0)
+        elif kind.tag == "Square":
+            g = 2.0 * g * x.data
+        T.accumulate(x, g)
+
+    return T.from_op(out, (x,), backward)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +84,8 @@ class ModelConfig:
             raise ConfigError(f"model.mlp_width: must be >= 1, got {self.mlp_width}")
         if self.head_mixing and not self.use_decay:
             raise ConfigError("model.head_mixing requires model.use_decay")
+        if self.seed < 0:
+            raise ConfigError(f"model.seed: must be >= 0, got {self.seed}")
 
     @property
     def head_dim(self) -> int:
@@ -137,26 +139,7 @@ class HybridModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("embedding", self.embedding)]
         for i, layer in enumerate(self.layers):
-            prefix = f"layers.{i}"
-            out.append((f"{prefix}.norm", layer.norm))
-            m = layer.mixer
-            if layer.kind in ("L", "S"):
-                out += [(f"{prefix}.wq", m.wq), (f"{prefix}.wk", m.wk), (f"{prefix}.wv", m.wv), (f"{prefix}.wo", m.wo)]
-                if layer.kind == "L" and m.decay is not None and m.decay.w_mix is not None:
-                    out.append((f"{prefix}.w_mix", m.decay.w_mix))
-            else:
-                out += [
-                    (f"{prefix}.w1", m.w1), (f"{prefix}.w2", m.w2), (f"{prefix}.w3", m.w3),
-                    (f"{prefix}.b1", m.b1), (f"{prefix}.b2", m.b2), (f"{prefix}.b3", m.b3),
-                    (f"{prefix}.filt", m.filt),
-                ]
-            if layer.mlp is not None:
-                out += [
-                    (f"{prefix}.mlp_norm", layer.mlp_norm),
-                    (f"{prefix}.w_gate", layer.mlp.w_gate),
-                    (f"{prefix}.w_up", layer.mlp.w_up),
-                    (f"{prefix}.w_down", layer.mlp.w_down),
-                ]
+            out += _tensor_fields(layer, f"layers.{i}")
         out.append(("final_norm", self.final_norm))
         if self.head is not None:
             out.append(("head", self.head))
@@ -223,6 +206,19 @@ class HybridModel:
         return np.stack([state.step(int(t)) for t in np.asarray(tokens)])
 
 
+def _tensor_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
+    """Tensor fields of a parameter dataclass and of the dataclasses it holds,
+    in field order, each named prefix.field."""
+    out = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            out.append((f"{prefix}.{f.name}", value))
+        elif is_dataclass(value):
+            out += _tensor_fields(value, prefix)
+    return out
+
+
 def build(config: ModelConfig) -> HybridModel:
     """Deterministic init: scaled normals (std 0.02), zero biases, unit norms."""
     rng = np.random.default_rng(config.seed)
@@ -264,44 +260,18 @@ def build(config: ModelConfig) -> HybridModel:
 # -- constant-memory decode state ------------------------------------------------
 
 
-class _ConvTail:
-    """Last taps-1 up-projected rows, oldest first (zeros = causal padding)."""
-
-    def __init__(self, params: bc.GatedBaseConv, dtype):
-        self.tail = np.zeros((params.taps - 1, params.expanded), dtype=dtype)
-        self.params = params
-
-    def scalar_count(self) -> int:
-        return self.tail.size
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        row = x @ p.w2.data
-        conv = p.filt.data[0] * row
-        for t in range(1, p.taps):
-            conv = conv + p.filt.data[t] * self.tail[-t]
-        if p.taps > 1:
-            self.tail = np.concatenate([self.tail[1:], row[None, :]])
-        pre = conv + p.b2.data
-        gated = (x @ p.w1.data + p.b1.data) * (pre * T.sigmoid_np(pre))
-        return gated @ p.w3.data + p.b3.data
+# layer kind -> decode cache constructor taking (params, dtype)
+_CACHES = {"L": la.LinAttnState.zeros, "S": sw.WindowCache, "C": bc.ConvCache}
 
 
 class DecodeState:
-    """Per-layer caches for one greedy decode stream."""
+    """Per-layer caches for one greedy decode stream; each cache's `step`
+    runs one layer-input row through its layer."""
 
     def __init__(self, model: HybridModel):
         self.model = model
         dtype = _DTYPES[model.config.dtype]
-        self.caches = []
-        for layer in model.layers:
-            if layer.kind == "L":
-                self.caches.append(la.LinAttnState.zeros(layer.mixer, dtype))
-            elif layer.kind == "S":
-                self.caches.append(sw.WindowCache(layer.mixer, dtype))
-            else:
-                self.caches.append(_ConvTail(layer.mixer, dtype))
-        self.t = 0
+        self.caches = [_CACHES[layer.kind](layer.mixer, dtype) for layer in model.layers]
 
     def scalar_count(self) -> int:
         """Scalars held by all decode caches right now."""
@@ -314,20 +284,13 @@ class DecodeState:
             raise InputError(f"decode: token {token} outside [0, {cfg.vocab})")
         x = model.embedding.data[token].copy()
         for layer, cache in zip(model.layers, self.caches):
-            h = _rms_row(x, layer.norm.data)
-            if layer.kind == "S":
-                cache, mixed = sw.decode_step(layer.mixer, cache, h)
-            else:
-                mixed = cache.step(h)
-            x = x + mixed
+            x = x + cache.step(_rms_row(x, layer.norm.data))
             if layer.mlp is not None:
                 h = _rms_row(x, layer.mlp_norm.data)
-                g = h @ layer.mlp.w_gate.data
-                inner = (g * T.sigmoid_np(g)) * (h @ layer.mlp.w_up.data)
+                inner = T.silu_np(h @ layer.mlp.w_gate.data) * (h @ layer.mlp.w_up.data)
                 x = x + inner @ layer.mlp.w_down.data
         x = _rms_row(x, model.final_norm.data)
         head = model.embedding.data.T if model.head is None else model.head.data
-        self.t += 1
         return x @ head
 
 
@@ -365,6 +328,8 @@ class TrainConfig:
             raise ConfigError("train.beta1/beta2 must lie in [0, 1)")
         if self.adam_eps <= 0 or self.grad_clip < 0:
             raise ConfigError("train.adam_eps must be > 0 and train.grad_clip >= 0")
+        if self.eval_every < 0:
+            raise ConfigError(f"train.eval_every: must be >= 0, got {self.eval_every}")
 
     def lr_at(self, step: int) -> float:
         warm = int(round(self.warmup * self.steps)) if self.warmup > 0 else 0

@@ -39,6 +39,8 @@ class MqarConfig:
             raise ConfigError(f"kv_pairs={hi} exceeds num_values={self.num_values}; values are drawn without replacement")
         if 3 * hi > self.seq_len:
             raise ConfigError(f"kv_pairs={hi} needs {3 * hi} slots but seq_len={self.seq_len}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def pair_range(self) -> tuple[int, int]:

@@ -117,6 +117,7 @@ class WindowCache:
     """
 
     def __init__(self, params: SwaParams, dtype=np.float64):
+        self.params = params
         h, w, dh = params.heads, params.window, params.head_dim
         self.k = np.zeros((h, w, dh), dtype=dtype)
         self.v = np.zeros((h, w, dh), dtype=dtype)
@@ -127,6 +128,10 @@ class WindowCache:
 
     def scalar_count(self) -> int:
         return 2 * self.k.shape[0] * self.count * self.k.shape[2]
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """One (d_model,) layer-input row in, one output row out (`decode_step`)."""
+        return decode_step(self.params, self, x)[1]
 
     def oldest_position(self) -> int:
         if self.count == 0:

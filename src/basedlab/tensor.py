@@ -10,7 +10,7 @@ bit-reproducible across runs.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,15 +62,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """Read-only view of the underlying buffer."""
-        view = self.data.view()
-        view.flags.writeable = False
-        return view
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={'yes' if self.grad is not None else 'no'})"
 
@@ -86,41 +77,6 @@ class Tensor:
         for node in reversed(Graph.from_output(self).nodes):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return _shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return _shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return _shift(scale(self, -1.0), float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return scale(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Graph:
@@ -205,12 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return from_op(a.data + b.data, (a, b), backward)
 
 
-def _shift(a: Tensor, c: float) -> Tensor:
-    def backward(g):
-        accumulate(a, g)
-    return from_op(a.data + c, (a,), backward)
-
-
 def add_const(a: Tensor, c: np.ndarray) -> Tensor:
     """Add a constant array (numpy broadcasting allowed; no gradient for it)."""
     out = a.data + c
@@ -237,31 +187,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(a.data * b.data, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "div")
-    if a.shape != b.shape:
-        raise ShapeError(f"div: incompatible shapes {a.shape} and {b.shape}")
-    def backward(g):
-        accumulate(a, g / b.data)
-        accumulate(b, -g * a.data / (b.data * b.data))
-    return from_op(a.data / b.data, (a, b), backward)
-
-
-def maximum_const(a: Tensor, c: float) -> Tensor:
-    """Elementwise max with a scalar; gradient is zero on the clamped side."""
-    keep = a.data > c
-    def backward(g):
-        accumulate(a, g * keep)
-    return from_op(np.maximum(a.data, c), (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    keep = a.data > 0
-    def backward(g):
-        accumulate(a, g * keep)
-    return from_op(a.data * keep, (a,), backward)
-
-
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
     """Numerically stable sigmoid on a plain array (shared with decode paths)."""
     x = np.asarray(x)
@@ -271,6 +196,11 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def silu_np(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x) on a plain array (the decode paths' SiLU)."""
+    return x * sigmoid_np(x)
 
 
 def rotary_np(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
@@ -304,17 +234,6 @@ def silu(a: Tensor) -> Tensor:
     def backward(g):
         accumulate(a, g * s * (1.0 + a.data * (1.0 - s)))
     return from_op(a.data * s, (a,), backward)
-
-
-def pos_elu(a: Tensor) -> Tensor:
-    """elu(x) + 1: strictly positive, smooth at zero."""
-    pos = a.data > 0
-    ex = np.exp(np.where(pos, 0.0, a.data))
-    out = np.where(pos, a.data + 1.0, ex)
-    deriv = np.where(pos, 1.0, ex)
-    def backward(g):
-        accumulate(a, g * deriv)
-    return from_op(out.astype(a.dtype), (a,), backward)
 
 
 # -- matmul --------------------------------------------------------------------
@@ -358,22 +277,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     def backward(g):
         accumulate(a, g.transpose(inverse))
     return from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
-
-
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the trailing axis."""
-    parts = list(parts)
-    lead = parts[0].shape[:-1]
-    for p in parts[1:]:
-        if p.shape[:-1] != lead:
-            raise ShapeError(f"concat_last: leading dims disagree: {parts[0].shape} vs {p.shape}")
-        _check_same_dtype(parts[0], p, "concat_last")
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            accumulate(p, g[..., lo:hi])
-    return from_op(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), backward)
 
 
 def take_axis(a: Tensor, axis: int, index: int) -> Tensor:
@@ -422,13 +325,6 @@ def sum_all(a: Tensor) -> Tensor:
     def backward(g):
         accumulate(a, np.full_like(a.data, float(g)))
     return from_op(a.data.sum(dtype=a.dtype).reshape(()), (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    def backward(g):
-        accumulate(a, np.full_like(a.data, float(g) / n))
-    return from_op((a.data.sum(dtype=a.dtype) / n).reshape(()), (a,), backward)
 
 
 # -- structured ops ---------------------------------------------------------------

@@ -214,6 +214,33 @@ def test_bad_flag_values(capsys):
     assert main(["tradeoff", "--jobs", "0"]) == 2
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "task_seed": lambda tmp: ["mqar-gen", "--config", write_config(tmp, {"task": {"seed": -1}})],
+    "model_seed": lambda tmp: ["train", "--config", write_config(tmp, {"model": {"seed": -1}})],
+    "io_pad_tile": lambda tmp: ["iocost", "--config", write_config(tmp, {"io": {"pad_tile": 0}})],
+    "io_b": lambda tmp: ["iocost", "--config", write_config(tmp, {"io": {"b": 0}})],
+    "io_n_null": lambda tmp: ["iocost", "--config", write_config(tmp, {"io": {"n": None}})],
+    "task_batches": lambda tmp: ["mqar-gen", "--config", write_config(tmp, {"task": {"batches": -1}})],
+    "analysis_bytes": lambda tmp: ["statesize", "--config", write_config(tmp, {"analysis": {"bytes_per_element": 0}})],
+    "train_eval_every": lambda tmp: ["train", "--config", write_config(tmp, {"train": {"eval_every": -1}})],
+    "config_is_dir": lambda tmp: ["statesize", "--config", str(tmp)],
+    "config_not_utf8": lambda tmp: ["statesize", "--config", _write_bytes(tmp / "c.json", b'{"task": {}}\xff')],
+    "checkpoint_is_dir": lambda tmp: ["eval", "--checkpoint", str(tmp)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_exit_2_with_one_error_line(case, tmp_path, capsys):
+    assert main(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_bad_log_level(monkeypatch, capsys):
     monkeypatch.setenv("BASEDLAB_LOG", "verbose")
     assert main(["statesize"]) == 2

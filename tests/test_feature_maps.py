@@ -112,6 +112,8 @@ def test_errors():
         fm.apply(fm.taylor_exp2(4), Tensor(np.ones((2, 5))))
     with pytest.raises(NumericError):
         fm.apply(fm.taylor_exp2(4), Tensor(np.array([[np.inf, 0.0, 0.0, 0.0]])))
+    with pytest.raises(NumericError):
+        fm.apply_numpy(fm.FeatureMapKind("ReLU", 4), np.array([[np.nan, 0.0, 0.0, 0.0]]))
     with pytest.raises(ParameterError):
         fm.dims(fm.taylor_exp2(4), tile=0)
 

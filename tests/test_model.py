@@ -7,8 +7,12 @@ import struct
 import numpy as np
 import pytest
 
+from basedlab import baseconv as bc
+from basedlab import feature_maps as fm
+from basedlab import linear_attention as la
 from basedlab import model as md
 from basedlab import mqar as mq
+from basedlab import sliding_window as sw
 from basedlab import tensor as T
 from basedlab.errors import ConfigError, InputError, ShapeError, TrainingDiverged
 
@@ -140,6 +144,36 @@ def test_greedy_decode_breaks_ties_low():
     assert out.tolist() == [0, 0, 0, 0]
     with pytest.raises(InputError):
         model.decode(np.array([]), 2)
+
+
+# Entry points that an outside profiler replaces on their owner (module or
+# class) to time each layer; the package must reach each through that owner
+# at call time, or the profiler's spans stop firing.
+PATCHABLE = (
+    (md.HybridModel, "forward"), (la, "parallel_forward"), (la, "attention_core"),
+    (fm, "apply"), (fm, "taylor_compact"), (sw, "swa_forward"), (sw, "decode_step"),
+    (bc, "forward_gated"), (T, "cross_entropy_masked"), (T.Tensor, "backward"),
+    (la.LinAttnState, "step"), (bc.ConvCache, "step"),
+)
+
+
+def test_patched_entry_points_are_called(monkeypatch):
+    calls = {}
+    for owner, name in PATCHABLE:
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+
+        def counting(*args, _original=getattr(owner, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    model = md.build(tiny_config(layer_pattern="CLCS"))
+    md.train_mqar(model, mq.stream(make_task(), 2), md.TrainConfig(steps=1, batch_size=2, lr=1e-3))
+    state = model.start_decode()
+    for tok in (3, 1, 4):
+        state.step(tok)
+    assert [key for key, count in calls.items() if count == 0] == []
 
 
 def make_task(seed=0):
