@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,127 +23,88 @@ from . import analysis
 from . import mqar as mq
 from . import theory
 from .errors import BasedLabError, ConfigError
-from .model import HybridModel, ModelConfig, TrainConfig, build, load_checkpoint, save_checkpoint, train_mqar
+from .model import HybridModel, ModelConfig, TrainConfig, at_least, build, from_json, load_checkpoint, save_checkpoint, train_mqar
 
 log = logging.getLogger("basedlab")
 
-_SECTIONS = ("model", "train", "task", "sweep", "analysis", "io")
 
-_TASK_DEFAULTS = {
-    "num_keys": 32,
-    "num_values": 32,
-    "seq_len": 64,
-    "kv_pairs": 8,
-    "seed": 0,
-    "batch_size": 64,
-    "batches": 1,
-}
+@dataclass(frozen=True)
+class TaskConfig(mq.MqarConfig):
+    """The `task` section: the recall task, plus the sequences per batch and
+    the batch files `mqar-gen` writes."""
 
-_TRAIN_DEFAULTS = {
-    "steps": 2000,
-    "batch_size": 16,
-    "lr": 2e-3,
-    "min_lr": 0.0,
-    "schedule": "cosine",
-    "warmup": 0.01,
-    "beta1": 0.9,
-    "beta2": 0.95,
-    "adam_eps": 1e-8,
-    "grad_clip": 1.0,
-    "eval_every": 0,
-}
+    num_keys: int = 32
+    num_values: int = 32
+    seq_len: int = 64
+    kv_pairs: int | tuple[int, int] = 8
+    batch_size: int = 64
+    batches: int = 1
 
-_SWEEP_DEFAULTS = {"d_primes": [4, 8, 16]}
-
-_ANALYSIS_DEFAULTS = {
-    "arch": "Based",
-    "d": 64,
-    "n": None,
-    "d_prime": 16,
-    "window": None,
-    "d_state": None,
-    "bytes_per_element": 2,
-}
-
-_IO_DEFAULTS = {
-    "b": 1,
-    "h": 16,
-    "n": 1024,
-    "d": 64,
-    "d_prime": 16,
-    "bytes_per_element": 2,
-    "pad_tile": None,
-    "state_resident": True,
-}
-
-# keys that may be null or a positive int
-_OPTIONAL_INT = {"analysis.n", "analysis.window", "analysis.d_state", "io.pad_tile"}
-
-# counts and sizes that must be >= 1 when set
-_POSITIVE = {
-    "task.batches", "task.batch_size", "analysis.bytes_per_element",
-    "io.b", "io.h", "io.n", "io.d", "io.d_prime", "io.bytes_per_element", "io.pad_tile",
-}
+    def __post_init__(self):
+        super().__post_init__()
+        at_least(self, "task", 1, ("batch_size", "batches"))
 
 
-def _check_value(path: str, value, default):
-    if path in _OPTIONAL_INT:
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{path}: expected an integer or null")
-        return value
-    if path.endswith(".kv_pairs"):
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        if isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            return value
-        raise ConfigError(f"{path}: expected an integer or a [lo, hi] pair")
-    if path.endswith(".d_primes"):
-        if not isinstance(value, list) or not value or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-            raise ConfigError(f"{path}: expected a non-empty list of integers")
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true or false")
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected an integer")
-    elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number")
-        value = float(value)
-    elif isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string")
-    return value
+@dataclass(frozen=True)
+class SweepConfig:
+    d_primes: tuple[int, ...] = (4, 8, 16)
+
+    def __post_init__(self):
+        if not self.d_primes:
+            raise ConfigError("sweep.d_primes: expected a non-empty list of integers")
 
 
-def _resolve_section(name: str, raw, defaults: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name}: expected a JSON object")
-    for key in raw:
-        if key not in defaults:
-            raise ConfigError(f"{name}.{key}: unknown key")
-    out = dict(defaults)
-    for key, value in raw.items():
-        path = f"{name}.{key}"
-        out[key] = _check_value(path, value, defaults[key])
-        if path in _POSITIVE and value is not None and value < 1:
-            raise ConfigError(f"{path}: must be >= 1, got {value}")
-    return out
+@dataclass(frozen=True)
+class AnalysisConfig:
+    arch: str = "Based"
+    d: int = 64
+    n: int | None = None
+    d_prime: int = 16
+    window: int | None = None
+    d_state: int | None = None
+    bytes_per_element: int = 2
+
+    def __post_init__(self):
+        at_least(self, "analysis", 1, ("bytes_per_element",))
 
 
-def task_config(task: dict) -> mq.MqarConfig:
-    kv = task["kv_pairs"]
-    if isinstance(kv, list):
-        kv = (kv[0], kv[1])
-    return mq.MqarConfig(task["num_keys"], task["num_values"], task["seq_len"], kv, task["seed"])
+@dataclass(frozen=True)
+class IoConfig:
+    b: int = 1
+    h: int = 16
+    n: int = 1024
+    d: int = 64
+    d_prime: int = 16
+    bytes_per_element: int = 2
+    pad_tile: int | None = None
+    state_resident: bool = True
+
+    def __post_init__(self):
+        at_least(self, "io", 1, ("b", "h", "n", "d", "d_prime", "bytes_per_element", "pad_tile"))
 
 
-def parse_config(path: str | None, seed_override: int | None = None) -> dict:
+@dataclass(frozen=True, eq=False)
+class RunConfig:
+    """All six sections; equal to its JSON form, which resolved-config.json holds."""
+
+    model: ModelConfig
+    train: TrainConfig
+    task: TaskConfig
+    sweep: SweepConfig
+    analysis: AnalysisConfig
+    io: IoConfig
+
+    def __eq__(self, other) -> bool:
+        as_json = lambda c: json.loads(_json_text(asdict(c))) if isinstance(c, RunConfig) else c
+        return as_json(self) == as_json(other)
+
+
+def parse_config(path: str | None, seed_override: int | None = None) -> RunConfig:
     """Load, validate, and fully resolve a run config.
 
-    Absent file or sections mean pure defaults. The returned dict re-parses
-    to itself, which is what makes resolved-config.json a complete record.
+    Absent file or sections mean pure defaults; the model vocabulary defaults
+    to the task's. The result re-parses to itself, which is what makes
+    resolved-config.json a complete record.
     """
     raw = {}
     if path is not None:
@@ -158,34 +119,26 @@ def parse_config(path: str | None, seed_override: int | None = None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be a JSON object")
     for key in raw:
-        if key not in _SECTIONS:
+        if key not in RunConfig.__annotations__:
             raise ConfigError(f"{key}: unknown section")
-
-    task = _resolve_section("task", raw.get("task", {}), _TASK_DEFAULTS)
+    task = from_json(TaskConfig, "task", raw.get("task", {}))
+    model = from_json(ModelConfig, "model", raw.get("model", {}), vocab=task.vocab_size)
     if seed_override is not None:
-        task["seed"] = seed_override
-    task_cfg = task_config(task)  # validates counts and lengths
+        task, model = replace(task, seed=seed_override), replace(model, seed=seed_override)
+    return RunConfig(
+        model=model,
+        train=from_json(TrainConfig, "train", raw.get("train", {})),
+        task=task,
+        sweep=from_json(SweepConfig, "sweep", raw.get("sweep", {})),
+        analysis=from_json(AnalysisConfig, "analysis", raw.get("analysis", {})),
+        io=from_json(IoConfig, "io", raw.get("io", {})),
+    )
 
-    model_raw = raw.get("model", {})
-    if not isinstance(model_raw, dict):
-        raise ConfigError("model: expected a JSON object")
-    model_raw = dict(model_raw)
-    model_raw.setdefault("vocab", task_cfg.vocab_size)
-    if seed_override is not None:
-        model_raw["seed"] = seed_override
-    model = ModelConfig.from_dict(model_raw)
 
-    train = _resolve_section("train", raw.get("train", {}), _TRAIN_DEFAULTS)
-    TrainConfig(**train)
-
-    return {
-        "model": model.to_dict(),
-        "train": train,
-        "task": task,
-        "sweep": _resolve_section("sweep", raw.get("sweep", {}), _SWEEP_DEFAULTS),
-        "analysis": _resolve_section("analysis", raw.get("analysis", {}), _ANALYSIS_DEFAULTS),
-        "io": _resolve_section("io", raw.get("io", {}), _IO_DEFAULTS),
-    }
+def _check_fits(model: ModelConfig, task: TaskConfig) -> None:
+    """The model's vocabulary must cover every token the task draws."""
+    if model.vocab < task.vocab_size:
+        raise ConfigError(f"model.vocab={model.vocab} is smaller than the task vocabulary {task.vocab_size}")
 
 
 # -- output plumbing ----------------------------------------------------------
@@ -213,27 +166,26 @@ def _prepare_out(out: str | None, force: bool, names: tuple[str, ...], required:
     return path
 
 
-def _write_resolved(out: Path | None, config: dict) -> None:
+def _write_resolved(out: Path | None, config: RunConfig) -> None:
     if out is not None:
-        (out / "resolved-config.json").write_text(_json_text(config))
+        (out / "resolved-config.json").write_text(_json_text(asdict(config)))
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_mqar_gen(args, config) -> int:
-    task = config["task"]
-    out = _prepare_out(args.out, args.force, tuple(f"batch_{b:03d}.txt" for b in range(task["batches"])), required=True)
-    cfg = task_config(task)
-    rng = np.random.default_rng(cfg.seed)
-    for b in range(task["batches"]):
-        mq.export_batch(out / f"batch_{b:03d}.txt", mq.generate(cfg, task["batch_size"], rng=rng))
+def _cmd_mqar_gen(args, config: RunConfig) -> int:
+    task = config.task
+    out = _prepare_out(args.out, args.force, tuple(f"batch_{b:03d}.txt" for b in range(task.batches)), required=True)
+    rng = np.random.default_rng(task.seed)
+    for b in range(task.batches):
+        mq.export_batch(out / f"batch_{b:03d}.txt", mq.generate(task, task.batch_size, rng=rng))
     _write_resolved(out, config)
-    print(f"wrote {task['batches']} batch file(s) of {task['batch_size']} sequences to {out}")
+    print(f"wrote {task.batches} batch file(s) of {task.batch_size} sequences to {out}")
     return 0
 
 
-def _train_artifacts(out: Path, config: dict, model: HybridModel, result: dict) -> None:
+def _train_artifacts(out: Path, config: RunConfig, model: HybridModel, result: dict) -> None:
     lines = ["step,lr,loss,eval_accuracy"]
     for row in result["metrics"]:
         acc = row.get("eval_accuracy")
@@ -250,28 +202,26 @@ def _train_artifacts(out: Path, config: dict, model: HybridModel, result: dict) 
     _write_resolved(out, config)
 
 
-def _cmd_train(args, config) -> int:
+def _cmd_train(args, config: RunConfig) -> int:
     out = _prepare_out(args.out, args.force, ("metrics.csv", "report.json", "model.ckpt"), required=True)
-    model_cfg = ModelConfig.from_dict(config["model"])
-    tcfg = TrainConfig(**config["train"])
-    task_cfg = task_config(config["task"])
-    if model_cfg.vocab < task_cfg.vocab_size:
-        raise ConfigError(f"model.vocab={model_cfg.vocab} is smaller than the task vocabulary {task_cfg.vocab_size}")
-    model = build(model_cfg)
-    eval_batch = mq.generate(task_cfg, 256, rng=np.random.default_rng(task_cfg.seed + 1))
-    log.info("training %s steps on MQAR(%s keys, %s pairs, N=%s)", tcfg.steps, task_cfg.num_keys, task_cfg.kv_pairs, task_cfg.seq_len)
-    result = train_mqar(model, mq.stream(task_cfg, tcfg.batch_size), tcfg, eval_batch)
+    tcfg, task = config.train, config.task
+    _check_fits(config.model, task)
+    model = build(config.model)
+    eval_batch = mq.generate(task, 256, rng=np.random.default_rng(task.seed + 1))
+    log.info("training %s steps on MQAR(%s keys, %s pairs, N=%s)", tcfg.steps, task.num_keys, task.kv_pairs, task.seq_len)
+    result = train_mqar(model, mq.stream(task, tcfg.batch_size), tcfg, eval_batch)
     _train_artifacts(out, config, model, result)
     loss = result["final_loss"]
     print(f"trained {len(result['metrics'])} steps: final loss {loss:.6f}, eval accuracy {result['final_accuracy']:.4f} -> {out}")
     return 0
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args, config: RunConfig) -> int:
     out = _prepare_out(args.out, args.force, ("report.json",), required=False)
     model = load_checkpoint(args.checkpoint)
-    task_cfg = task_config(config["task"])
-    batch = mq.generate(task_cfg, config["task"]["batch_size"], rng=np.random.default_rng(task_cfg.seed + 1))
+    task = config.task
+    _check_fits(model.config, task)
+    batch = mq.generate(task, task.batch_size, rng=np.random.default_rng(task.seed + 1))
     result = mq.evaluate(model, batch)
     print(f"accuracy {result['accuracy']:.4f} over {result['n_queries']} queries")
     for edge in sorted(result["by_gap"]):
@@ -283,17 +233,16 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
-def _cmd_tradeoff(args, config) -> int:
+def _cmd_tradeoff(args, config: RunConfig) -> int:
     out = _prepare_out(args.out, args.force, ("tradeoff.csv", "tradeoff.json", "summary.json"), required=True)
-    base = ModelConfig.from_dict(config["model"])
-    tcfg = TrainConfig(**config["train"])
-    task_cfg = task_config(config["task"])
+    base = config.model
+    _check_fits(base, config.task)
     points = [
-        analysis.sweep_point("Based", model_config=replace(base, d_prime=dp), train_config=tcfg, task=task_cfg, seed=base.seed)
-        for dp in config["sweep"]["d_primes"]
+        analysis.sweep_point("Based", model_config=replace(base, d_prime=dp), train_config=config.train, task=config.task, seed=base.seed)
+        for dp in config.sweep.d_primes
     ]
     log.info("sweeping %d points with %d worker(s)", len(points), args.jobs)
-    result = analysis.tradeoff_sweep(points, bytes_per_element=config["analysis"]["bytes_per_element"], jobs=args.jobs)
+    result = analysis.tradeoff_sweep(points, bytes_per_element=config.analysis.bytes_per_element, jobs=args.jobs)
     analysis.write_sweep(out, result)
     _write_resolved(out, config)
     for row in result["rows"]:
@@ -303,11 +252,11 @@ def _cmd_tradeoff(args, config) -> int:
     return 0
 
 
-def _cmd_statesize(args, config) -> int:
+def _cmd_statesize(args, config: RunConfig) -> int:
     out = _prepare_out(args.out, args.force, ("report.json",), required=False)
-    a = config["analysis"]
-    spec = analysis.ArchSpec(kind=a["arch"], d=a["d"], n=a["n"], d_prime=a["d_prime"], window=a["window"], d_state=a["d_state"])
-    report = analysis.state_size(spec, a["bytes_per_element"])
+    a = config.analysis
+    spec = analysis.ArchSpec(kind=a.arch, d=a.d, n=a.n, d_prime=a.d_prime, window=a.window, d_state=a.d_state)
+    report = analysis.state_size(spec, a.bytes_per_element)
     print(f"{spec.kind}: {report.elements} elements ({report.bytes} bytes)  [{report.formula}]")
     if out is not None:
         (out / "report.json").write_text(_json_text({"arch": spec.kind, "elements": report.elements, "bytes": report.bytes, "formula": report.formula}))
@@ -315,17 +264,16 @@ def _cmd_statesize(args, config) -> int:
     return 0
 
 
-def _cmd_iocost(args, config) -> int:
+def _cmd_iocost(args, config: RunConfig) -> int:
     out = _prepare_out(args.out, args.force, ("report.json",), required=False)
-    io = config["io"]
-    b, h, n, d, dp = io["b"], io["h"], io["n"], io["d"], io["d_prime"]
-    bpe, tile = io["bytes_per_element"], io["pad_tile"]
-    baseline = analysis.io_cost_prefill("baseline", b, h, n, d, dp, bpe, tile)
-    ours = analysis.io_cost_prefill("ours", b, h, n, d, dp, bpe, tile)
-    decode = analysis.io_cost_decode(b, h, d, dp, bpe, tile, io["state_resident"])
+    io = config.io
+    shape = (io.b, io.h, io.n, io.d, io.d_prime, io.bytes_per_element, io.pad_tile)
+    baseline = analysis.io_cost_prefill("baseline", *shape)
+    ours = analysis.io_cost_prefill("ours", *shape)
+    decode = analysis.io_cost_decode(io.b, io.h, io.d, io.d_prime, io.bytes_per_element, io.pad_tile, io.state_resident)
     print(f"prefill baseline: {baseline.hbm_total} elements HBM ({baseline.hbm_bytes} bytes)")
     print(f"prefill fused:    {ours.hbm_total} elements HBM ({ours.hbm_bytes} bytes)")
-    print(f"featurize-phase savings: {ours.savings} elements ({ours.savings * bpe} bytes)")
+    print(f"featurize-phase savings: {ours.savings} elements ({ours.savings * io.bytes_per_element} bytes)")
     print(f"decode per token: {decode.per_token_elements} elements; state {decode.state_elements} elements")
     if out is not None:
         payload = {
@@ -339,7 +287,7 @@ def _cmd_iocost(args, config) -> int:
     return 0
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args, config: RunConfig) -> int:
     out = _prepare_out(args.out, args.force, ("report.json",), required=False)
     results = theory.run_all_checks()
     for r in results:
@@ -353,24 +301,15 @@ def _cmd_verify(args, config) -> int:
     return 1
 
 
+# subcommand -> (handler, help)
 _HANDLERS = {
-    "mqar-gen": _cmd_mqar_gen,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "tradeoff": _cmd_tradeoff,
-    "statesize": _cmd_statesize,
-    "iocost": _cmd_iocost,
-    "verify": _cmd_verify,
-}
-
-_HELP = {
-    "mqar-gen": "write recall-task batches as text files",
-    "train": "train a model on the recall task and checkpoint it",
-    "eval": "evaluate a checkpoint on freshly drawn recall data",
-    "tradeoff": "train across feature dimensions and tabulate state vs accuracy",
-    "statesize": "print the recurrent-state size formula for one architecture",
-    "iocost": "print the prefill/decode data-movement model",
-    "verify": "run the exhaustive theory checks (exit 1 on any failure)",
+    "mqar-gen": (_cmd_mqar_gen, "write recall-task batches as text files"),
+    "train": (_cmd_train, "train a model on the recall task and checkpoint it"),
+    "eval": (_cmd_eval, "evaluate a checkpoint on freshly drawn recall data"),
+    "tradeoff": (_cmd_tradeoff, "train across feature dimensions and tabulate state vs accuracy"),
+    "statesize": (_cmd_statesize, "print the recurrent-state size formula for one architecture"),
+    "iocost": (_cmd_iocost, "print the prefill/decode data-movement model"),
+    "verify": (_cmd_verify, "run the exhaustive theory checks (exit 1 on any failure)"),
 }
 
 
@@ -383,8 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--force", action="store_true", help="allow overwriting existing outputs")
     parser = argparse.ArgumentParser(prog="basedlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, parents=[common], help=_HELP[name])
+    for name, (_, help_text) in _HANDLERS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
         if name == "eval":
             p.add_argument("--checkpoint", metavar="PATH", required=True, help="checkpoint written by the train subcommand")
     return parser
@@ -407,11 +346,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         config = parse_config(args.config, args.seed)
-        return _HANDLERS[args.command](args, config)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:  # a path that cannot be read or written, e.g. missing or a directory
+        return _HANDLERS[args.command][0](args, config)
+    except (ConfigError, OSError) as err:  # OSError: a path that cannot be read or written, e.g. missing or a directory
         print(f"error: {err}", file=sys.stderr)
         return 2
     except BasedLabError as err:

@@ -15,7 +15,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, is_dataclass
+import sys
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,28 +67,21 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_pattern", self.layer_pattern.replace(" ", "").upper())
-        if self.vocab < 2:
-            raise ConfigError(f"model.vocab: need >= 2 tokens, got {self.vocab}")
-        if self.d_model < 1 or self.heads < 1 or self.d_model % self.heads:
-            raise ConfigError(f"model.d_model={self.d_model} must be a positive multiple of heads={self.heads}")
-        if self.d_prime < 1:
-            raise ConfigError(f"model.d_prime: must be >= 1, got {self.d_prime}")
-        if self.window < 1:
-            raise ConfigError(f"model.window: must be >= 1, got {self.window}")
+        at_least(self, "model", 2, ("vocab",))
+        at_least(self, "model", 1, ("d_model", "heads", "d_prime", "window", "conv_taps", "conv_expand", "mlp_width"))
+        at_least(self, "model", 0, ("seed",))
+        if self.d_model % self.heads:
+            raise ConfigError(f"model.d_model={self.d_model} must be a multiple of heads={self.heads}")
         if not self.layer_pattern or set(self.layer_pattern) - set("CLS"):
             raise ConfigError(f"model.layer_pattern: must be a nonempty string over C/L/S, got {self.layer_pattern!r}")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"model.dtype: expected one of {sorted(_DTYPES)}, got {self.dtype!r}")
         if self.feature_map not in fm.TAGS:
             raise ConfigError(f"model.feature_map: expected one of {fm.TAGS}, got {self.feature_map!r}")
-        if self.conv_taps < 1 or self.conv_expand < 1:
-            raise ConfigError("model.conv_taps and model.conv_expand must be >= 1")
-        if self.mlp_width < 1:
-            raise ConfigError(f"model.mlp_width: must be >= 1, got {self.mlp_width}")
         if self.head_mixing and not self.use_decay:
             raise ConfigError("model.head_mixing requires model.use_decay")
-        if self.seed < 0:
-            raise ConfigError(f"model.seed: must be >= 0, got {self.seed}")
+        if self.rotary and "S" in self.layer_pattern and self.head_dim % 2:
+            raise ConfigError(f"model.rotary: S layers need an even head dim d_model/heads, got {self.head_dim}")
 
     @property
     def head_dim(self) -> int:
@@ -95,17 +91,50 @@ class ModelConfig:
         return fm.FeatureMapKind(self.feature_map, self.d_prime)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        types = {f.name: f.type for f in fields(cls)}  # "int", "str" or "bool"
-        for key, value in d.items():
-            if key not in types:
-                raise ConfigError(f"model.{key}: unknown key")
-            if type(value).__name__ != types[key]:
-                raise ConfigError(f"model.{key}: expected {types[key]}, got {value!r}")
-        return cls(**d)
+
+def from_json(cls, section: str, raw, **defaults):
+    """The config dataclass `cls` from the JSON object `raw`, whose keys must
+    be fields of `cls` with values of their annotated types (a JSON integer is
+    a float, a list a tuple). Left-out fields take `defaults`, then the class
+    defaults; __post_init__ checks ranges. Errors name section.key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section}: expected a JSON object, got {type(raw).__name__}")
+    hints = typing.get_type_hints(cls)
+    values = dict(defaults)
+    for key, value in raw.items():
+        if key not in hints:
+            raise ConfigError(f"{section}.{key}: unknown key")
+        if not _fits(value, hints[key]):
+            written = {f.name: f.type for f in fields(cls)}[key]
+            raise ConfigError(f"{section}.{key}: expected {written}, got {value!r}")
+        values[key] = tuple(value) if type(value) is list else float(value) if hints[key] is float else value
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING:
+            raise ConfigError(f"{section}.{f.name}: required")
+    return cls(**values)
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value has the type of annotation `tp`."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(value, arm) for arm in typing.get_args(tp))
+    if typing.get_origin(tp) is tuple:
+        args = typing.get_args(tp)
+        arms = args[:1] * len(value) if args[-1] is Ellipsis and type(value) is list else args
+        return type(value) is list and len(value) == len(arms) and all(map(_fits, value, arms))
+    if tp is float:  # finite, which also bounds an integer to the float range
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is tp
+
+
+def at_least(config, section: str, minimum: int, names: tuple[str, ...]) -> None:
+    """ConfigError naming section.name for the first of `names` set below `minimum`."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and value < minimum:
+            raise ConfigError(f"{section}.{name}: must be >= {minimum}, got {value}")
 
 
 @dataclass
@@ -303,9 +332,9 @@ def _rms_row(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int
-    batch_size: int
-    lr: float
+    steps: int = 2000
+    batch_size: int = 16
+    lr: float = 2e-3
     min_lr: float = 0.0
     schedule: str = "cosine"
     warmup: float = 0.01
@@ -316,10 +345,8 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigError(f"train.steps={self.steps} / train.batch_size={self.batch_size} invalid")
-        if self.lr < 0 or self.min_lr < 0:
-            raise ConfigError("train.lr and train.min_lr must be >= 0")
+        at_least(self, "train", 0, ("steps", "lr", "min_lr", "eval_every"))
+        at_least(self, "train", 1, ("batch_size",))
         if not 0 <= self.warmup < 1:
             raise ConfigError(f"train.warmup: fraction in [0, 1), got {self.warmup}")
         if self.schedule not in ("cosine", "constant"):
@@ -328,8 +355,6 @@ class TrainConfig:
             raise ConfigError("train.beta1/beta2 must lie in [0, 1)")
         if self.adam_eps <= 0 or self.grad_clip < 0:
             raise ConfigError("train.adam_eps must be > 0 and train.grad_clip >= 0")
-        if self.eval_every < 0:
-            raise ConfigError(f"train.eval_every: must be >= 0, got {self.eval_every}")
 
     def lr_at(self, step: int) -> float:
         warm = int(round(self.warmup * self.steps)) if self.warmup > 0 else 0
@@ -441,13 +466,13 @@ def load_checkpoint(path: str | Path) -> HybridModel:
     if fmt != _FORMAT:
         raise ConfigError(f"{path}: unsupported checkpoint format {fmt}")
     (cfg_len,) = struct.unpack("<Q", take(8))
+    header = take(cfg_len)
     try:
-        cfg = json.loads(take(cfg_len).decode())
+        config = from_json(ModelConfig, "model", json.loads(header.decode()))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ConfigError(f"{path}: config is not UTF-8 JSON ({err})") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config is a JSON {type(cfg).__name__}, not an object")
-    config = ModelConfig.from_dict(cfg)
+    except ConfigError as err:
+        raise ConfigError(f"{path}: {err}") from None
     (n_params,) = struct.unpack("<I", take(4))
     model = build(config)
     table = dict(model.named_parameters())

@@ -110,37 +110,26 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
 
 
 class WindowCache:
-    """Ring buffer of the last min(t, w) rotated keys and values per head.
-
-    Holds exactly 2 * head_dim * min(t, w) scalars per head; positions and
-    the write cursor are bookkeeping, not state.
-    """
+    """Shift buffer of the last min(t, w) rotated keys and values per head,
+    oldest first, like `bc.ConvCache`'s tail; `t` is the next position."""
 
     def __init__(self, params: SwaParams, dtype=np.float64):
         self.params = params
-        h, w, dh = params.heads, params.window, params.head_dim
-        self.k = np.zeros((h, w, dh), dtype=dtype)
-        self.v = np.zeros((h, w, dh), dtype=dtype)
-        self.positions = np.full(w, -1, dtype=np.int64)
-        self.cursor = 0
-        self.count = 0
+        self.k = np.zeros((params.heads, 0, params.head_dim), dtype=dtype)
+        self.v = np.zeros_like(self.k)
         self.t = 0
 
     def scalar_count(self) -> int:
-        return 2 * self.k.shape[0] * self.count * self.k.shape[2]
+        return self.k.size + self.v.size
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One (d_model,) layer-input row in, one output row out (`decode_step`)."""
         return decode_step(self.params, self, x)[1]
 
-    def oldest_position(self) -> int:
-        if self.count == 0:
-            return -1
-        return int(self.positions[self.cursor]) if self.count == self.k.shape[1] else int(self.positions[0])
-
 
 def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple[WindowCache, np.ndarray]:
-    """Append one token's k, v and attend over the live window.
+    """Append one token's k, v, drop the key that left the window, and
+    attend over the rest.
 
     `x_t` is the layer input row (d_model,); returns the cache (mutated in
     place; a cache is single-owner per decode stream) and the output row
@@ -148,23 +137,20 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     """
     if x_t.shape != (params.d_model,):
         raise ShapeError(f"decode_step expects a ({params.d_model},) row, got {x_t.shape}")
-    h, dh, w = params.heads, params.head_dim, params.window
+    h, dh = params.heads, params.head_dim
     q = (x_t @ params.wq.data).reshape(h, dh)
     k = (x_t @ params.wk.data).reshape(h, dh)
     v = (x_t @ params.wv.data).reshape(h, dh)
     if params.rotary:
         q = T.rotary_np(q, cache.t, params.rotary_base)
         k = T.rotary_np(k, cache.t, params.rotary_base)
-    cache.k[:, cache.cursor] = k
-    cache.v[:, cache.cursor] = v
-    cache.positions[cache.cursor] = cache.t
-    cache.cursor = (cache.cursor + 1) % w
-    cache.count = min(cache.count + 1, w)
+    drop = int(cache.k.shape[1] == params.window)
+    cache.k = np.concatenate([cache.k[:, drop:], k[:, None]], axis=1)
+    cache.v = np.concatenate([cache.v[:, drop:], v[:, None]], axis=1)
     cache.t += 1
-    live = cache.positions >= 0
-    logits = np.einsum("hd,hwd->hw", q, cache.k)[:, live] / math.sqrt(dh)
+    logits = np.einsum("hd,hwd->hw", q, cache.k) / math.sqrt(dh)
     logits -= logits.max(axis=-1, keepdims=True)
     weights = np.exp(logits)
     weights /= weights.sum(axis=-1, keepdims=True)
-    y = np.einsum("hw,hwd->hd", weights, cache.v[:, live])
+    y = np.einsum("hw,hwd->hd", weights, cache.v)
     return cache, y.reshape(h * dh) @ params.wo.data

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from basedlab.cli import main, parse_config
-from basedlab.model import load_checkpoint, save_checkpoint
+from basedlab.model import ModelConfig, build, load_checkpoint, save_checkpoint
 
 
 def write_config(tmp_path, extra=None):
@@ -89,6 +89,22 @@ def test_type_errors_in_config(tmp_path, capsys):
     path.write_text(json.dumps({"model": {"d_model": "x"}}))
     assert main(["statesize", "--config", str(path)]) == 2
     assert "model.d_model" in capsys.readouterr().err
+
+
+def test_defaults_are_pinned():
+    # every key and default of the six sections; null, true and false as JSON has them
+    null, true, false = None, True, False
+    assert parse_config(None) == {
+        "analysis": {"arch": "Based", "bytes_per_element": 2, "d": 64, "d_prime": 16, "d_state": null, "n": null, "window": null},
+        "io": {"b": 1, "bytes_per_element": 2, "d": 64, "d_prime": 16, "h": 16, "n": 1024, "pad_tile": null, "state_resident": true},
+        "model": {"conv_expand": 4, "conv_taps": 3, "d_model": 64, "d_prime": 16, "dtype": "f64", "feature_map": "TaylorExp2",
+                  "head_mixing": false, "heads": 1, "include_mlp": false, "layer_pattern": "CL", "mlp_width": 2, "rotary": true,
+                  "seed": 0, "tie_embeddings": false, "use_decay": false, "vocab": 65, "window": 64},
+        "sweep": {"d_primes": [4, 8, 16]},
+        "task": {"batch_size": 64, "batches": 1, "kv_pairs": 8, "num_keys": 32, "num_values": 32, "seed": 0, "seq_len": 64},
+        "train": {"adam_eps": 1e-08, "batch_size": 16, "beta1": 0.9, "beta2": 0.95, "eval_every": 0, "grad_clip": 1.0,
+                  "lr": 0.002, "min_lr": 0.0, "schedule": "cosine", "steps": 2000, "warmup": 0.01},
+    }
 
 
 def test_mqar_gen_writes_batches(tmp_path, capsys):
@@ -219,6 +235,13 @@ def _write_bytes(path, data):
     return str(path)
 
 
+def _nine_token_checkpoint(tmp):
+    """A model for write_config's task, whose vocabulary is 9 tokens."""
+    path = tmp / "nine.ckpt"
+    save_checkpoint(path, build(ModelConfig(vocab=9, d_model=16, d_prime=4, window=4)))
+    return str(path)
+
+
 BAD_INPUTS = {
     "task_seed": lambda tmp: ["mqar-gen", "--config", write_config(tmp, {"task": {"seed": -1}})],
     "model_seed": lambda tmp: ["train", "--config", write_config(tmp, {"model": {"seed": -1}})],
@@ -231,6 +254,12 @@ BAD_INPUTS = {
     "config_is_dir": lambda tmp: ["statesize", "--config", str(tmp)],
     "config_not_utf8": lambda tmp: ["statesize", "--config", _write_bytes(tmp / "c.json", b'{"task": {}}\xff')],
     "checkpoint_is_dir": lambda tmp: ["eval", "--checkpoint", str(tmp)],
+    "eval_task_vocab": lambda tmp: ["eval", "--config", write_config(tmp, {"task": {"num_keys": 8, "num_values": 8}}),
+                                    "--checkpoint", _nine_token_checkpoint(tmp)],
+    "tradeoff_small_vocab": lambda tmp: ["tradeoff", "--config", write_config(tmp, {"model": {"vocab": 5}})],
+    "train_lr_nan": lambda tmp: ["train", "--config", write_config(tmp, {"train": {"lr": float("nan")}})],
+    "train_lr_huge_int": lambda tmp: ["train", "--config", write_config(tmp, {"train": {"lr": 10**400}})],
+    "train_odd_rotary_head": lambda tmp: ["train", "--config", write_config(tmp, {"model": {"d_model": 9, "layer_pattern": "CS"}})],
 }
 
 

@@ -52,9 +52,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(head_mixing=True)  # requires use_decay
     with pytest.raises(ConfigError):
-        md.ModelConfig.from_dict({"vocab": 12, "n_layers": 2})
+        tiny_config(d_model=18, layer_pattern="CS")  # rotary S layer with head dim 9
+    assert tiny_config(d_model=18, layer_pattern="CS", rotary=False).head_dim == 9
+    assert tiny_config(d_model=18, layer_pattern="CL").head_dim == 9
+    with pytest.raises(ConfigError):
+        md.from_json(md.ModelConfig, "model", {"vocab": 12, "n_layers": 2})
     cfg = tiny_config()
-    assert md.ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert md.from_json(md.ModelConfig, "model", cfg.to_dict()) == cfg
 
 
 def test_build_is_deterministic():
@@ -327,6 +331,8 @@ def test_checkpoint_rejects_garbage(tmp_path):
     model.head.data[0, 0] = np.inf
     md.save_checkpoint(path, model)
     non_finite = path.read_bytes()
+    md.save_checkpoint(path, md.build(tiny_config(heads=1, layer_pattern="CS")))
+    odd_head = path.read_bytes().replace(b'"d_model":16', b'"d_model":17')
     for bad in (
         raw[:4] + bytes([99]) + raw[5:],  # unsupported format word
         raw[:-3],  # truncated inside the last section
@@ -338,6 +344,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
         raw[:name_at] + b"\xff" + raw[name_at + 1:],  # section name is not UTF-8
         wrong_shape,  # embedding stored as (d_model, vocab)
         non_finite,  # an inf in the head
+        odd_head,  # config of a rotary S layer with head dim 17
     ):
         path.write_bytes(bytes(bad))
         with pytest.raises(ConfigError):

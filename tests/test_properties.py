@@ -1,0 +1,99 @@
+"""Property tests over config JSON and checkpoint bytes.
+
+Both are derandomized, so every run checks the same examples: a config
+either raises ConfigError or resolves to a config that re-parses to itself,
+and a truncated or bit-flipped checkpoint either loads or raises ConfigError.
+"""
+
+import json
+import typing
+from dataclasses import asdict, fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from basedlab import model as md
+from basedlab.cli import RunConfig, parse_config
+from basedlab.errors import ConfigError
+
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+_JUNK = (
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats(-2.0, 100.0) | st.text(max_size=3)
+    | st.lists(st.integers(-1, 20), max_size=3) | st.dictionaries(st.text(max_size=2), st.none(), max_size=1)
+    | st.sampled_from([float("nan"), float("inf"), 10**400])  # json.dumps writes NaN and Infinity
+)
+_WORDS = ["CL", "cs", "CLCS", "f32", "f64", "TaylorExp2", "PosELU", "Based", "SlidingWindow", "cosine", "constant"]
+
+
+def _fitting(tp):
+    """Values of annotation `tp`, mostly in range."""
+    if tp in (bool, int, float, str, type(None)):
+        return {bool: st.booleans(), int: st.integers(0, 12), float: st.floats(0.0, 1.0) | st.integers(0, 2),
+                str: st.sampled_from(_WORDS), type(None): st.none()}[tp]
+    if typing.get_origin(tp) is tuple:
+        return st.lists(st.integers(0, 12), max_size=3)
+    return st.one_of(*map(_fitting, typing.get_args(tp)))
+
+
+def _configs(section, names=()):
+    sections = typing.get_type_hints(RunConfig)
+    return st.fixed_dictionaries({}, optional={
+        **{name: section(cls) for name, cls in sections.items()}, **{name: st.just({}) for name in names}
+    })
+
+
+def _junk_section(cls):
+    return _JUNK | st.dictionaries(st.sampled_from([f.name for f in fields(cls)] + ["bogus"]), _JUNK)
+
+
+# in-range values of the annotated types, or junk anywhere
+_CONFIGS = _configs(lambda cls: st.fixed_dictionaries({}, optional={
+    key: _fitting(tp) for key, tp in typing.get_type_hints(cls).items()
+})) | _configs(_junk_section, names=["bogus"])
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@_SETTINGS
+@given(raw=_CONFIGS, seed=st.none() | st.integers(0, 5))
+def test_config_raises_or_reparses_to_itself(scratch, raw, seed):
+    path = scratch / "config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        config = parse_config(str(path), seed)
+    except ConfigError:
+        return
+    path.write_text(json.dumps(asdict(config)))
+    assert parse_config(str(path)) == config
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    md.save_checkpoint(path, md.build(md.ModelConfig(vocab=9, d_model=16, d_prime=4, window=4, layer_pattern="CLS")))
+    return path.read_bytes()
+
+
+def _damaged(raw: bytes, draw) -> bytes:
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    header = 16 + int.from_bytes(raw[8:16], "little")  # magic, format, length, config JSON
+    at = draw(st.integers(0, header - 1) | st.integers(0, len(raw) - 1))
+    return raw[:at] + bytes([raw[at] ^ (1 << draw(st.integers(0, 7)))]) + raw[at + 1:]
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_config_error(checkpoint, scratch, data):
+    path = scratch / "damaged.ckpt"
+    path.write_bytes(_damaged(checkpoint, data.draw))
+    try:
+        model = md.load_checkpoint(path)
+    except ConfigError:
+        return
+    assert isinstance(model, md.HybridModel)

@@ -118,25 +118,27 @@ def test_ring_buffer_bookkeeping():
     params = random_params(d_model=8, heads=2, window=3)
     cache = sw.WindowCache(params)
     assert cache.scalar_count() == 0
-    assert cache.oldest_position() == -1
+    assert cache.t - cache.k.shape[1] == 0  # oldest held position
     u = np.random.default_rng(7).normal(size=(8, 8))
     for t in range(8):
         cache, _ = sw.decode_step(params, cache, u[t])
-        assert cache.count == min(t + 1, 3)
+        assert cache.k.shape[1] == cache.v.shape[1] == min(t + 1, 3)
         assert cache.scalar_count() == 2 * 2 * min(t + 1, 3) * 4  # 2 h count dh
-        assert cache.oldest_position() == max(0, t - 2)
+        assert cache.t - cache.k.shape[1] == max(0, t - 2)
     assert cache.t == 8
 
 
 def test_cache_evicts_oldest_key():
-    # after the window wraps, only the newest w keys remain
+    # after the window wraps, only the newest w keys remain, oldest first
     params = random_params(d_model=8, heads=1, window=2, rotary=False, seed=1)
     cache = sw.WindowCache(params)
     u = np.random.default_rng(8).normal(size=(5, 8))
     for t in range(5):
         cache, _ = sw.decode_step(params, cache, u[t])
-    live = set(int(p) for p in cache.positions)
+    live = set(range(cache.t - cache.k.shape[1], cache.t))
     assert live == {3, 4}
+    assert np.array_equal(cache.k[0], [u[3] @ params.wk.data, u[4] @ params.wk.data])
+    assert np.array_equal(cache.v[0], [u[3] @ params.wv.data, u[4] @ params.wv.data])
 
 
 def test_forward_gradients():
