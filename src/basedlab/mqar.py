@@ -28,19 +28,21 @@ class MqarConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_keys < 1 or self.num_values < 1:
-            raise ConfigError(f"num_keys and num_values must be >= 1, got {self.num_keys}/{self.num_values}")
+        """Range checks; each message starts with the `task.<key>` it names."""
+        for name in ("num_keys", "num_values"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"task.{name}: must be >= 1, got {getattr(self, name)}")
         lo, hi = self.pair_range
         if lo < 1 or hi < lo:
-            raise ConfigError(f"kv_pairs range ({lo}, {hi}) is empty or non-positive")
+            raise ConfigError(f"task.kv_pairs: range ({lo}, {hi}) is empty or non-positive")
         if hi > self.num_keys:
-            raise ConfigError(f"kv_pairs={hi} exceeds num_keys={self.num_keys}; keys are drawn without replacement")
+            raise ConfigError(f"task.kv_pairs: {hi} exceeds num_keys={self.num_keys}; keys are drawn without replacement")
         if hi > self.num_values:
-            raise ConfigError(f"kv_pairs={hi} exceeds num_values={self.num_values}; values are drawn without replacement")
+            raise ConfigError(f"task.kv_pairs: {hi} exceeds num_values={self.num_values}; values are drawn without replacement")
         if 3 * hi > self.seq_len:
-            raise ConfigError(f"kv_pairs={hi} needs {3 * hi} slots but seq_len={self.seq_len}")
+            raise ConfigError(f"task.seq_len: {self.seq_len} is shorter than the {3 * hi} slots kv_pairs={hi} needs")
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"task.seed: must be >= 0, got {self.seed}")
 
     @property
     def pair_range(self) -> tuple[int, int]:

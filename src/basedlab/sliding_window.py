@@ -1,12 +1,16 @@
 """Exact softmax attention restricted to a trailing window of positions.
 
 Position i attends to j in [max(0, i - w + 1), i] with logits q.k / sqrt(d)
-and max-subtracted softmax. Rotary position encoding uses absolute positions,
-so a decode step after cache eviction still reproduces the prefill output.
+and max-subtracted softmax. `window_core` computes it in tiles: each tile of
+WINDOW_TILE queries scores only the band of keys its window can reach, so a
+forward or backward costs O(N (c + w)) time and memory, never N x N.
+Rotary position encoding uses absolute positions, so a decode step after
+cache eviction still reproduces the prefill output.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,8 +19,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ParameterError, ShapeError
 from .tensor import Tensor
-
-_MASK_OFF = -1e30
 
 
 @dataclass
@@ -74,11 +76,98 @@ def create(
     )
 
 
-def window_mask(n: int, window: int, dtype=np.float64) -> np.ndarray:
-    """Additive mask: 0 inside the trailing window, a large negative outside."""
-    i = np.arange(n)
-    visible = (i[None, :] <= i[:, None]) & (i[None, :] > i[:, None] - window)
-    return np.where(visible, 0.0, _MASK_OFF).astype(dtype)
+# -- banded window core ----------------------------------------------------------
+
+WINDOW_TILE = 64
+
+
+@functools.lru_cache(maxsize=32)
+def _band_mask(c: int, pad: int, window: int, dtype: np.dtype) -> np.ndarray:
+    """Additive mask of the first m = ceil(pad / c) tiles and then of every
+    later tile, shape (m + 1, c, c + pad): 0 where band row r is visible to
+    query i of the tile (i + pad - w < r <= i + pad, at a position >= 0),
+    -inf elsewhere. Cached, read-only."""
+    m = -(-pad // c)
+    i = np.arange(c)[:, None]
+    r = np.arange(c + pad)
+    position = (np.arange(m + 1) * c - pad)[:, None, None] + r
+    visible = (r > i + pad - window) & (r <= i + pad) & (position >= 0)
+    mask = np.where(visible, 0.0, -np.inf).astype(dtype)
+    mask.flags.writeable = False
+    return mask
+
+
+def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
+    """y_i = sum_j softmax_j(q_i.k_j / sqrt(d)) v_j over i - w < j <= i, along
+    the second-to-last axis.
+
+    Queries go in tiles of c = min(WINDOW_TILE, N). Tile t attends to the band
+    of c + pad keys ending at its last query, pad = min(w - 1, (nt - 1) c),
+    read as a strided view of the left-padded k and v, with a max-subtracted
+    softmax over the band. The backward runs in the same tiles and sums the
+    overlapping key and value bands back with one strided add per c-row
+    chunk of the band, so nothing of size N x N is ever formed.
+    """
+    if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
+        raise ShapeError(f"window_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
+    if window < 1:
+        raise ParameterError(f"window_core: window must be >= 1, got {window}")
+    lead, n, dtype = q.shape[:-2], q.shape[-2], q.dtype
+    c = min(WINDOW_TILE, max(n, 1))
+    nt = -(-n // c)
+    pad = min(window - 1, max(nt - 1, 0) * c)
+    band = c + pad
+    mask = _band_mask(c, pad, window, dtype)
+    m = mask.shape[0] - 1
+    scale = 1.0 / math.sqrt(q.shape[-1])
+
+    def tiles(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., nt, c, d), zero-padded
+        if nt * c > n:
+            x = np.concatenate([x, np.zeros(lead + (nt * c - n, x.shape[-1]), dtype)], axis=-2)
+        return x.reshape(lead + (nt, c, x.shape[-1]))
+
+    def untile(x: np.ndarray) -> np.ndarray:
+        return x.reshape(lead + (nt * c, x.shape[-1]))[..., :n, :]
+
+    def bands(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., nt, c + pad, d), overlapping views
+        if pad or nt * c > n:
+            padded = np.zeros(lead + (pad + nt * c, x.shape[-1]), dtype)
+            padded[..., pad:pad + n, :] = x
+            x = padded
+        *outer, row, col = x.strides
+        return np.lib.stride_tricks.as_strided(
+            x, lead + (nt, band, x.shape[-1]), (*outer, c * row, row, col), writeable=False
+        )
+
+    def unband(xb: np.ndarray) -> np.ndarray:  # sum of the tiles' bands at their positions
+        chunks = -(-band // c)
+        out = np.zeros(lead + (nt + chunks - 1, c, xb.shape[-1]), dtype)
+        for j in range(chunks):
+            rows = xb[..., j * c:(j + 1) * c, :]
+            out[..., j:j + nt, :rows.shape[-2], :] += rows
+        return out.reshape(lead + (-1, xb.shape[-1]))[..., pad:pad + n, :]
+
+    qt = tiles(q.data)
+    kb, vb = bands(k.data), bands(v.data)
+    attn = qt @ np.swapaxes(kb, -1, -2)
+    attn *= scale
+    attn[..., :m, :, :] += mask[:m]
+    attn[..., m:, :, :] += mask[m]
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = untile(attn @ vb)
+
+    def backward(grad):
+        gt = tiles(grad)
+        dattn = gt @ np.swapaxes(vb, -1, -2)
+        dlogits = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * attn
+        dlogits *= scale
+        T.accumulate(q, untile(dlogits @ kb))
+        T.accumulate(k, unband(np.swapaxes(dlogits, -1, -2) @ qt))
+        T.accumulate(v, unband(np.swapaxes(attn, -1, -2) @ gt))
+
+    return T.from_op(out, (q, k, v), backward)
 
 
 def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
@@ -101,10 +190,7 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
         positions = np.arange(n)
         q = T.rotary(q, positions, params.rotary_base)
         k = T.rotary(k, positions, params.rotary_base)
-    logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    logits = T.add_const(logits, window_mask(n, params.window, logits.dtype))
-    attn = T.softmax_last(logits)
-    y = T.matmul(attn, v)
+    y = window_core(q, k, v, params.window)
     out = T.matmul(T.reshape(T.transpose(y, (0, 2, 1, 3)), (b, n, h * dh)), params.wo)
     return T.take_axis(out, 0, 0) if squeeze else out
 

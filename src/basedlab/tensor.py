@@ -161,22 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return from_op(a.data + b.data, (a, b), backward)
 
 
-def add_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Add a constant array (numpy broadcasting allowed; no gradient for it)."""
-    out = a.data + c
-    if out.shape != a.shape:
-        raise ShapeError(f"add_const: constant of shape {np.shape(c)} changes operand shape {a.shape}")
-    def backward(g):
-        accumulate(a, g)
-    return from_op(out, (a,), backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        accumulate(a, g * s)
-    return from_op(a.data * s, (a,), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "mul")
     if a.shape != b.shape:

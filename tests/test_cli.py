@@ -260,14 +260,17 @@ BAD_INPUTS = {
     "train_lr_nan": lambda tmp: ["train", "--config", write_config(tmp, {"train": {"lr": float("nan")}})],
     "train_lr_huge_int": lambda tmp: ["train", "--config", write_config(tmp, {"train": {"lr": 10**400}})],
     "train_odd_rotary_head": lambda tmp: ["train", "--config", write_config(tmp, {"model": {"d_model": 9, "layer_pattern": "CS"}})],
+    "task_kv_pairs": lambda tmp: ["mqar-gen", "--config", write_config(tmp, {"task": {"kv_pairs": 40}})],
 }
+# the config path each case's error line names, where the case pins it
+ERROR_PATHS = {"task_kv_pairs": "task.kv_pairs:"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_inputs_exit_2_with_one_error_line(case, tmp_path, capsys):
     assert main(BAD_INPUTS[case](tmp_path) + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1 and err[0].startswith("error: " + ERROR_PATHS.get(case, "")), err
 
 
 def test_bad_log_level(monkeypatch, capsys):

@@ -1,14 +1,16 @@
-"""Property tests over config JSON and checkpoint bytes.
+"""Property tests over config JSON, checkpoint bytes and the window core.
 
-Both are derandomized, so every run checks the same examples: a config
+All are derandomized, so every run checks the same examples: a config
 either raises ConfigError or resolves to a config that re-parses to itself,
-and a truncated or bit-flipped checkpoint either loads or raises ConfigError.
+a truncated or bit-flipped checkpoint either loads or raises ConfigError,
+and the banded window core agrees with the dense masked reference.
 """
 
 import json
 import typing
 from dataclasses import asdict, fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from basedlab import model as md
 from basedlab.cli import RunConfig, parse_config
 from basedlab.errors import ConfigError
+from test_sliding_window import assert_matches_reference
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -97,3 +100,13 @@ def test_damaged_checkpoint_loads_or_raises_config_error(checkpoint, scratch, da
     except ConfigError:
         return
     assert isinstance(model, md.HybridModel)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(b=st.integers(1, 2), h=st.integers(1, 3), n=st.integers(0, 200), window=st.integers(1, 210),
+       f32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_window_core_matches_dense_reference(b, h, n, window, f32, seed):
+    rng = np.random.default_rng(seed)
+    dtype = np.float32 if f32 else np.float64
+    arrays = [rng.normal(size=(b, h, n, 4)).astype(dtype) for _ in range(3)]
+    assert_matches_reference(arrays, window, rng.normal(size=(b, h, n, 4)), 1e-5 if f32 else 1e-12)

@@ -1,6 +1,8 @@
-"""Sliding-window attention: masking, rotary positions, the decode ring buffer."""
+"""Sliding-window attention: the banded core against a dense masked
+reference, rotary positions, the decode shift buffer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,35 @@ from basedlab import sliding_window as sw
 from basedlab import tensor as T
 from basedlab.errors import ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check
+
+
+def dense_window(q, k, v, window):
+    """The masked N x N reference: full logits, -1e30 outside the window, dense softmax."""
+    n = q.shape[-2]
+    i = np.arange(n)
+    visible = (i[None, :] <= i[:, None]) & (i[None, :] > i[:, None] - window)
+    const = lambda a: Tensor(np.broadcast_to(a, q.shape[:-2] + (n, n)), dtype=q.dtype)
+    logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), const(1.0 / math.sqrt(q.shape[-1])))
+    return T.matmul(T.softmax_last(T.add(logits, const(np.where(visible, 0.0, -1e30)))), v)
+
+
+def output_and_grads(attend, arrays, window, weights):
+    """attend(q, k, v, window) and the gradients of sum(output * weights) in q, k, v."""
+    q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+    y = attend(q, k, v, window)
+    T.sum_all(T.mul(y, Tensor(weights, dtype=y.dtype))).backward()
+    return [y.data, q.grad, k.grad, v.grad]
+
+
+def assert_matches_reference(arrays, window, weights, rel):
+    got = output_and_grads(sw.window_core, arrays, window, weights)
+    if arrays[0].shape[-2] == 0:  # the reference cannot softmax an empty row set
+        assert [g.shape for g in got] == [weights.shape] + [a.shape for a in arrays]
+        return
+    want = output_and_grads(dense_window, [a.astype(np.float64) for a in arrays], window, weights)
+    for name, g, w in zip(("y", "dq", "dk", "dv"), got, want):
+        assert g.dtype == arrays[0].dtype, name
+        assert np.abs(g - w).max() <= rel * np.abs(w).max(), (name, window)
 
 
 def identity_params(d=4, window=2, heads=1, rotary=False):
@@ -29,11 +60,20 @@ def test_window_one_passes_value_through():
 
 
 def test_window_mask_shape_and_entries():
-    mask = sw.window_mask(5, 2)
-    for i in range(5):
-        for j in range(5):
-            visible = j <= i and j > i - 2
-            assert mask[i, j] == (0.0 if visible else sw._MASK_OFF)
+    # perturbing key/value j moves output i exactly when i - w < j <= i,
+    # within one tile and across tiles with a window wider than a tile
+    rng = np.random.default_rng(11)
+    for n, window in [(5, 2), (130, 70)]:
+        q, k, v = (rng.normal(size=(1, 1, n, 4)) for _ in range(3))
+        base = sw.window_core(Tensor(q), Tensor(k), Tensor(v), window).data[0, 0]
+        i = np.arange(n)
+        for j in range(n):
+            k2, v2 = k.copy(), v.copy()
+            k2[..., j, :] += 0.5
+            v2[..., j, :] -= 0.5
+            y = sw.window_core(Tensor(q), Tensor(k2), Tensor(v2), window).data[0, 0]
+            moved = np.abs(y - base).max(axis=-1) > 0
+            assert np.array_equal(moved, (i - window < j) & (j <= i)), (n, window, j)
 
 
 def test_full_window_matches_plain_causal_attention():
@@ -177,3 +217,47 @@ def test_large_logits_stay_finite():
     u = np.random.default_rng(10).normal(size=(6, 4)) * 300.0
     y = sw.swa_forward(params, Tensor(u)).data
     assert np.isfinite(y).all()
+
+
+def test_window_core_matches_masked_reference():
+    rng = np.random.default_rng(12)
+    for n in [0, 1, 63, 64, 65, 200]:
+        for window in [1, 8, 64, 65, 130]:
+            arrays = [rng.normal(size=(2, 3, n, 6)) for _ in range(3)]
+            assert_matches_reference(arrays, window, rng.normal(size=(2, 3, n, 6)), 1e-12)
+
+
+def test_window_core_keeps_f32():
+    rng = np.random.default_rng(13)
+    arrays = [rng.normal(size=(2, 2, 130, 8)).astype(np.float32) for _ in range(3)]
+    assert_matches_reference(arrays, 70, rng.normal(size=(2, 2, 130, 8)), 1e-5)
+
+
+def test_window_core_gradients_across_padded_tiles():
+    # N = 70 is one full tile plus a partial one; w = 70 reaches back over both
+    u = Tensor(np.random.default_rng(14).normal(size=(70, 4)), requires_grad=True)
+    for window in [8, 70]:
+        params = random_params(d_model=4, heads=2, window=window, seed=3)
+        assert grad_check(lambda t: T.sum_all(sw.swa_forward(params, t)), u) < 1e-6
+
+
+def test_window_core_memory_stays_per_tile():
+    # the dense N x N path traced about 780 MB here
+    q, k, v = (Tensor(a) for a in np.random.default_rng(15).normal(size=(3, 1, 1, 4096, 64)))
+    tracemalloc.start()
+    try:
+        y = sw.window_core(q, k, v, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert y.shape == (1, 1, 4096, 64)
+    assert peak < 64e6, peak / 1e6
+
+
+def test_empty_sequence_gives_empty_output():
+    params = random_params()
+    u = Tensor(np.zeros((2, 0, 8)), requires_grad=True)
+    y = sw.swa_forward(params, u)
+    assert y.shape == (2, 0, 8)
+    T.sum_all(y).backward()
+    assert u.grad.shape == (2, 0, 8)

@@ -165,7 +165,6 @@ GRAD_CASES = {
     "rotary": lambda t: T.sum_all(T.mul(T.rotary(t, np.arange(3)), Tensor(np.arange(12.0).reshape(3, 4)))),
     "conv": lambda t: T.sum_all(T.causal_conv1d(t, Tensor(np.array([[1.0, -0.5, 0.2, 0.9], [0.3, 0.7, -1.1, 0.4]])))),
     "rowscale": lambda t: T.sum_all(T.mul_rowscale(t, Tensor(np.array([0.5, -1.5, 2.5])))),
-    "scale_shift": lambda t: T.sum_all(T.scale(t, -2.5)),
 }
 
 
