@@ -7,10 +7,20 @@ the projection, applies SiLU to the convolution branch only, and projects
 back down:
 
     y = ((u W1 + b1) .* silu(h * (u W2) + b2)) W3 + b3
+
+`forward_gated` computes this as one graph op in tiles of CONV_TILE rows
+along the sequence. A tile's filter reaches back taps - 1 rows, so each tile
+also projects that many earlier rows (its halo) through W2; every other
+intermediate is one tile wide, and the whole chain down to W3 runs before
+the next tile starts. The backward keeps only the input, recomputes each
+tile and adds the halo rows' gradient into the rows before it. Decode
+(`ConvCache`) runs the same tile function on one row, with the cached last
+taps - 1 projected rows as the halo.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,18 +115,110 @@ def forward_minimal(params: MinimalBaseConv, u: Tensor) -> Tensor:
     return T.mul(lin, conv)
 
 
+# -- tiled gated core --------------------------------------------------------------
+
+CONV_TILE = 128
+
+
+def _causal(filt: np.ndarray, halo: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Depthwise causal filter over the rows of `pre`, preceded by the rows of
+    `halo`: conv[i] = sum_t filt[t] * row[i - t], rows before the halo zero."""
+    c, h = pre.shape[-2], halo.shape[-2]
+    conv = filt[0] * pre
+    for t in range(1, min(filt.shape[0], h + c)):
+        if t < c:
+            conv[..., t:, :] += filt[t] * pre[..., :c - t, :]
+        lo, hi = max(t - h, 0), min(t, c)  # rows whose lag-t input is in the halo
+        if lo < hi:
+            conv[..., lo:hi, :] += filt[t] * halo[..., h - t + lo:h - t + hi, :]
+    return conv
+
+
+def _tile(p: GatedBaseConv, rows: np.ndarray, halo: np.ndarray):
+    """Steps 1-4 of the core on one tile of layer-input rows (..., c, d);
+    `halo` is u W2 of the h <= taps - 1 positions before them. Returns
+    pre = u W2 of the rows, gate = u W1 + b1, sig = sigmoid(conv) and the
+    SiLU act = conv * sig of conv = filter(halo, pre) + b2."""
+    gate = rows @ p.w1.data
+    gate += p.b1.data
+    pre = rows @ p.w2.data
+    conv = _causal(p.filt.data, halo, pre)
+    conv += p.b2.data
+    sig = T.sigmoid_np(conv)
+    conv *= sig
+    return pre, gate, sig, conv
+
+
 def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
-    """Gate times SiLU'd convolution branch, then the down projection."""
-    if u.shape[-1] != params.d_model:
-        raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
-    gate = T.add(T.matmul(u, params.w1), params.b1)
-    conv = T.add(T.causal_conv1d(T.matmul(u, params.w2), params.filt), params.b2)
-    return T.add(T.matmul(T.mul(gate, T.silu(conv)), params.w3), params.b3)
+    """((u W1 + b1) .* silu(h * (u W2) + b2)) W3 + b3 over the second-to-last
+    axis, as one graph op in tiles of c = min(CONV_TILE, N) rows; a tile
+    starting at row s takes u W2 of the h = min(taps - 1, s) rows before it
+    as its halo (see the module docstring)."""
+    p = params
+    if u.ndim < 2 or u.shape[-1] != p.d_model:
+        raise ShapeError(f"input {u.shape} does not match d_model {p.d_model}")
+    weights = (p.w1, p.w2, p.w3, p.b1, p.b2, p.b3, p.filt)
+    for w in weights:
+        if w.dtype != u.dtype:
+            raise ShapeError(f"forward_gated: mixed dtypes {u.dtype.name} and {w.dtype.name}")
+    n, d, wide = u.shape[-2], p.d_model, p.expanded
+    x = u.data.reshape((math.prod(u.shape[:-2]), n, d))
+    c = min(CONV_TILE, max(n, 1))
+    starts = range(0, n, c)
+
+    def halo_of(s: int) -> tuple[int, np.ndarray]:
+        h = min(p.taps - 1, s)
+        return h, x[:, s - h:s] @ p.w2.data
+
+    out = np.empty(x.shape, u.dtype)
+    for s in starts:
+        _, gate, _, act = _tile(p, x[:, s:s + c], halo_of(s)[1])
+        gate *= act
+        np.matmul(gate, p.w3.data, out=out[:, s:s + c])
+    out += p.b3.data
+
+    def backward(grad):
+        grad = grad.reshape(x.shape)
+        du = np.zeros_like(x)
+        dw1, dw2, dw3 = (np.zeros_like(w.data) for w in (p.w1, p.w2, p.w3))
+        db1, db2, dfilt = (np.zeros_like(w.data) for w in (p.b1, p.b2, p.filt))
+        filt = p.filt.data
+        for s in starts:
+            rows = x[:, s:s + c]
+            h, halo = halo_of(s)
+            pre, gate, sig, act = _tile(p, rows, halo)
+            g, rows_in_tile = grad[:, s:s + c], rows.shape[1]
+            dw3 += (gate * act).reshape(-1, wide).T @ g.reshape(-1, d)
+            dgated = g @ p.w3.data.T
+            dgate = dgated * act
+            dconv = dgated * gate
+            sig -= act * sig  # silu'(conv) = sig + act (1 - sig)
+            sig += act
+            dconv *= sig
+            ext = np.concatenate([halo, pre], axis=-2) if h else pre
+            dext = np.zeros_like(ext)
+            for t in range(min(p.taps, h + rows_in_tile)):
+                lo = max(t - h, 0)  # first row whose lag-t input exists
+                src = slice(h + lo - t, h + rows_in_tile - t)
+                dfilt[t] += np.einsum("bic,bic->c", dconv[:, lo:], ext[:, src])
+                dext[:, src] += filt[t] * dconv[:, lo:]
+            db1 += dgate.reshape(-1, wide).sum(axis=0)
+            db2 += dconv.reshape(-1, wide).sum(axis=0)
+            dw1 += rows.reshape(-1, d).T @ dgate.reshape(-1, wide)
+            dw2 += x[:, s - h:s + c].reshape(-1, d).T @ dext.reshape(-1, wide)
+            du[:, s:s + c] += dgate @ p.w1.data.T
+            du[:, s - h:s + c] += dext @ p.w2.data.T
+        db3 = grad.reshape(-1, d).sum(axis=0)
+        for w, dw in zip((u,) + weights, (du.reshape(u.shape), dw1, dw2, dw3, db1, db2, db3, dfilt)):
+            T.accumulate(w, dw)
+
+    return T.from_op(out.reshape(u.shape), (u,) + weights, backward)
 
 
 class ConvCache:
     """Decode cache of `forward_gated`: the last taps-1 up-projected rows,
-    oldest first (zeros are the causal padding)."""
+    oldest first (zeros are the causal padding). Each step runs the core's
+    tile on one row with this tail as its halo."""
 
     def __init__(self, params: GatedBaseConv, dtype=np.float64):
         self.params = params
@@ -128,11 +230,8 @@ class ConvCache:
     def step(self, x: np.ndarray) -> np.ndarray:
         """One (d_model,) layer-input row in, one output row out."""
         p = self.params
-        row = x @ p.w2.data
-        conv = p.filt.data[0] * row
-        for t in range(1, p.taps):
-            conv = conv + p.filt.data[t] * self.tail[-t]
-        if p.taps > 1:
-            self.tail = np.concatenate([self.tail[1:], row[None, :]])
-        gated = (x @ p.w1.data + p.b1.data) * T.silu_np(conv + p.b2.data)
-        return gated @ p.w3.data + p.b3.data
+        pre, gate, _, act = _tile(p, x[None, :], self.tail)
+        if len(self.tail):
+            self.tail[:-1] = self.tail[1:]
+            self.tail[-1] = pre[0]
+        return (gate[0] * act[0]) @ p.w3.data + p.b3.data

@@ -186,10 +186,11 @@ def _cmd_mqar_gen(args, config: RunConfig) -> int:
 
 
 def _train_artifacts(out: Path, config: RunConfig, model: HybridModel, result: dict) -> None:
-    lines = ["step,lr,loss,eval_accuracy"]
+    lines = ["step,lr,loss,grad_norm,clipped,eval_accuracy"]
     for row in result["metrics"]:
         acc = row.get("eval_accuracy")
-        lines.append(f"{row['step']},{row['lr']!r},{row['loss']!r},{'' if acc is None else repr(acc)}")
+        lines.append(f"{row['step']},{row['lr']!r},{row['loss']!r},{row['grad_norm']!r},{int(row['clipped'])},"
+                     f"{'' if acc is None else repr(acc)}")
     (out / "metrics.csv").write_text("\n".join(lines) + "\n")
     report = {
         "final_loss": _finite_or_none(result["final_loss"]),

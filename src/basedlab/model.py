@@ -373,7 +373,8 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
     `data` yields MqarBatch objects. Raises TrainingDiverged on a non-finite
     loss or gradient norm, naming the step, before the update. Returns
     {"metrics": [...], "final_loss": float} plus "final_accuracy" when an
-    eval batch is given.
+    eval batch is given; each metrics entry holds the step, lr, loss, the
+    pre-clip global gradient norm and whether it was clipped.
     """
     from .mqar import evaluate  # local import keeps module load acyclic
 
@@ -397,7 +398,8 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         if not math.isfinite(norm):
             raise TrainingDiverged(step, f"non-finite gradient norm at step {step}")
-        if 0 < tcfg.grad_clip < norm:
+        clipped = 0 < tcfg.grad_clip < norm
+        if clipped:
             grads = [g * (tcfg.grad_clip / norm) for g in grads]
         lr = tcfg.lr_at(step)
         t = step + 1
@@ -409,7 +411,7 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
             v *= tcfg.beta2
             v += (1.0 - tcfg.beta2) * (g * g)
             p.data = p.data - (lr / bc1) * m / (np.sqrt(v / bc2) + tcfg.adam_eps)
-        entry = {"step": step, "loss": loss_val, "lr": lr}
+        entry = {"step": step, "loss": loss_val, "lr": lr, "grad_norm": norm, "clipped": clipped}
         if eval_batch is not None and tcfg.eval_every and (step + 1) % tcfg.eval_every == 0:
             entry["eval_accuracy"] = evaluate(model, eval_batch)["accuracy"]
         metrics.append(entry)

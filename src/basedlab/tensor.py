@@ -172,13 +172,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Numerically stable sigmoid on a plain array (shared with decode paths)."""
-    x = np.asarray(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Sigmoid on a plain array as 0.5 + 0.5 tanh(x / 2), in place on one copy
+    (shared with decode paths). tanh saturates to +-1, so no input overflows,
+    and the result keeps the input's float dtype."""
+    out = np.array(x, dtype=np.result_type(x, 0.5))
+    out *= 0.5
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
     return out
 
 

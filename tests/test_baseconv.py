@@ -1,4 +1,7 @@
-"""Gated convolutions: delta filters isolate the gate, oracles pin the math."""
+"""Gated convolutions: delta filters isolate the gate, oracles pin the math,
+and the tiled core agrees with the composed graph it replaces."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +10,47 @@ from basedlab import baseconv as bc
 from basedlab import tensor as T
 from basedlab.errors import ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check, sigmoid_np
+
+
+NAMES = ("w1", "w2", "w3", "b1", "b2", "b3", "filt")
+
+
+def composed_gated(params, u):
+    """The reference: the gated layer as a graph of matmul, add, conv, SiLU and mul ops."""
+    gate = T.add(T.matmul(u, params.w1), params.b1)
+    conv = T.add(T.causal_conv1d(T.matmul(u, params.w2), params.filt), params.b2)
+    return T.add(T.matmul(T.mul(gate, T.silu(conv)), params.w3), params.b3)
+
+
+def random_gated(d, expand, taps, seed, dtype=np.float64):
+    """Parameters with nonzero biases, so every gradient path carries weight."""
+    rng = np.random.default_rng(seed)
+    params = bc.create_gated(d, expand=expand, taps=taps, rng=rng)
+    for name in NAMES:
+        t = getattr(params, name)
+        t.data = rng.normal(size=t.shape).astype(dtype)
+    return params
+
+
+def output_and_grads(forward, params, x, weights):
+    """forward(params, u) and the gradients of sum(output * weights) in u and every parameter."""
+    u = Tensor(x, requires_grad=True)
+    for name in NAMES:
+        getattr(params, name).grad = None
+    y = forward(params, u)
+    T.sum_all(T.mul(y, Tensor(weights, dtype=y.dtype))).backward()
+    return [y.data, u.grad] + [getattr(params, name).grad for name in NAMES]
+
+
+def assert_matches_composed(params, x, weights, rel):
+    """The core in x's dtype against the composed graph in f64: output and all eight gradients."""
+    got = output_and_grads(bc.forward_gated, params, x, weights)
+    exact = bc.GatedBaseConv(**{name: Tensor(getattr(params, name).data.astype(np.float64), requires_grad=True)
+                                for name in NAMES})
+    want = output_and_grads(composed_gated, exact, x.astype(np.float64), weights)
+    for name, g, w in zip(("y", "u") + NAMES, got, want):
+        assert g.dtype == x.dtype and g.shape == w.shape, name
+        assert np.abs(g - w).max(initial=0.0) <= rel * np.abs(w).max(initial=0.0), name
 
 
 def minimal_identity(n, d, filt):
@@ -151,3 +195,70 @@ def test_validation_errors():
             b1=Tensor(np.zeros(8)), b2=Tensor(np.zeros(8)), b3=Tensor(np.zeros(4)),
             filt=Tensor(np.zeros((2, 7))),
         )
+
+
+@pytest.mark.parametrize("taps", [1, 3, 5, 200])
+@pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129, 300])
+def test_gated_core_matches_composed_reference(n, taps):
+    # tile edges at 128 and 256; taps = 200 reaches back across more than one tile
+    params = random_gated(4, 2, taps, seed=n * 1000 + taps)
+    rng = np.random.default_rng(n + taps)
+    for lead in ((), (2,)):
+        shape = lead + (n, 4)
+        assert_matches_composed(params, rng.normal(size=shape), rng.normal(size=shape), 1e-12)
+
+
+def test_gated_core_keeps_f32():
+    params = random_gated(6, 3, 4, seed=20, dtype=np.float32)
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 150, 6)).astype(np.float32)
+    assert_matches_composed(params, x, rng.normal(size=x.shape), 1e-5)
+
+
+def test_gated_core_gradients_across_tile_boundary():
+    # N = 130 puts two rows past the first tile, so the halo and its scatter are exercised
+    params = random_gated(3, 2, 3, seed=22)
+    for name in NAMES:
+        getattr(params, name).data *= 0.3
+    u = Tensor(np.random.default_rng(23).normal(size=(130, 3)), requires_grad=True)
+    assert grad_check(lambda t: T.sum_all(bc.forward_gated(params, t)), u) < 1e-6
+    fields = {k: getattr(params, k) for k in NAMES}
+    for name in ("w2", "filt"):
+        def f(t, name=name):
+            return T.sum_all(bc.forward_gated(bc.GatedBaseConv(**{**fields, name: t}), u))
+        assert grad_check(f, fields[name]) < 1e-6
+
+
+def test_gated_core_memory_stays_per_tile():
+    params = bc.create_gated(64, rng=np.random.default_rng(24))
+    u = Tensor(np.random.default_rng(25).normal(size=(1, 4096, 64)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        y = bc.forward_gated(params, u)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert y.shape == u.shape
+    assert peak < 8 * 2**20, peak  # the composed graph held 68 MB here
+
+
+def test_gated_core_rejects_mixed_dtypes():
+    params = bc.create_gated(4, rng=np.random.default_rng(26))
+    u = Tensor(np.zeros((5, 4)))
+    for name in NAMES:
+        swapped = {k: getattr(params, k) for k in NAMES}
+        swapped[name] = Tensor(swapped[name].data, dtype=np.float32)
+        with pytest.raises(ShapeError):
+            bc.forward_gated(bc.GatedBaseConv(**swapped), u)
+
+
+def test_conv_cache_steps_match_the_core():
+    # decode runs the core's tile on one row with the cache tail as its halo
+    params = random_gated(5, 2, 4, seed=27)
+    x = np.random.default_rng(28).normal(size=(9, 5))
+    cache = bc.ConvCache(params)
+    stepped = np.stack([cache.step(row) for row in x])
+    assert np.abs(stepped - bc.forward_gated(params, Tensor(x)).data).max() < 1e-12
+    assert cache.scalar_count() == 3 * params.expanded

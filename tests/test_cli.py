@@ -143,8 +143,11 @@ def test_train_eval_cycle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "trained 2 steps" in out
     metrics = (run / "metrics.csv").read_text().splitlines()
-    assert metrics[0] == "step,lr,loss,eval_accuracy"
+    assert metrics[0] == "step,lr,loss,grad_norm,clipped,eval_accuracy"
     assert len(metrics) == 3
+    for line in metrics[1:]:
+        step, lr, loss, grad_norm, clipped, acc = line.split(",")
+        assert float(grad_norm) > 0 and clipped in ("0", "1")
     report = json.loads((run / "report.json").read_text())
     assert report["steps"] == 2 and report["parameters"] > 0
     assert report["final_loss"] is not None

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -259,6 +260,24 @@ def test_non_finite_gradient_stops_before_the_update(grad_clip, monkeypatch):
     assert err.value.step == 2
     for before, p in zip(calls[-1], model.parameters()):
         assert np.array_equal(before, p.data)
+
+
+@pytest.mark.parametrize("grad_clip", [0.0, 1e-6, 1e6])
+def test_metrics_record_gradient_norm_and_clipping(grad_clip):
+    task = make_task()
+    cfg = md.ModelConfig(vocab=task.vocab_size, d_model=16, d_prime=4, layer_pattern="CL")
+    batch = next(iter(mq.stream(task, 4)))
+    model = md.build(cfg)
+    loss = T.cross_entropy_masked(model.forward(batch.tokens), batch.targets, batch.query_mask)
+    loss.backward()
+    first_norm = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in model.parameters()))
+    tcfg = md.TrainConfig(steps=3, batch_size=4, lr=1e-3, grad_clip=grad_clip)
+    metrics = md.train_mqar(md.build(cfg), mq.stream(task, 4), tcfg)["metrics"]
+    assert metrics[0]["grad_norm"] == pytest.approx(first_norm, rel=1e-12)
+    for row in metrics:
+        assert row["grad_norm"] > 0
+        assert row["clipped"] is (0 < grad_clip < row["grad_norm"])
+    assert {row["clipped"] for row in metrics} == {grad_clip == 1e-6}
 
 
 def test_lr_schedule_shapes():

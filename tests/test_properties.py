@@ -1,9 +1,11 @@
-"""Property tests over config JSON, checkpoint bytes and the window core.
+"""Property tests over config JSON, checkpoint bytes and the mixer cores.
 
 All are derandomized, so every run checks the same examples: a config
 either raises ConfigError or resolves to a config that re-parses to itself,
 a truncated or bit-flipped checkpoint either loads or raises ConfigError,
-and the banded window core agrees with the dense masked reference.
+the banded window core agrees with the dense masked reference, the tiled
+gated-conv core with the composed graph, and the parallel, chunked and
+recurrent views of linear attention with each other.
 """
 
 import json
@@ -15,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basedlab import linear_attention as la
 from basedlab import model as md
 from basedlab.cli import RunConfig, parse_config
 from basedlab.errors import ConfigError
+from basedlab.tensor import Tensor
+from test_baseconv import assert_matches_composed, random_gated
 from test_sliding_window import assert_matches_reference
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -110,3 +115,39 @@ def test_window_core_matches_dense_reference(b, h, n, window, f32, seed):
     dtype = np.float32 if f32 else np.float64
     arrays = [rng.normal(size=(b, h, n, 4)).astype(dtype) for _ in range(3)]
     assert_matches_reference(arrays, window, rng.normal(size=(b, h, n, 4)), 1e-5 if f32 else 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(b=st.integers(1, 3), n=st.integers(0, 300), taps=st.integers(1, 8), expand=st.integers(1, 3),
+       f32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gated_core_matches_composed_reference(b, n, taps, expand, f32, seed):
+    dtype = np.float32 if f32 else np.float64
+    params = random_gated(3, expand, taps, seed, dtype)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, n, 3)).astype(dtype)
+    assert_matches_composed(params, x, rng.normal(size=x.shape), 1e-5 if f32 else 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(b=st.integers(1, 2), heads=st.integers(1, 3), n=st.integers(1, 80), chunk=st.integers(1, 80),
+       decay=st.sampled_from(["none", "ladder", "mixed"]), gamma=st.floats(0.5, 1.0), f32=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_three_views_agree(b, heads, n, chunk, decay, gamma, f32, seed):
+    # criterion 01's agreement over batches, decays (with and without head mixing) and both dtypes
+    dtype = np.float32 if f32 else np.float64
+    rng = np.random.default_rng(seed)
+    d_model = 2 * heads
+    config = None
+    if decay != "none":
+        gammas = np.linspace(gamma, 1.0, heads)
+        w_mix = Tensor(rng.normal(size=(d_model, heads)) * 0.5, dtype=dtype) if decay == "mixed" else None
+        config = la.DecayConfig(gammas, w_mix)
+    params = la.create(d_model=d_model, heads=heads, d_prime=4, decay=config, rng=rng, dtype=dtype)
+    u = rng.normal(size=(b, n, d_model)).astype(dtype)
+    parallel = la.parallel_forward(params, Tensor(u)).data
+    assert parallel.dtype == dtype
+    tol = 1e-4 if f32 else 1e-8
+    for row, want in zip(u, parallel):
+        for view in (la.recurrent_forward(params, row).data, la.chunked_forward(params, row, chunk=chunk).data):
+            assert view.dtype == dtype
+            assert np.abs(view - want).max() <= tol * max(np.abs(want).max(), 1.0)

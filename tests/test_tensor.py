@@ -32,6 +32,17 @@ def test_elementwise_values():
     assert s[0] == 0.5 and s[1] == 1.0 and s[2] == 0.0
 
 
+def test_sigmoid_matches_exp_form():
+    # 0.5 + 0.5 tanh(x / 2) against the two-branch exp form, within two ulps of 1
+    x = np.linspace(-40.0, 40.0, 160001)
+    ex = np.exp(-np.abs(x))
+    want = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    assert np.abs(T.sigmoid_np(x) - want).max() <= 4.4e-16
+    s32 = T.sigmoid_np(np.array([-1e4, -1.0, 0.0, 1.0, 1e4], dtype=np.float32))
+    assert s32.dtype == np.float32 and np.isfinite(s32).all()
+    assert s32[0] == 0.0 and s32[2] == 0.5 and s32[4] == 1.0
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(5, 7)) * 30)
