@@ -20,7 +20,7 @@ import numpy as np
 from . import feature_maps as fm
 from . import linear_attention as la
 from . import mqar as mq
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, TrainingDiverged
 from .model import HybridModel, ModelConfig, TrainConfig, build, train_mqar
 from .tensor import Tensor
 
@@ -296,11 +296,7 @@ def _run_point(point: dict, bytes_per_element: int) -> dict:
         result = train_mqar(model, mq.stream(task, point["train_config"].batch_size), point["train_config"], eval_batch)
         row["mqar_acc"] = f"{result['final_accuracy']:.6f}"
         row["status"] = "ok"
-    except Exception as err:  # divergence is data, not a crash
-        from .errors import TrainingDiverged
-
-        if not isinstance(err, TrainingDiverged):
-            raise
+    except TrainingDiverged:  # divergence is data, not a crash
         row["mqar_acc"] = ""
         row["status"] = "diverged"
     return row

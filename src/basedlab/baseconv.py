@@ -120,20 +120,6 @@ def forward_minimal(params: MinimalBaseConv, u: Tensor) -> Tensor:
 CONV_TILE = 128
 
 
-def _causal(filt: np.ndarray, halo: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Depthwise causal filter over the rows of `pre`, preceded by the rows of
-    `halo`: conv[i] = sum_t filt[t] * row[i - t], rows before the halo zero."""
-    c, h = pre.shape[-2], halo.shape[-2]
-    conv = filt[0] * pre
-    for t in range(1, min(filt.shape[0], h + c)):
-        if t < c:
-            conv[..., t:, :] += filt[t] * pre[..., :c - t, :]
-        lo, hi = max(t - h, 0), min(t, c)  # rows whose lag-t input is in the halo
-        if lo < hi:
-            conv[..., lo:hi, :] += filt[t] * halo[..., h - t + lo:h - t + hi, :]
-    return conv
-
-
 def _tile(p: GatedBaseConv, rows: np.ndarray, halo: np.ndarray):
     """Steps 1-4 of the core on one tile of layer-input rows (..., c, d);
     `halo` is u W2 of the h <= taps - 1 positions before them. Returns
@@ -142,7 +128,7 @@ def _tile(p: GatedBaseConv, rows: np.ndarray, halo: np.ndarray):
     gate = rows @ p.w1.data
     gate += p.b1.data
     pre = rows @ p.w2.data
-    conv = _causal(p.filt.data, halo, pre)
+    conv = T.causal_conv_np(p.filt.data, halo, pre)
     conv += p.b2.data
     sig = T.sigmoid_np(conv)
     conv *= sig
@@ -182,12 +168,11 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
         du = np.zeros_like(x)
         dw1, dw2, dw3 = (np.zeros_like(w.data) for w in (p.w1, p.w2, p.w3))
         db1, db2, dfilt = (np.zeros_like(w.data) for w in (p.b1, p.b2, p.filt))
-        filt = p.filt.data
         for s in starts:
             rows = x[:, s:s + c]
             h, halo = halo_of(s)
             pre, gate, sig, act = _tile(p, rows, halo)
-            g, rows_in_tile = grad[:, s:s + c], rows.shape[1]
+            g = grad[:, s:s + c]
             dw3 += (gate * act).reshape(-1, wide).T @ g.reshape(-1, d)
             dgated = g @ p.w3.data.T
             dgate = dgated * act
@@ -196,12 +181,8 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
             sig += act
             dconv *= sig
             ext = np.concatenate([halo, pre], axis=-2) if h else pre
-            dext = np.zeros_like(ext)
-            for t in range(min(p.taps, h + rows_in_tile)):
-                lo = max(t - h, 0)  # first row whose lag-t input exists
-                src = slice(h + lo - t, h + rows_in_tile - t)
-                dfilt[t] += np.einsum("bic,bic->c", dconv[:, lo:], ext[:, src])
-                dext[:, src] += filt[t] * dconv[:, lo:]
+            dext, dfilt_tile = T.causal_conv_grad_np(p.filt.data, ext, dconv, h)
+            dfilt += dfilt_tile
             db1 += dgate.reshape(-1, wide).sum(axis=0)
             db2 += dconv.reshape(-1, wide).sum(axis=0)
             dw1 += rows.reshape(-1, d).T @ dgate.reshape(-1, wide)

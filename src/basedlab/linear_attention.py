@@ -65,7 +65,7 @@ class LinAttnParams:
             raise ParameterError(f"heads must be >= 1, got {self.heads}")
         if self.eps <= 0:
             raise ParameterError(f"eps must be > 0, got {self.eps}")
-        for name, t, width in (("wq", self.wq, None), ("wk", self.wk, None), ("wv", self.wv, None)):
+        for name, t in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv)):
             if t.ndim != 2:
                 raise ShapeError(f"{name} must be 2-D, got {t.shape}")
         if self.wq.shape != self.wk.shape:
@@ -205,36 +205,19 @@ def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: f
 # -- the three views ------------------------------------------------------------
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, n, hw = x.shape
-    x = T.reshape(x, (b, n, heads, hw // heads))
-    return T.transpose(x, (0, 2, 1, 3))
-
-
-def _merge_heads(y: Tensor) -> Tensor:
-    b, h, n, d = y.shape
-    return T.reshape(T.transpose(y, (0, 2, 1, 3)), (b, n, h * d))
-
-
 def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
-    """All positions at once; differentiable. Accepts (N, d_model) or batched."""
-    squeeze = u.ndim == 2
-    if squeeze:
-        u = T.reshape(u, (1,) + u.shape)
+    """All positions at once; differentiable. Accepts (..., N, d_model)."""
     if u.shape[-1] != params.d_model:
         raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
-    q = _split_heads(T.matmul(u, params.wq), params.heads)
-    k = _split_heads(T.matmul(u, params.wk), params.heads)
-    v = _split_heads(T.matmul(u, params.wv), params.heads)
+    q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
     phi_q = fm.apply(params.kind, q)
     phi_k = fm.apply(params.kind, k)
     y = attention_core(phi_q, phi_k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma)
     if params.decay is not None and params.decay.w_mix is not None:
         # weigh each head's output by softmax(u @ w_mix) before the projection
         weights = T.softmax_last(T.matmul(u, params.decay.w_mix))
-        y = T.mul_rowscale(y, T.transpose(weights, (0, 2, 1)))
-    out = T.matmul(_merge_heads(y), params.wo)
-    return T.take_axis(out, 0, 0) if squeeze else out
+        y = T.mul_rowscale(y, T.transpose(weights, (*range(u.ndim - 2), u.ndim - 1, u.ndim - 2)))
+    return T.matmul(T.merge_heads(y), params.wo)
 
 
 @dataclass
@@ -278,11 +261,9 @@ def recurrent_step(
     """Advance one token. Inputs are per-head rows: q_t, k_t (heads, d'),
     v_t (heads, head_dim). Returns the state (updated in place; a state is
     single-owner) and y_t (heads, head_dim)."""
-    if q_t.shape != (params.heads, params.d_prime) or v_t.shape != (params.heads, params.head_dim):
-        raise ShapeError(
-            f"recurrent_step: expected q {(params.heads, params.d_prime)} and v "
-            f"{(params.heads, params.head_dim)}, got {q_t.shape} and {v_t.shape}"
-        )
+    qk, hv = (params.heads, params.d_prime), (params.heads, params.head_dim)
+    if q_t.shape != qk or k_t.shape != qk or v_t.shape != hv:
+        raise ShapeError(f"recurrent_step: expected q, k {qk} and v {hv}, got {q_t.shape}, {k_t.shape} and {v_t.shape}")
     phi_q = fm.apply_numpy(params.kind, q_t)
     phi_k = fm.apply_numpy(params.kind, k_t)
     gamma = (np.ones(params.heads) if params.decay is None else params.decay.gamma).astype(state.s.dtype)
@@ -308,9 +289,7 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
     """per_head_y is (heads, N, head_dim); the head mixing of parallel_forward without the graph."""
     if params.decay is not None and params.decay.w_mix is not None:
-        logits = un @ params.decay.w_mix.data
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        weights = e / e.sum(axis=-1, keepdims=True)
+        weights = T.softmax_np(un @ params.decay.w_mix.data)
         per_head_y = per_head_y * np.swapaxes(weights, 0, 1)[:, :, None]
     stacked = np.swapaxes(per_head_y, 0, 1).reshape(un.shape[0], -1)
     return stacked @ params.wo.data

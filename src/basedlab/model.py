@@ -29,7 +29,7 @@ from . import linear_attention as la
 from . import sliding_window as sw
 from . import tensor as T
 from .errors import ConfigError, InputError, TrainingDiverged
-from .mqar import MqarBatch
+from .mqar import MqarBatch, evaluate
 from .tensor import Tensor
 
 _NORM_EPS = 1e-6
@@ -376,8 +376,6 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
     eval batch is given; each metrics entry holds the step, lr, loss, the
     pre-clip global gradient norm and whether it was clipped.
     """
-    from .mqar import evaluate  # local import keeps module load acyclic
-
     params = model.parameters()
     m_buf = [np.zeros_like(p.data) for p in params]
     v_buf = [np.zeros_like(p.data) for p in params]

@@ -176,18 +176,31 @@ def export_batch(path: str | Path, batch: MqarBatch) -> None:
 
 
 def load_batch(path: str | Path) -> MqarBatch:
-    """Inverse of `export_batch`; gaps are recomputed from tokens and mask."""
+    """Inverse of `export_batch`; gaps are recomputed from tokens and mask.
+    A malformed file raises ConfigError naming it and the sequence."""
     lines = Path(path).read_text().splitlines()
     if len(lines) % 3:
         raise ConfigError(f"{path}: expected 3 lines per sequence, got {len(lines)} lines")
+
+    def ints(text: str, seq: int) -> list[int]:
+        try:
+            return [int(t) for t in text.split()]
+        except ValueError as err:  # names the entry: invalid literal for int() ...: 'x'
+            raise ConfigError(f"{path}: sequence {seq}: {err}") from None
+
     tokens, masks, targets = [], [], []
     for i in range(0, len(lines), 3):
-        tokens.append([int(t) for t in lines[i].split()])
         mask_line, tgt_line = lines[i + 1], lines[i + 2]
         if not mask_line.startswith("#mask ") or not tgt_line.startswith("#tgt "):
             raise ConfigError(f"{path}: malformed sidecar lines at sequence {i // 3}")
-        masks.append([c == "1" for c in mask_line[len("#mask "):].split()])
-        targets.append([int(t) for t in tgt_line[len("#tgt "):].split()])
+        flags = mask_line[len("#mask "):].split()
+        if set(flags) - {"0", "1"}:
+            raise ConfigError(f"{path}: sequence {i // 3}: #mask entries must be 0 or 1")
+        tokens.append(ints(lines[i], i // 3))
+        masks.append([f == "1" for f in flags])
+        targets.append(ints(tgt_line[len("#tgt "):], i // 3))
+        if len({len(tokens[0]), len(tokens[-1]), len(masks[-1]), len(targets[-1])}) > 1:
+            raise ConfigError(f"{path}: sequence {i // 3}: lines differ in length from each other or sequence 0")
     tokens = np.asarray(tokens, dtype=np.int64)
     mask = np.asarray(masks, dtype=bool)
     targets = np.asarray(targets, dtype=np.int64)
@@ -195,5 +208,7 @@ def load_batch(path: str | Path) -> MqarBatch:
     for b in range(tokens.shape[0]):
         for i in np.nonzero(mask[b])[0]:
             earlier = np.nonzero(tokens[b, :i] == tokens[b, i])[0]
+            if not earlier.size:
+                raise ConfigError(f"{path}: sequence {b}: the query at position {i} has no earlier key")
             gaps[b, i] = i - earlier[0]
     return MqarBatch(tokens, mask, targets, gaps)

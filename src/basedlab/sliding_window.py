@@ -153,9 +153,7 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     attn *= scale
     attn[..., :m, :, :] += mask[:m]
     attn[..., m:, :, :] += mask[m]
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    T.softmax_np(attn, out=attn)
     out = untile(attn @ vb)
 
     def backward(grad):
@@ -171,28 +169,16 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
 
 
 def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
-    """Windowed causal attention over all positions; differentiable."""
-    squeeze = u.ndim == 2
-    if squeeze:
-        u = T.reshape(u, (1,) + u.shape)
+    """Windowed causal attention over all positions; differentiable. Accepts
+    (..., N, d_model)."""
     if u.shape[-1] != params.d_model:
         raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
-    b, n, _ = u.shape
-    h, dh = params.heads, params.head_dim
-
-    def heads_of(w):
-        return T.transpose(T.reshape(T.matmul(u, w), (b, n, h, dh)), (0, 2, 1, 3))
-
-    q = heads_of(params.wq)
-    k = heads_of(params.wk)
-    v = heads_of(params.wv)
+    q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
     if params.rotary:
-        positions = np.arange(n)
+        positions = np.arange(u.shape[-2])
         q = T.rotary(q, positions, params.rotary_base)
         k = T.rotary(k, positions, params.rotary_base)
-    y = window_core(q, k, v, params.window)
-    out = T.matmul(T.reshape(T.transpose(y, (0, 2, 1, 3)), (b, n, h * dh)), params.wo)
-    return T.take_axis(out, 0, 0) if squeeze else out
+    return T.matmul(T.merge_heads(window_core(q, k, v, params.window)), params.wo)
 
 
 class WindowCache:
@@ -234,9 +220,6 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     cache.k = np.concatenate([cache.k[:, drop:], k[:, None]], axis=1)
     cache.v = np.concatenate([cache.v[:, drop:], v[:, None]], axis=1)
     cache.t += 1
-    logits = np.einsum("hd,hwd->hw", q, cache.k) / math.sqrt(dh)
-    logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = T.softmax_np(np.einsum("hd,hwd->hw", q, cache.k) / math.sqrt(dh))
     y = np.einsum("hw,hwd->hd", weights, cache.v)
     return cache, y.reshape(h * dh) @ params.wo.data

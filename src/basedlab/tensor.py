@@ -10,6 +10,7 @@ bit-reproducible across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -209,6 +210,43 @@ def rotary_np(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
     return out
 
 
+def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-subtracted softmax over the trailing axis of a plain array, written
+    into `out` when given (`out=x` works in place)."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def causal_conv_np(filt: np.ndarray, halo: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Depthwise causal filter over the rows of `x` (second-to-last axis),
+    preceded by the h rows of `halo`: out[i] = sum_t filt[t] * row[i - t],
+    rows before the halo zero."""
+    c, h = x.shape[-2], halo.shape[-2]
+    out = filt[0] * x
+    for t in range(1, min(filt.shape[0], h + c)):
+        if t < c:
+            out[..., t:, :] += filt[t] * x[..., :c - t, :]
+        lo, hi = max(t - h, 0), min(t, c)  # rows whose lag-t input is in the halo
+        if lo < hi:
+            out[..., lo:hi, :] += filt[t] * halo[..., h - t + lo:h - t + hi, :]
+    return out
+
+
+def causal_conv_grad_np(filt: np.ndarray, ext: np.ndarray, g: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of `causal_conv_np(filt, ext[:, :h], ext[:, h:])` for the
+    output gradient g, all (B, rows, C): returns (dext, dfilt)."""
+    c = g.shape[1]
+    dext, dfilt = np.zeros_like(ext), np.zeros_like(filt)
+    for t in range(min(filt.shape[0], h + c)):
+        lo = max(t - h, 0)  # first row whose lag-t input exists
+        src = slice(h + lo - t, h + c - t)
+        dfilt[t] = np.einsum("bic,bic->c", g[:, lo:], ext[:, src])
+        dext[:, src] += filt[t] * g[:, lo:]
+    return dext, dfilt
+
+
 def init_normal(rng: np.random.Generator, rows: int, cols: int, dtype) -> Tensor:
     """Trainable (rows, cols) weight drawn from N(0, 0.02^2): the one parameter init."""
     return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
@@ -264,18 +302,18 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
 
 
-def take_axis(a: Tensor, axis: int, index: int) -> Tensor:
-    """Select one index along an axis, dropping that axis."""
-    axis = axis % a.ndim
-    sel = [slice(None)] * a.ndim
-    sel[axis] = index
-    sel = tuple(sel)
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            acc[sel] = g
-            accumulate(a, acc)
-    return from_op(np.ascontiguousarray(a.data[sel]), (a,), backward)
+def split_heads(x: Tensor, heads: int) -> Tensor:
+    """(..., N, heads * w) -> (..., heads, N, w), the attention layers' head layout."""
+    *lead, n, width = x.shape
+    k = len(lead)
+    return transpose(reshape(x, (*lead, n, heads, width // heads)), (*range(k), k + 1, k, k + 2))
+
+
+def merge_heads(y: Tensor) -> Tensor:
+    """(..., heads, N, w) -> (..., N, heads * w), the inverse of `split_heads`."""
+    *lead, heads, n, width = y.shape
+    k = len(lead)
+    return reshape(transpose(y, (*range(k), k + 1, k, k + 2)), (*lead, n, heads * width))
 
 
 def mul_rowscale(x: Tensor, s: Tensor) -> Tensor:
@@ -316,10 +354,8 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def softmax_last(a: Tensor) -> Tensor:
-    """Stable softmax over the trailing axis (max subtraction)."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    """Stable softmax over the trailing axis (`softmax_np`)."""
+    out = softmax_np(a.data)
     def backward(g):
         inner = (g * out).sum(axis=-1, keepdims=True)
         accumulate(a, (g - inner) * out)
@@ -336,35 +372,14 @@ def causal_conv1d(u: Tensor, f: Tensor) -> Tensor:
         raise ShapeError(f"causal_conv1d: filter must be 2-D (F, channels), got {f.shape}")
     if u.ndim < 2 or u.shape[-1] != f.shape[-1]:
         raise ShapeError(f"causal_conv1d: channel mismatch for input {u.shape} and filter {f.shape}")
-    n = u.shape[-2]
     if f.shape[0] < 1:
         raise ParameterError(f"causal_conv1d: filter length {f.shape[0]} invalid")
-    taps = min(f.shape[0], n)  # filters longer than the sequence see implicit left padding
-    out = np.zeros_like(u.data)
-    for t in range(taps):
-        if t == 0:
-            out += f.data[0] * u.data
-        else:
-            out[..., t:, :] += f.data[t] * u.data[..., :n - t, :]
+    x = u.data.reshape((math.prod(u.shape[:-2]),) + u.shape[-2:])
     def backward(g):
-        if u.requires_grad:
-            du = np.zeros_like(u.data)
-            for t in range(taps):
-                if t == 0:
-                    du += f.data[0] * g
-                else:
-                    du[..., :n - t, :] += f.data[t] * g[..., t:, :]
-            accumulate(u, du)
-        if f.requires_grad:
-            df = np.zeros_like(f.data)
-            flat_axes = tuple(range(g.ndim - 1))
-            for t in range(taps):
-                if t == 0:
-                    df[0] = (g * u.data).sum(axis=flat_axes)
-                else:
-                    df[t] = (g[..., t:, :] * u.data[..., :n - t, :]).sum(axis=flat_axes)
-            accumulate(f, df)
-    return from_op(out, (u, f), backward)
+        dx, df = causal_conv_grad_np(f.data, x, g.reshape(x.shape), 0)
+        accumulate(u, dx.reshape(u.shape))
+        accumulate(f, df)
+    return from_op(causal_conv_np(f.data, x[:, :0], x).reshape(u.shape), (u, f), backward)
 
 
 def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:

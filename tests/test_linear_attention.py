@@ -29,6 +29,15 @@ def test_first_token_output_is_value():
     assert state.t == 1
 
 
+@pytest.mark.parametrize("wrong", ["q", "k", "v"])
+def test_recurrent_step_checks_every_row_shape(wrong):
+    params = make_params()
+    rows = {"q": np.ones((2, 4)), "k": np.ones((2, 4)), "v": np.ones((2, 12))}
+    rows[wrong] = np.ones((3, rows[wrong].shape[1]))  # heads + 1 rows
+    with pytest.raises(ShapeError, match="recurrent_step"):
+        la.recurrent_step(params, la.LinAttnState.zeros(params), rows["q"], rows["k"], rows["v"])
+
+
 def test_identity_map_state_accumulation():
     kind = fm.FeatureMapKind("Identity", 1)
     params = la.create(d_model=1, heads=1, d_prime=1, head_dim=1, kind=kind, rng=np.random.default_rng(0))

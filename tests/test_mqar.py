@@ -165,3 +165,23 @@ def test_load_rejects_malformed_files(tmp_path):
     path.write_text("1 2 3\n#oops 0 0 1\n#tgt -1 -1 2\n")
     with pytest.raises(ConfigError):
         mq.load_batch(path)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("1 5 x\n#mask 0 0 1\n#tgt -1 -1 5", "invalid literal"),  # token not an integer
+        ("1 5 1\n#mask 0 0 1\n#tgt -1 -1 5.0", "invalid literal"),  # target not an integer
+        ("1 5 1\n#mask 0 0 y\n#tgt -1 -1 5", "must be 0 or 1"),
+        ("1 5 2\n#mask 0 0 1\n#tgt -1 -1 5", "no earlier key"),  # query of a key never stored
+        ("1 5\n#mask 0 0 1\n#tgt -1 -1 5", "differ in length"),
+        ("1 5\n#mask 0 0\n#tgt -1 5", "differ in length"),  # shorter than sequence 0
+    ],
+    ids=["token", "target", "mask", "unstored_key", "short_line", "short_sequence"],
+)
+def test_load_names_file_and_sequence_of_bad_entries(tmp_path, bad, message):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 5 1\n#mask 0 0 1\n#tgt -1 -1 5\n" + bad + "\n")
+    with pytest.raises(ConfigError, match=message) as err:
+        mq.load_batch(path)
+    assert str(err.value).startswith(f"{path}: sequence 1: ")

@@ -4,8 +4,9 @@ All are derandomized, so every run checks the same examples: a config
 either raises ConfigError or resolves to a config that re-parses to itself,
 a truncated or bit-flipped checkpoint either loads or raises ConfigError,
 the banded window core agrees with the dense masked reference, the tiled
-gated-conv core with the composed graph, and the parallel, chunked and
-recurrent views of linear attention with each other.
+gated-conv core with the composed graph, the parallel, chunked and
+recurrent views of linear attention with each other, and every mixer's
+batched forward and backward with its per-sequence slices.
 """
 
 import json
@@ -17,8 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basedlab import baseconv as bc
 from basedlab import linear_attention as la
 from basedlab import model as md
+from basedlab import sliding_window as sw
+from basedlab import tensor as T
 from basedlab.cli import RunConfig, parse_config
 from basedlab.errors import ConfigError
 from basedlab.tensor import Tensor
@@ -151,3 +155,41 @@ def test_three_views_agree(b, heads, n, chunk, decay, gamma, f32, seed):
         for view in (la.recurrent_forward(params, row).data, la.chunked_forward(params, row, chunk=chunk).data):
             assert view.dtype == dtype
             assert np.abs(view - want).max() <= tol * max(np.abs(want).max(), 1.0)
+
+
+def _mixer(kind: str, rng: np.random.Generator):
+    """(forward, params) of one d_model-4 mixer with O(1) weights."""
+    if kind == "conv":
+        return bc.forward_gated, random_gated(4, 2, 3, int(rng.integers(2**32)))
+    if kind == "window":
+        params = sw.create(4, heads=2, window=int(rng.integers(1, 9)), rng=rng)
+    else:
+        w_mix = Tensor(rng.normal(size=(4, 2))) if kind == "decay_mixed" else None
+        decay = la.DecayConfig(la.default_decay_gammas(2), w_mix) if w_mix is not None else None
+        params = la.create(d_model=4, heads=2, d_prime=2, decay=decay, rng=rng)
+    for t in (params.wq, params.wk, params.wv, params.wo):
+        t.data *= 25.0
+    return (sw.swa_forward if kind == "window" else la.parallel_forward), params
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["linear", "decay_mixed", "window", "conv"]), b1=st.integers(1, 2),
+       b2=st.integers(1, 3), n=st.integers(0, 70), seed=st.integers(0, 2**32 - 1))
+def test_leading_dims_match_per_sequence_slices(kind, b1, b2, n, seed):
+    # a (B1, B2, N, d) input and each of its (N, d) slices: same output and input gradient
+    rng = np.random.default_rng(seed)
+    forward, params = _mixer(kind, rng)
+    x, weights = rng.normal(size=(2, b1, b2, n, 4))
+
+    def run(u_data, w):
+        u = Tensor(u_data, requires_grad=True)
+        out = forward(params, u)
+        T.sum_all(T.mul(out, Tensor(w))).backward()
+        return out.data, u.grad
+
+    whole, dwhole = run(x, weights)
+    assert whole.shape == x.shape
+    for i, j in np.ndindex(b1, b2):
+        part, dpart = run(x[i, j], weights[i, j])
+        assert np.abs(whole[i, j] - part).max(initial=0.0) <= 1e-12
+        assert np.abs(dwhole[i, j] - dpart).max(initial=0.0) <= 1e-12

@@ -121,10 +121,11 @@ def test_take_rows_accumulates_repeated_ids():
     assert np.array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
 
 
-def test_take_axis_and_rowscale():
-    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
-    row = T.take_axis(x, 1, 2)
-    assert np.array_equal(row.data, x.data[:, 2, :])
+def test_split_merge_heads_and_rowscale():
+    x = Tensor(np.arange(48.0).reshape(2, 1, 4, 6))
+    heads = T.split_heads(x, 3)
+    assert np.array_equal(heads.data, x.data.reshape(2, 1, 4, 3, 2).transpose(0, 1, 3, 2, 4))
+    assert np.array_equal(T.merge_heads(heads).data, x.data)
     s = Tensor(np.array([[2.0, 3.0, 4.0]] * 2), requires_grad=True)
     scaled = T.mul_rowscale(Tensor(np.ones((2, 3, 4))), s)
     assert np.array_equal(scaled.data[0, 1], np.full(4, 3.0))
@@ -194,6 +195,19 @@ def test_filter_gradient_of_conv():
         return T.sum_all(T.mul(T.causal_conv1d(u, filt), Tensor(rng.standard_normal((5, 2)) * 0 + 1.0)))
 
     assert grad_check(f, Tensor(rng.normal(size=(3, 2)))) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 2), (2, 0, 2)])
+def test_conv_gradients_with_more_taps_than_rows(shape):
+    """Five taps over N = 3 rows, and over an empty (B, 0, C) input, whose
+    backward must still reshape by its leading size."""
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=shape)
+    filt = Tensor(rng.normal(size=(5, 2)))
+    weights = Tensor(rng.normal(size=shape))
+    assert grad_check(lambda f: T.sum_all(T.mul(T.causal_conv1d(Tensor(u), f), weights)), filt) < 1e-6
+    if u.size:
+        assert grad_check(lambda t: T.sum_all(T.mul(T.causal_conv1d(t, filt), weights)), Tensor(u)) < 1e-6
 
 
 def test_cross_entropy_gradient():
