@@ -6,14 +6,16 @@ Per head, with feature map phi and value sequence v:
     s_i = sum_{j<=i} phi(k_j)^T v_j        (D x d KV state)
     z_i = sum_{j<=i} phi(k_j)              (D   normalizer state)
 
-`parallel_forward` runs every head and decay through one tiled core: an exact
-causal quadratic form inside each tile of CORE_TILE positions plus the (s, z)
-carried between tiles, forward and backward. `recurrent_step` carries (s, z)
-one token at a time, and `chunked_forward` is the instrumented per-head tile
-loop that featurizes each tile in fast memory. The three agree to roundoff;
-optional per-head decay multiplies both states by gamma each step. Every
-view uses the Taylor map's unique-monomial layout, so the state width D is
-1 + d' + d'(d'+1)/2, and the recurrent state doubles as the decode cache.
+`parallel_forward` runs every head and decay through one core, a loop over
+tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
+plus the block S = [s | z] (z as its last column) carried from tile to tile,
+forward and backward. `recurrent_step` advances the same block one token at
+a time, and `LinAttnState`, the decode cache, holds it, so a cache is exactly
+the context the core carries between tiles. `chunked_forward` is the
+instrumented per-head tile loop that featurizes each tile in fast memory.
+The three agree to roundoff; optional per-head decay multiplies the state by
+gamma each step. Every view uses the Taylor map's unique-monomial layout, so
+the state width D is 1 + d' + d'(d'+1)/2.
 """
 
 from __future__ import annotations
@@ -146,43 +148,39 @@ def _tile_decay(gamma, c: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0) -> Tensor:
     """y_i = phi(q_i).s_i / max(phi(q_i).z_i, eps) over the second-to-last axis.
 
-    `gamma` is a scalar or one decay per head (the third-to-last axis). Each
-    tile of CORE_TILE positions takes its exact quadratic form (Q K^T) * mask
-    plus the state carried in, S_t = sum_{u<t} gamma^(c(t-1-u)) (lift K_u)^T
-    [V_u | 1]; the ones column carries z as column d of s. The backward runs
-    in the same tiles, so nothing of size N x F x d is ever formed.
+    `gamma` is a scalar or one decay per head (the third-to-last axis). A loop
+    over tiles of c = min(CORE_TILE, N) positions: each tile takes its exact
+    quadratic form (Q K^T) * mask plus carry * (Q S) of the state S it carries
+    in, then folds its keys into it, S <- gamma^c S + (lift K)^T [V | 1]; the
+    ones column carries z as the last column of S. The backward walks the
+    tiles in reverse carrying dS, so nothing of size N x F x d is ever formed.
     """
     n = phi_q.shape[-2]
     if phi_k.shape != phi_q.shape or v.shape[:-1] != phi_q.shape[:-1]:
         raise ShapeError(f"attention_core: shapes {phi_q.shape}, {phi_k.shape}, {v.shape} disagree")
-    g = np.asarray(gamma, dtype=np.float64).reshape(-1)
+    g = np.asarray(gamma, dtype=np.float64)
     if g.size > 1 and (phi_q.ndim < 3 or phi_q.shape[-3] != g.size):
         raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {phi_q.shape}")
-    lead, d, dtype = phi_q.shape[:-2], v.shape[-1], phi_q.dtype
+    g = g.reshape(-1 if g.size > 1 else ())
+    d, dtype = v.shape[-1], phi_q.dtype
     c = min(CORE_TILE, max(n, 1))
-    nt = -(-n // c)
-
-    def tiles(x: np.ndarray) -> np.ndarray:  # (..., n, w) -> (B, heads, nt, c, w), zero-padded
-        x = x.reshape((math.prod(lead) // g.size, g.size) + x.shape[-2:])
-        if nt * c > n:
-            x = np.concatenate([x, np.zeros(x.shape[:2] + (nt * c - n, x.shape[-1]), dtype)], axis=-2)
-        return x.reshape(x.shape[:2] + (nt, c, x.shape[-1]))
-
-    def untile(x: np.ndarray) -> np.ndarray:
-        return x.reshape(lead + (nt * c, x.shape[-1]))[..., :n, :]
-
-    def across_tiles(x: np.ndarray, weights: np.ndarray) -> np.ndarray:  # mixes the tile axis
-        return (weights @ x.reshape(x.shape[:3] + (math.prod(x.shape[3:]),))).reshape(x.shape)
-
-    mask, carry, lift = _tile_decay(g[:, None], c, dtype)
-    across = np.zeros((g.size, nt, nt), dtype)  # across[t, u] = gamma^(c(t-1-u)) for u < t
-    across[:, 1:] = _tile_decay(g ** c, nt, dtype)[0][:, :-1]
-    q, k = tiles(phi_q.data), tiles(phi_k.data)
-    v1 = tiles(np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1))
-    scores = (q @ np.swapaxes(k, -1, -2)) * mask
-    k_lift = k * lift
-    state = across_tiles(np.swapaxes(k_lift, -1, -2) @ v1, across)
-    nd = untile(scores @ v1 + carry * (q @ state))
+    spans = [(s, min(s + c, n)) for s in range(0, n, c)]
+    mask, carry, lift = _tile_decay(g, c, dtype)
+    fold = (g ** c).astype(dtype)[..., None, None]
+    q, k = phi_q.data, phi_k.data
+    v1 = np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1)
+    nd = np.empty(v1.shape, dtype)
+    states, scores, state = [], [], 0.0
+    for s, e in spans:
+        qt, kt, vt = q[..., s:e, :], k[..., s:e, :], v1[..., s:e, :]
+        sc = (qt @ np.swapaxes(kt, -1, -2)) * mask[..., :e - s, :e - s]
+        np.matmul(sc, vt, out=nd[..., s:e, :])
+        if s:
+            nd[..., s:e, :] += carry[..., :e - s, :] * (qt @ state)
+        states.append(state)
+        scores.append(sc)
+        if e < n:  # the last tile's fold would go unused
+            state = fold * state + np.swapaxes(kt * lift, -1, -2) @ vt
     num, den = nd[..., :d], nd[..., d]
     floored = np.maximum(den, eps)
     out = num / floored[..., None]
@@ -191,13 +189,25 @@ def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: f
         dnum = grad / floored[..., None]
         dden = -(grad * num).sum(axis=-1) / (floored * floored)
         dden = np.where(den > eps, dden, 0.0)
-        dnd = tiles(np.concatenate([dnum, dden[..., None]], axis=-1))
-        pair = (dnd @ np.swapaxes(v1, -1, -2)) * mask
-        dnd_carry = carry * dnd
-        dstate = across_tiles(np.swapaxes(q, -1, -2) @ dnd_carry, np.swapaxes(across, -1, -2))
-        T.accumulate(phi_q, untile(pair @ k + dnd_carry @ np.swapaxes(state, -1, -2)))
-        T.accumulate(phi_k, untile(np.swapaxes(pair, -1, -2) @ q + lift * (v1 @ np.swapaxes(dstate, -1, -2))))
-        T.accumulate(v, untile(np.swapaxes(scores, -1, -2) @ dnd + k_lift @ dstate)[..., :d])
+        dnd = np.concatenate([dnum, dden[..., None]], axis=-1)
+        dq, dk, dv1 = np.empty_like(q), np.empty_like(k), np.empty_like(v1)
+        dstate = 0.0  # gradient of the state the later tiles read
+        for (s, e), state, sc in reversed(list(zip(spans, states, scores))):
+            qt, kt, vt, gt = q[..., s:e, :], k[..., s:e, :], v1[..., s:e, :], dnd[..., s:e, :]
+            pair = (gt @ np.swapaxes(vt, -1, -2)) * mask[..., :e - s, :e - s]
+            dq[..., s:e, :] = pair @ kt
+            dk[..., s:e, :] = np.swapaxes(pair, -1, -2) @ qt
+            dv1[..., s:e, :] = np.swapaxes(sc, -1, -2) @ gt
+            if e < n:
+                dk[..., s:e, :] += lift * (vt @ np.swapaxes(dstate, -1, -2))
+                dv1[..., s:e, :] += (kt * lift) @ dstate
+            if s:
+                gt = carry[..., :e - s, :] * gt
+                dq[..., s:e, :] += gt @ np.swapaxes(state, -1, -2)
+                dstate = fold * dstate + np.swapaxes(qt, -1, -2) @ gt
+        T.accumulate(phi_q, dq)
+        T.accumulate(phi_k, dk)
+        T.accumulate(v, dv1[..., :d])
 
     return T.from_op(out, (phi_q, phi_k, v), backward)
 
@@ -222,7 +232,9 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
 
 @dataclass
 class LinAttnState:
-    """Running (s, z) pair per head; s is (heads, D, head_dim), z is (heads, D).
+    """Running state per head, s = [s | z] of shape (heads, D, head_dim + 1):
+    the KV state with the normalizer z as its last column, the block
+    `attention_core` carries between tiles.
 
     It is also the layer's constant-memory decode cache: `step` runs one
     layer-input row through the whole layer.
@@ -230,20 +242,14 @@ class LinAttnState:
 
     params: LinAttnParams
     s: np.ndarray
-    z: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: LinAttnParams, dtype=np.float64) -> "LinAttnState":
-        width = params.feature_width
-        return cls(
-            params,
-            s=np.zeros((params.heads, width, params.head_dim), dtype=dtype),
-            z=np.zeros((params.heads, width), dtype=dtype),
-        )
+        return cls(params, np.zeros((params.heads, params.feature_width, params.head_dim + 1), dtype=dtype))
 
     def scalar_count(self) -> int:
-        return self.s.size + self.z.size
+        return self.s.size
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Project one (d_model,) row, advance the state, and return the output row."""
@@ -266,13 +272,21 @@ def recurrent_step(
         raise ShapeError(f"recurrent_step: expected q, k {qk} and v {hv}, got {q_t.shape}, {k_t.shape} and {v_t.shape}")
     phi_q = fm.apply_numpy(params.kind, q_t)
     phi_k = fm.apply_numpy(params.kind, k_t)
-    gamma = (np.ones(params.heads) if params.decay is None else params.decay.gamma).astype(state.s.dtype)
-    state.s = gamma[:, None, None] * state.s + phi_k[:, :, None] * v_t[:, None, :]
-    state.z = gamma[:, None] * state.z + phi_k
+    if params.decay is not None:
+        state.s *= params.decay.gamma.astype(state.s.dtype)[:, None, None]
+    v1 = np.concatenate([v_t, np.ones((params.heads, 1), v_t.dtype)], axis=1)
+    state.s += phi_k[:, :, None] * v1[:, None, :]
     state.t += 1
-    num = np.einsum("hf,hfd->hd", phi_q, state.s)
-    den = np.maximum(np.einsum("hf,hf->h", phi_q, state.z), params.eps)
-    return state, num / den[:, None]
+    nd = np.einsum("hf,hfd->hd", phi_q, state.s)
+    return state, nd[:, :-1] / np.maximum(nd[:, -1:], params.eps)
+
+
+def _rows(params: LinAttnParams, u: Tensor | np.ndarray, view: str) -> np.ndarray:
+    """The (N, d_model) array of `u`; the graph-free views take no other shape."""
+    un = u.data if isinstance(u, Tensor) else np.asarray(u)
+    if un.ndim != 2 or un.shape[1] != params.d_model:
+        raise ShapeError(f"{view}: expected an (N, {params.d_model}) input, got {un.shape}")
+    return un
 
 
 def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
@@ -281,7 +295,7 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
     Graph-free like chunked_forward; equality with the parallel view is the
     point, not trainability.
     """
-    un = u.data if isinstance(u, Tensor) else np.asarray(u)
+    un = _rows(params, u, "recurrent_forward")
     state = LinAttnState.zeros(params, dtype=un.dtype)
     return Tensor(np.stack([state.step(row) for row in un]))
 
@@ -307,7 +321,7 @@ def chunked_forward(
     """
     if not isinstance(chunk, int) or chunk < 1:
         raise ParameterError(f"chunk must be a positive integer, got {chunk}")
-    un = u.data if isinstance(u, Tensor) else np.asarray(u)
+    un = _rows(params, u, "chunked_forward")
     n = un.shape[0]
     chunk = min(chunk, n)
     dp, dh = params.d_prime, params.head_dim
@@ -319,8 +333,7 @@ def chunked_forward(
     ys = np.empty((params.heads, n, dh), dtype=un.dtype)
     for h in range(params.heads):
         gamma = float(params.decay.gamma[h]) if params.decay is not None else 1.0
-        s = np.zeros((width, dh), dtype=un.dtype)
-        z = np.zeros(width, dtype=un.dtype)
+        s = np.zeros((width, dh + 1), dtype=un.dtype)  # [s | z], as attention_core carries it
         for base in range(0, n, chunk):
             qc = q[base:base + chunk, h]
             kc = k[base:base + chunk, h]
@@ -338,12 +351,10 @@ def chunked_forward(
             else:
                 scores = phi_qc @ phi_kc.T
             mask, carry, lift = _tile_decay(gamma, c, un.dtype)
-            scores = scores * mask
-            num = scores @ vc + carry * (phi_qc @ s)
-            den = scores.sum(axis=1) + carry[:, 0] * (phi_qc @ z)
-            ys[h, base:base + c] = num / np.maximum(den, params.eps)[:, None]
+            vc1 = np.concatenate([vc, np.ones((c, 1), un.dtype)], axis=1)
+            nd = (scores * mask) @ vc1 + carry * (phi_qc @ s)
+            ys[h, base:base + c] = nd[:, :dh] / np.maximum(nd[:, dh:], params.eps)
             if counter is not None:
                 counter["y_write"] = counter.get("y_write", 0) + c * dh
-            s = gamma ** c * s + (phi_kc * lift).T @ vc
-            z = gamma ** c * z + (phi_kc * lift).sum(axis=0)
+            s = gamma ** c * s + (phi_kc * lift).T @ vc1
     return Tensor(_combine_heads_numpy(params, un, ys))

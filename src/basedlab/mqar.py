@@ -177,7 +177,8 @@ def export_batch(path: str | Path, batch: MqarBatch) -> None:
 
 def load_batch(path: str | Path) -> MqarBatch:
     """Inverse of `export_batch`; gaps are recomputed from tokens and mask.
-    A malformed file raises ConfigError naming it and the sequence."""
+    A malformed file, or a query whose target is not the token after its
+    key's first occurrence, raises ConfigError naming it and the sequence."""
     lines = Path(path).read_text().splitlines()
     if len(lines) % 3:
         raise ConfigError(f"{path}: expected 3 lines per sequence, got {len(lines)} lines")
@@ -210,5 +211,9 @@ def load_batch(path: str | Path) -> MqarBatch:
             earlier = np.nonzero(tokens[b, :i] == tokens[b, i])[0]
             if not earlier.size:
                 raise ConfigError(f"{path}: sequence {b}: the query at position {i} has no earlier key")
-            gaps[b, i] = i - earlier[0]
+            key = earlier[0]
+            if targets[b, i] != tokens[b, key + 1]:
+                raise ConfigError(f"{path}: sequence {b}: the query at position {i} has target {targets[b, i]}, "
+                                  f"not the value {tokens[b, key + 1]} bound to its key at position {key}")
+            gaps[b, i] = i - key
     return MqarBatch(tokens, mask, targets, gaps)

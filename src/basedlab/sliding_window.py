@@ -1,11 +1,12 @@
 """Exact softmax attention restricted to a trailing window of positions.
 
 Position i attends to j in [max(0, i - w + 1), i] with logits q.k / sqrt(d)
-and max-subtracted softmax. `window_core` computes it in tiles: each tile of
-WINDOW_TILE queries scores only the band of keys its window can reach, so a
-forward or backward costs O(N (c + w)) time and memory, never N x N.
-Rotary position encoding uses absolute positions, so a decode step after
-cache eviction still reproduces the prefill output.
+and max-subtracted softmax. `window_core` computes it as a loop over tiles
+of WINDOW_TILE queries: each tile scores only its own keys plus the w - 1
+before it, the context it carries in, so a forward or backward costs
+O(N (c + w)) time and memory, never N x N. Rotary position encoding uses
+absolute positions, so a decode step after cache eviction still reproduces
+the prefill output.
 """
 
 from __future__ import annotations
@@ -76,23 +77,19 @@ def create(
     )
 
 
-# -- banded window core ----------------------------------------------------------
+# -- tiled window core -----------------------------------------------------------
 
 WINDOW_TILE = 64
 
 
 @functools.lru_cache(maxsize=32)
-def _band_mask(c: int, pad: int, window: int, dtype: np.dtype) -> np.ndarray:
-    """Additive mask of the first m = ceil(pad / c) tiles and then of every
-    later tile, shape (m + 1, c, c + pad): 0 where band row r is visible to
-    query i of the tile (i + pad - w < r <= i + pad, at a position >= 0),
-    -inf elsewhere. Cached, read-only."""
-    m = -(-pad // c)
-    i = np.arange(c)[:, None]
-    r = np.arange(c + pad)
-    position = (np.arange(m + 1) * c - pad)[:, None, None] + r
-    visible = (r > i + pad - window) & (r <= i + pad) & (position >= 0)
-    mask = np.where(visible, 0.0, -np.inf).astype(dtype)
+def _tile_mask(rows: int, offset: int, window: int, dtype: np.dtype) -> np.ndarray:
+    """Additive (rows, offset + rows) mask of a tile whose first query sits at
+    key column `offset`: 0 where key r is in query i's window
+    (offset + i - w < r <= offset + i), -inf elsewhere. Cached, read-only."""
+    i = np.arange(offset, offset + rows)[:, None]
+    r = np.arange(offset + rows)
+    mask = np.where((r <= i) & (r > i - window), 0.0, -np.inf).astype(dtype)
     mask.flags.writeable = False
     return mask
 
@@ -101,69 +98,45 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """y_i = sum_j softmax_j(q_i.k_j / sqrt(d)) v_j over i - w < j <= i, along
     the second-to-last axis.
 
-    Queries go in tiles of c = min(WINDOW_TILE, N). Tile t attends to the band
-    of c + pad keys ending at its last query, pad = min(w - 1, (nt - 1) c),
-    read as a strided view of the left-padded k and v, with a max-subtracted
-    softmax over the band. The backward runs in the same tiles and sums the
-    overlapping key and value bands back with one strided add per c-row
-    chunk of the band, so nothing of size N x N is ever formed.
+    A loop over tiles of c = min(WINDOW_TILE, N) queries: tile [s, e) scores
+    the keys [max(0, s - w + 1), e), the last w - 1 rows before it being the
+    context it carries in, under `_tile_mask`, with a max-subtracted softmax.
+    The backward walks the same tiles and adds into the slices of dk and dv
+    they read, so nothing of size N x N is ever formed.
     """
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"window_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     if window < 1:
         raise ParameterError(f"window_core: window must be >= 1, got {window}")
-    lead, n, dtype = q.shape[:-2], q.shape[-2], q.dtype
+    n, dtype = q.shape[-2], q.dtype
     c = min(WINDOW_TILE, max(n, 1))
-    nt = -(-n // c)
-    pad = min(window - 1, max(nt - 1, 0) * c)
-    band = c + pad
-    mask = _band_mask(c, pad, window, dtype)
-    m = mask.shape[0] - 1
+    spans = [(s, min(s + c, n), max(0, s - window + 1)) for s in range(0, n, c)]
     scale = 1.0 / math.sqrt(q.shape[-1])
-
-    def tiles(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., nt, c, d), zero-padded
-        if nt * c > n:
-            x = np.concatenate([x, np.zeros(lead + (nt * c - n, x.shape[-1]), dtype)], axis=-2)
-        return x.reshape(lead + (nt, c, x.shape[-1]))
-
-    def untile(x: np.ndarray) -> np.ndarray:
-        return x.reshape(lead + (nt * c, x.shape[-1]))[..., :n, :]
-
-    def bands(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., nt, c + pad, d), overlapping views
-        if pad or nt * c > n:
-            padded = np.zeros(lead + (pad + nt * c, x.shape[-1]), dtype)
-            padded[..., pad:pad + n, :] = x
-            x = padded
-        *outer, row, col = x.strides
-        return np.lib.stride_tricks.as_strided(
-            x, lead + (nt, band, x.shape[-1]), (*outer, c * row, row, col), writeable=False
-        )
-
-    def unband(xb: np.ndarray) -> np.ndarray:  # sum of the tiles' bands at their positions
-        chunks = -(-band // c)
-        out = np.zeros(lead + (nt + chunks - 1, c, xb.shape[-1]), dtype)
-        for j in range(chunks):
-            rows = xb[..., j * c:(j + 1) * c, :]
-            out[..., j:j + nt, :rows.shape[-2], :] += rows
-        return out.reshape(lead + (-1, xb.shape[-1]))[..., pad:pad + n, :]
-
-    qt = tiles(q.data)
-    kb, vb = bands(k.data), bands(v.data)
-    attn = qt @ np.swapaxes(kb, -1, -2)
-    attn *= scale
-    attn[..., :m, :, :] += mask[:m]
-    attn[..., m:, :, :] += mask[m]
-    T.softmax_np(attn, out=attn)
-    out = untile(attn @ vb)
+    qd, kd, vd = q.data, k.data, v.data
+    out = np.empty(v.shape, dtype)
+    probs = []
+    for s, e, lo in spans:
+        attn = qd[..., s:e, :] @ np.swapaxes(kd[..., lo:e, :], -1, -2)
+        attn *= scale
+        attn += _tile_mask(e - s, s - lo, window, dtype)
+        T.softmax_np(attn, out=attn)
+        np.matmul(attn, vd[..., lo:e, :], out=out[..., s:e, :])
+        probs.append(attn)
 
     def backward(grad):
-        gt = tiles(grad)
-        dattn = gt @ np.swapaxes(vb, -1, -2)
-        dlogits = (dattn - (dattn * attn).sum(axis=-1, keepdims=True)) * attn
-        dlogits *= scale
-        T.accumulate(q, untile(dlogits @ kb))
-        T.accumulate(k, unband(np.swapaxes(dlogits, -1, -2) @ qt))
-        T.accumulate(v, unband(np.swapaxes(attn, -1, -2) @ gt))
+        dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        for (s, e, lo), attn in zip(spans, probs):
+            g = grad[..., s:e, :]
+            dlogits = g @ np.swapaxes(vd[..., lo:e, :], -1, -2)
+            dlogits -= (dlogits * attn).sum(axis=-1, keepdims=True)
+            dlogits *= attn
+            dlogits *= scale
+            np.matmul(dlogits, kd[..., lo:e, :], out=dq[..., s:e, :])
+            dk[..., lo:e, :] += np.swapaxes(dlogits, -1, -2) @ qd[..., s:e, :]
+            dv[..., lo:e, :] += np.swapaxes(attn, -1, -2) @ g
+        T.accumulate(q, dq)
+        T.accumulate(k, dk)
+        T.accumulate(v, dv)
 
     return T.from_op(out, (q, k, v), backward)
 

@@ -1,0 +1,54 @@
+"""Both attention cores at tiles of 1, 3 and 7 rows: many carried contexts,
+and windows that span several tiles, against the dense references."""
+
+import numpy as np
+import pytest
+
+from basedlab import feature_maps as fm
+from basedlab import linear_attention as la
+from basedlab import sliding_window as sw
+from basedlab import tensor as T
+from basedlab.tensor import Tensor, grad_check
+from test_linear_attention import masked_reference
+from test_sliding_window import assert_matches_reference
+
+DTYPES = [(np.float64, 1e-12), (np.float32, 1e-5)]
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_window_core_at_small_tiles(monkeypatch, tile):
+    monkeypatch.setattr(sw, "WINDOW_TILE", tile)
+    rng = np.random.default_rng(30 + tile)
+    for n in sorted({0, 1, tile, tile + 1, 2 * tile + 1, 40}):
+        for window in sorted({1, 2, tile, tile + 1, 2 * tile, 3 * tile + 1}):
+            for dtype, rel in DTYPES:
+                arrays = [rng.normal(size=(2, 2, n, 4)).astype(dtype) for _ in range(3)]
+                assert_matches_reference(arrays, window, rng.normal(size=(2, 2, n, 4)), rel)
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_attention_core_at_small_tiles(monkeypatch, tile):
+    monkeypatch.setattr(la, "CORE_TILE", tile)
+    kind = fm.taylor_exp2(3)
+    rng = np.random.default_rng(40 + tile)
+    ladder = la.default_decay_gammas(2)
+    for n in sorted({0, 1, tile, tile + 1, 4 * tile + 1, 40}):
+        raw_q, raw_k, v = rng.normal(size=(3, 2, 2, n, 3))
+        pq, pk = fm.apply_numpy(kind, raw_q), fm.apply_numpy(kind, raw_k)
+        for gamma, gammas in ((1.0, np.ones(2)), (ladder, ladder)):
+            want = masked_reference(pq, pk, v, gammas)
+            for dtype, rel in DTYPES:
+                y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (pq, pk, v)), 1e-12, gamma).data
+                assert y.dtype == dtype and y.shape == v.shape
+                assert np.abs(y - want).max(initial=0.0) <= rel * max(np.abs(want).max(initial=0.0), 1.0), (n, dtype)
+
+    # gradients of q, k and v through the carried state, over 5 tiles
+    raw_q, raw_k, v, weights = rng.normal(size=(4, 1, 2, 4 * tile + 1, 3))
+
+    def loss(q, k, v):
+        y = la.attention_core(fm.apply(kind, q), fm.apply(kind, k), v, 1e-12, ladder)
+        return T.sum_all(T.mul(y, Tensor(weights)))
+
+    assert grad_check(lambda t: loss(t, Tensor(raw_k), Tensor(v)), Tensor(raw_q)) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(raw_q), t, Tensor(v)), Tensor(raw_k)) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(raw_q), Tensor(raw_k), t), Tensor(v)) < 1e-6

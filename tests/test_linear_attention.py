@@ -44,7 +44,7 @@ def test_identity_map_state_accumulation():
     state = la.LinAttnState.zeros(params)
     state, _ = la.recurrent_step(params, state, np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]))
     assert state.s[0, 0, 0] == 6.0  # phi(k) v = 2 * 3
-    assert state.z[0, 0] == 2.0
+    assert state.s[0, 0, -1] == 2.0  # z, the last column
 
 
 def test_constant_keys_and_values_echo_value():
@@ -243,6 +243,14 @@ def test_validation_errors():
         la.parallel_forward(params, Tensor(np.ones((4, 7))))
     with pytest.raises(ParameterError):
         make_params(decay=la.DecayConfig(np.array([0.9])))  # one gamma for two heads
+    batched = np.ones((2, 5, 24))  # the graph-free views take one (N, d_model) sequence
+    with pytest.raises(ShapeError, match=r"chunked_forward: expected an \(N, 24\) input, got \(2, 5, 24\)"):
+        la.chunked_forward(params, batched)
+    with pytest.raises(ShapeError, match=r"recurrent_forward: expected an \(N, 24\) input, got \(2, 5, 24\)"):
+        la.recurrent_forward(params, batched)
+    for view in (la.chunked_forward, la.recurrent_forward):
+        with pytest.raises(ShapeError, match="expected an"):
+            view(params, np.ones((5, 7)))
 
 
 def masked_reference(pq, pk, v, gammas, eps=1e-12):

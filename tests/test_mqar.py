@@ -176,8 +176,10 @@ def test_load_rejects_malformed_files(tmp_path):
         ("1 5 2\n#mask 0 0 1\n#tgt -1 -1 5", "no earlier key"),  # query of a key never stored
         ("1 5\n#mask 0 0 1\n#tgt -1 -1 5", "differ in length"),
         ("1 5\n#mask 0 0\n#tgt -1 5", "differ in length"),  # shorter than sequence 0
+        ("1 5 1\n#mask 0 0 1\n#tgt -1 -1 -1", "position 2 has target -1, not the value 5"),  # no target
+        ("1 5 1\n#mask 0 0 1\n#tgt -1 -1 7", "position 2 has target 7, not the value 5"),  # wrong value
     ],
-    ids=["token", "target", "mask", "unstored_key", "short_line", "short_sequence"],
+    ids=["token", "target", "mask", "unstored_key", "short_line", "short_sequence", "missing_target", "wrong_target"],
 )
 def test_load_names_file_and_sequence_of_bad_entries(tmp_path, bad, message):
     path = tmp_path / "bad.txt"

@@ -3,8 +3,9 @@
 All are derandomized, so every run checks the same examples: a config
 either raises ConfigError or resolves to a config that re-parses to itself,
 a truncated or bit-flipped checkpoint either loads or raises ConfigError,
-the banded window core agrees with the dense masked reference, the tiled
-gated-conv core with the composed graph, the parallel, chunked and
+the tiled window core agrees with the dense masked reference, the tiled
+linear-attention core with its explicit N x N form, the tiled gated-conv
+core with the composed graph, the parallel, chunked and
 recurrent views of linear attention with each other, and every mixer's
 batched forward and backward with its per-sequence slices.
 """
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basedlab import baseconv as bc
+from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
 from basedlab import model as md
 from basedlab import sliding_window as sw
@@ -27,6 +29,7 @@ from basedlab.cli import RunConfig, parse_config
 from basedlab.errors import ConfigError
 from basedlab.tensor import Tensor
 from test_baseconv import assert_matches_composed, random_gated
+from test_linear_attention import masked_reference
 from test_sliding_window import assert_matches_reference
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -119,6 +122,22 @@ def test_window_core_matches_dense_reference(b, h, n, window, f32, seed):
     dtype = np.float32 if f32 else np.float64
     arrays = [rng.normal(size=(b, h, n, 4)).astype(dtype) for _ in range(3)]
     assert_matches_reference(arrays, window, rng.normal(size=(b, h, n, 4)), 1e-5 if f32 else 1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(b=st.integers(1, 3), h=st.integers(1, 3), n=st.integers(0, 200), decay=st.booleans(),
+       gamma=st.floats(0.5, 1.0), f32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_attention_core_matches_masked_reference(b, h, n, decay, gamma, f32, seed):
+    dtype = np.float32 if f32 else np.float64
+    rng = np.random.default_rng(seed)
+    kind = fm.taylor_exp2(4)
+    pq, pk = (fm.apply_numpy(kind, rng.normal(size=(b, h, n, 4))) for _ in range(2))
+    v = rng.normal(size=(b, h, n, 5))
+    gammas = np.linspace(gamma, 1.0, h) if decay else np.ones(h)
+    y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (pq, pk, v)), 1e-12, gammas if decay else 1.0).data
+    want = masked_reference(pq, pk, v, gammas)
+    assert y.dtype == dtype and y.shape == v.shape
+    assert np.abs(y - want).max(initial=0.0) <= (1e-5 if f32 else 1e-12) * max(np.abs(want).max(initial=0.0), 1.0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
