@@ -9,7 +9,9 @@ with c_ii = 1/(sqrt2 * sqrt d') and c_ij = 1/sqrt(d') off the diagonal, so
 that phi(q).phi(k) = 1 + a + a^2/2 for a = q.k / sqrt(d'), which is bounded
 below by 1/2. That is 1 + d' + d'(d'+1)/2 features; the paper's baseline
 materializes all 1 + d' + d'^2 products instead, a width `dims` still reports
-for the IO formulas but no code path computes.
+for the IO formulas but no code path computes. `tile_scores` uses the
+identity to take a tile's pairwise kernel from the d'-wide q.k, so the tiled
+linear-attention views form phi only for their carried state.
 """
 
 from __future__ import annotations
@@ -108,17 +110,18 @@ def taylor_compact(x: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
-    """Apply the map along the trailing axis of a plain array.
-
-    Raises on non-finite input and, for the Taylor map, on a trailing-axis
-    width other than d'.
-    """
+def check(kind: FeatureMapKind, x: np.ndarray) -> None:
+    """Raise on non-finite input and, for the Taylor map, on a trailing-axis
+    width other than d'."""
     if not np.isfinite(x).all():
         raise NumericError(f"{kind.tag}: non-finite input")
+    if kind.tag == "TaylorExp2" and x.shape[-1] != kind.d_prime:
+        raise ShapeError(f"TaylorExp2 expects width {kind.d_prime}, got input shape {x.shape}")
+
+
+def phi(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
+    """The map along the trailing axis of an input that passed `check`."""
     if kind.tag == "TaylorExp2":
-        if x.shape[-1] != kind.d_prime:
-            raise ShapeError(f"TaylorExp2 expects width {kind.d_prime}, got input shape {x.shape}")
         return taylor_compact(x)
     if kind.tag == "PosELU":
         return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
@@ -129,29 +132,76 @@ def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def apply(kind: FeatureMapKind, x: Tensor) -> Tensor:
-    """Graph op over `apply_numpy`.
+def phi_vjp(kind: FeatureMapKind, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of x given the gradient g of phi(x).
 
-    The Taylor backward fills the upper triangle of a symmetric d' x d'
-    matrix G[iu, ju] = g_pair * c_ij with the pair gradients, so
+    The Taylor VJP fills the upper triangle of a symmetric d' x d' matrix
+    G[iu, ju] = g_pair * c_ij with the pair gradients, so
     dx = g_lin / d'^(1/4) + (G + G^T) x.
     """
-    out = apply_numpy(kind, x.data)
+    if kind.tag == "TaylorExp2":
+        d = x.shape[-1]
+        iu, ju, coeff = _pairs(d, x.dtype)
+        pair = np.zeros(g.shape[:-1] + (d, d), dtype=g.dtype)
+        pair[..., iu, ju] = g[..., 1 + d:] * coeff
+        sym = pair + np.swapaxes(pair, -1, -2)
+        return g[..., 1:1 + d] / math.sqrt(math.sqrt(d)) + np.einsum("...ij,...j->...i", sym, x)
+    if kind.tag == "PosELU":
+        return g * np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
+    if kind.tag == "ReLU":
+        return g * (x > 0)
+    if kind.tag == "Square":
+        return 2.0 * g * x
+    return g
 
-    def backward(g):
-        if kind.tag == "TaylorExp2":
-            d = x.shape[-1]
-            iu, ju, coeff = _pairs(d, x.dtype)
-            pair = np.zeros(g.shape[:-1] + (d, d), dtype=g.dtype)
-            pair[..., iu, ju] = g[..., 1 + d:] * coeff
-            sym = pair + np.swapaxes(pair, -1, -2)
-            g = g[..., 1:1 + d] / math.sqrt(math.sqrt(d)) + np.einsum("...ij,...j->...i", sym, x.data)
-        elif kind.tag == "PosELU":
-            g = g * np.where(x.data > 0, 1.0, out)
-        elif kind.tag == "ReLU":
-            g = g * (x.data > 0)
-        elif kind.tag == "Square":
-            g = 2.0 * g * x.data
-        T.accumulate(x, g)
 
-    return T.from_op(out, (x,), backward)
+def tile_scores(kind: FeatureMapKind, q: np.ndarray, k: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """(phi(q) phi(k)^T) * mask over the last two axes.
+
+    For the Taylor map that is (1 + a + a^2/2) * mask with a = q k^T / sqrt(d'),
+    taken from the d'-wide inputs without forming phi and evaluated in place
+    as 1 + a (1 + a/2).
+    """
+    if kind.tag == "TaylorExp2":
+        a = q @ np.swapaxes(k, -1, -2)
+        a *= 1.0 / math.sqrt(kind.d_prime)
+        sc = a * 0.5
+        sc += 1.0
+        sc *= a
+        sc += 1.0
+        sc *= mask
+        return sc
+    return (phi(kind, q) @ np.swapaxes(phi(kind, k), -1, -2)) * mask
+
+
+def tile_scores_vjp(
+    kind: FeatureMapKind, q: np.ndarray, k: np.ndarray, mask: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of q and k given the gradient g of `tile_scores`.
+
+    For the Taylor map dA = g * mask * (1 + a) / sqrt(d'), so dq = dA k and
+    dk = dA^T q; for the others the pair gradient goes through `phi_vjp`.
+    """
+    if kind.tag == "TaylorExp2":
+        rd = math.sqrt(kind.d_prime)
+        da = q @ np.swapaxes(k, -1, -2)
+        da *= 1.0 / rd
+        da += 1.0
+        da *= g
+        da *= mask
+        da *= 1.0 / rd
+        return da @ k, np.swapaxes(da, -1, -2) @ q
+    pair = g * mask
+    pq, pk = phi(kind, q), phi(kind, k)
+    return phi_vjp(kind, q, pair @ pk), phi_vjp(kind, k, np.swapaxes(pair, -1, -2) @ pq)
+
+
+def apply_numpy(kind: FeatureMapKind, x: np.ndarray) -> np.ndarray:
+    """Apply the map along the trailing axis of a plain array, after `check`."""
+    check(kind, x)
+    return phi(kind, x)
+
+
+def apply(kind: FeatureMapKind, x: Tensor) -> Tensor:
+    """Graph op over `apply_numpy`, with `phi_vjp` as its backward."""
+    return T.from_op(apply_numpy(kind, x.data), (x,), lambda g: T.accumulate(x, phi_vjp(kind, x.data, g)))

@@ -9,18 +9,19 @@ Per head, with feature map phi and value sequence v:
 `parallel_forward` runs every head and decay through one core, a loop over
 tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
 plus the block S = [s | z] (z as its last column) carried from tile to tile,
-forward and backward. `recurrent_step` advances the same block one token at
-a time, and `LinAttnState`, the decode cache, holds it, so a cache is exactly
-the context the core carries between tiles. `chunked_forward` is the
-instrumented per-head tile loop that featurizes each tile in fast memory.
-The three agree to roundoff; optional per-head decay multiplies the state by
-gamma each step. Every view uses the Taylor map's unique-monomial layout, so
-the state width D is 1 + d' + d'(d'+1)/2.
+forward and backward. It takes the raw d'-wide q and k: the intra-tile
+scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
+`recurrent_step` advances the same block one token at a time, and
+`LinAttnState`, the decode cache, holds it, so a cache is exactly the context
+the core carries between tiles. `chunked_forward` is the instrumented
+per-head tile loop that featurizes each tile in fast memory. The three agree
+to roundoff; optional per-head decay multiplies the state by gamma each step.
+Every view uses the Taylor map's unique-monomial layout, so the state width D
+is 1 + d' + d'(d'+1)/2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,7 @@ def create(
 # -- tiled causal core -----------------------------------------------------------
 
 CORE_TILE = 64
+IDENTITY = fm.FeatureMapKind("Identity")
 
 
 def _tile_decay(gamma, c: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,42 +147,51 @@ def _tile_decay(gamma, c: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return mask, carry, lift
 
 
-def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0) -> Tensor:
+def attention_core(
+    q: Tensor, k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0, kind: fm.FeatureMapKind = IDENTITY
+) -> Tensor:
     """y_i = phi(q_i).s_i / max(phi(q_i).z_i, eps) over the second-to-last axis.
 
-    `gamma` is a scalar or one decay per head (the third-to-last axis). A loop
-    over tiles of c = min(CORE_TILE, N) positions: each tile takes its exact
-    quadratic form (Q K^T) * mask plus carry * (Q S) of the state S it carries
-    in, then folds its keys into it, S <- gamma^c S + (lift K)^T [V | 1]; the
-    ones column carries z as the last column of S. The backward walks the
-    tiles in reverse carrying dS, so nothing of size N x F x d is ever formed.
+    `kind` is phi, applied inside the core (the default Identity takes
+    featurized inputs); `gamma` is a scalar or one decay per head (the
+    third-to-last axis). A loop over tiles of c = min(CORE_TILE, N)
+    positions: each tile takes its exact quadratic form, `fm.tile_scores`
+    (1 + a + a^2/2 of the raw q.k for the Taylor map) under the causal mask,
+    plus carry * (phi(Q) S) of the state S it carries in, then folds its keys
+    into it, S <- gamma^c S + (lift phi(K))^T [V | 1]; the ones column
+    carries z as the last column of S. phi(Q) is formed from the second tile
+    on and phi(K) up to the second-to-last, so never at N <= CORE_TILE. The
+    backward walks the tiles in reverse carrying dS and recomputes phi per
+    tile, so nothing of size N x F is ever stored.
     """
-    n = phi_q.shape[-2]
-    if phi_k.shape != phi_q.shape or v.shape[:-1] != phi_q.shape[:-1]:
-        raise ShapeError(f"attention_core: shapes {phi_q.shape}, {phi_k.shape}, {v.shape} disagree")
+    n = q.shape[-2]
+    if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
+        raise ShapeError(f"attention_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     g = np.asarray(gamma, dtype=np.float64)
-    if g.size > 1 and (phi_q.ndim < 3 or phi_q.shape[-3] != g.size):
-        raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {phi_q.shape}")
+    if g.size > 1 and (q.ndim < 3 or q.shape[-3] != g.size):
+        raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {q.shape}")
     g = g.reshape(-1 if g.size > 1 else ())
-    d, dtype = v.shape[-1], phi_q.dtype
+    qd, kd = q.data, k.data
+    for x in (qd, kd):
+        fm.check(kind, x)
+    d, dtype = v.shape[-1], q.dtype
     c = min(CORE_TILE, max(n, 1))
     spans = [(s, min(s + c, n)) for s in range(0, n, c)]
     mask, carry, lift = _tile_decay(g, c, dtype)
     fold = (g ** c).astype(dtype)[..., None, None]
-    q, k = phi_q.data, phi_k.data
     v1 = np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1)
     nd = np.empty(v1.shape, dtype)
     states, scores, state = [], [], 0.0
     for s, e in spans:
-        qt, kt, vt = q[..., s:e, :], k[..., s:e, :], v1[..., s:e, :]
-        sc = (qt @ np.swapaxes(kt, -1, -2)) * mask[..., :e - s, :e - s]
+        qt, kt, vt = qd[..., s:e, :], kd[..., s:e, :], v1[..., s:e, :]
+        sc = fm.tile_scores(kind, qt, kt, mask[..., :e - s, :e - s])
         np.matmul(sc, vt, out=nd[..., s:e, :])
         if s:
-            nd[..., s:e, :] += carry[..., :e - s, :] * (qt @ state)
+            nd[..., s:e, :] += carry[..., :e - s, :] * (fm.phi(kind, qt) @ state)
         states.append(state)
         scores.append(sc)
         if e < n:  # the last tile's fold would go unused
-            state = fold * state + np.swapaxes(kt * lift, -1, -2) @ vt
+            state = fold * state + np.swapaxes(fm.phi(kind, kt) * lift, -1, -2) @ vt
     num, den = nd[..., :d], nd[..., d]
     floored = np.maximum(den, eps)
     out = num / floored[..., None]
@@ -190,26 +201,26 @@ def attention_core(phi_q: Tensor, phi_k: Tensor, v: Tensor, eps: float, gamma: f
         dden = -(grad * num).sum(axis=-1) / (floored * floored)
         dden = np.where(den > eps, dden, 0.0)
         dnd = np.concatenate([dnum, dden[..., None]], axis=-1)
-        dq, dk, dv1 = np.empty_like(q), np.empty_like(k), np.empty_like(v1)
+        dq, dk, dv1 = np.empty_like(qd), np.empty_like(kd), np.empty_like(v1)
         dstate = 0.0  # gradient of the state the later tiles read
         for (s, e), state, sc in reversed(list(zip(spans, states, scores))):
-            qt, kt, vt, gt = q[..., s:e, :], k[..., s:e, :], v1[..., s:e, :], dnd[..., s:e, :]
-            pair = (gt @ np.swapaxes(vt, -1, -2)) * mask[..., :e - s, :e - s]
-            dq[..., s:e, :] = pair @ kt
-            dk[..., s:e, :] = np.swapaxes(pair, -1, -2) @ qt
+            qt, kt, vt, gt = qd[..., s:e, :], kd[..., s:e, :], v1[..., s:e, :], dnd[..., s:e, :]
+            dq[..., s:e, :], dk[..., s:e, :] = fm.tile_scores_vjp(
+                kind, qt, kt, mask[..., :e - s, :e - s], gt @ np.swapaxes(vt, -1, -2)
+            )
             dv1[..., s:e, :] = np.swapaxes(sc, -1, -2) @ gt
             if e < n:
-                dk[..., s:e, :] += lift * (vt @ np.swapaxes(dstate, -1, -2))
-                dv1[..., s:e, :] += (kt * lift) @ dstate
+                dk[..., s:e, :] += fm.phi_vjp(kind, kt, lift * (vt @ np.swapaxes(dstate, -1, -2)))
+                dv1[..., s:e, :] += (fm.phi(kind, kt) * lift) @ dstate
             if s:
                 gt = carry[..., :e - s, :] * gt
-                dq[..., s:e, :] += gt @ np.swapaxes(state, -1, -2)
-                dstate = fold * dstate + np.swapaxes(qt, -1, -2) @ gt
-        T.accumulate(phi_q, dq)
-        T.accumulate(phi_k, dk)
+                dq[..., s:e, :] += fm.phi_vjp(kind, qt, gt @ np.swapaxes(state, -1, -2))
+                dstate = fold * dstate + np.swapaxes(fm.phi(kind, qt), -1, -2) @ gt
+        T.accumulate(q, dq)
+        T.accumulate(k, dk)
         T.accumulate(v, dv1[..., :d])
 
-    return T.from_op(out, (phi_q, phi_k, v), backward)
+    return T.from_op(out, (q, k, v), backward)
 
 
 # -- the three views ------------------------------------------------------------
@@ -220,9 +231,7 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
     if u.shape[-1] != params.d_model:
         raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
     q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
-    phi_q = fm.apply(params.kind, q)
-    phi_k = fm.apply(params.kind, k)
-    y = attention_core(phi_q, phi_k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma)
+    y = attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
     if params.decay is not None and params.decay.w_mix is not None:
         # weigh each head's output by softmax(u @ w_mix) before the projection
         weights = T.softmax_last(T.matmul(u, params.decay.w_mix))
@@ -297,7 +306,8 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
     """
     un = _rows(params, u, "recurrent_forward")
     state = LinAttnState.zeros(params, dtype=un.dtype)
-    return Tensor(np.stack([state.step(row) for row in un]))
+    rows = [state.step(row) for row in un]
+    return Tensor(np.stack(rows) if rows else np.empty((0, params.d_model), un.dtype))
 
 
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
@@ -305,7 +315,7 @@ def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.n
     if params.decay is not None and params.decay.w_mix is not None:
         weights = T.softmax_np(un @ params.decay.w_mix.data)
         per_head_y = per_head_y * np.swapaxes(weights, 0, 1)[:, :, None]
-    stacked = np.swapaxes(per_head_y, 0, 1).reshape(un.shape[0], -1)
+    stacked = np.swapaxes(per_head_y, 0, 1).reshape(un.shape[0], params.wo.shape[0])
     return stacked @ params.wo.data
 
 
@@ -323,12 +333,11 @@ def chunked_forward(
         raise ParameterError(f"chunk must be a positive integer, got {chunk}")
     un = _rows(params, u, "chunked_forward")
     n = un.shape[0]
-    chunk = min(chunk, n)
+    chunk = min(chunk, max(n, 1))
     dp, dh = params.d_prime, params.head_dim
     q = (un @ params.wq.data).reshape(n, params.heads, dp)
     k = (un @ params.wk.data).reshape(n, params.heads, dp)
     v = (un @ params.wv.data).reshape(n, params.heads, dh)
-    taylor = params.kind.tag == "TaylorExp2"
     width = params.feature_width
     ys = np.empty((params.heads, n, dh), dtype=un.dtype)
     for h in range(params.heads):
@@ -345,14 +354,9 @@ def chunked_forward(
                 counter["v_read"] = counter.get("v_read", 0) + c * dh
             phi_qc = fm.apply_numpy(params.kind, qc)
             phi_kc = fm.apply_numpy(params.kind, kc)
-            if taylor:
-                sc = (qc @ kc.T) / math.sqrt(dp)
-                scores = 1.0 + sc + 0.5 * sc * sc
-            else:
-                scores = phi_qc @ phi_kc.T
             mask, carry, lift = _tile_decay(gamma, c, un.dtype)
             vc1 = np.concatenate([vc, np.ones((c, 1), un.dtype)], axis=1)
-            nd = (scores * mask) @ vc1 + carry * (phi_qc @ s)
+            nd = fm.tile_scores(params.kind, qc, kc, mask) @ vc1 + carry * (phi_qc @ s)
             ys[h, base:base + c] = nd[:, :dh] / np.maximum(nd[:, dh:], params.eps)
             if counter is not None:
                 counter["y_write"] = counter.get("y_write", 0) + c * dh

@@ -52,3 +52,39 @@ def test_attention_core_at_small_tiles(monkeypatch, tile):
     assert grad_check(lambda t: loss(t, Tensor(raw_k), Tensor(v)), Tensor(raw_q)) < 1e-6
     assert grad_check(lambda t: loss(Tensor(raw_q), t, Tensor(v)), Tensor(raw_k)) < 1e-6
     assert grad_check(lambda t: loss(Tensor(raw_q), Tensor(raw_k), t), Tensor(v)) < 1e-6
+
+
+RAW_KINDS = [fm.taylor_exp2(3), fm.FeatureMapKind("PosELU", 3), fm.FeatureMapKind("Square", 3), la.IDENTITY]
+
+
+@pytest.mark.parametrize("kind", RAW_KINDS, ids=lambda kind: kind.tag)
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_raw_input_core_at_small_tiles(monkeypatch, tile, kind):
+    # the core featurizes raw q, k itself: intra-tile scores from q.k, phi only for the carried state
+    monkeypatch.setattr(la, "CORE_TILE", tile)
+    rng = np.random.default_rng(50 + tile)
+    ladder = la.default_decay_gammas(2)
+    extra = () if kind is la.IDENTITY else (kind,)
+    for n in sorted({0, 1, tile, tile + 1, 4 * tile + 1, 40}):
+        raw_q, raw_k, v = rng.normal(size=(3, 2, 2, n, 3))
+        if kind is la.IDENTITY:  # keep the kernel positive, as every other map's is
+            raw_q, raw_k = np.abs(raw_q), np.abs(raw_k)
+        pq, pk = fm.apply_numpy(kind, raw_q), fm.apply_numpy(kind, raw_k)
+        for gamma, gammas in ((1.0, np.ones(2)), (ladder, ladder)):
+            want = masked_reference(pq, pk, v, gammas)
+            for dtype, rel in DTYPES:
+                y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (raw_q, raw_k, v)), 1e-12, gamma, *extra).data
+                assert y.dtype == dtype and y.shape == v.shape
+                assert np.abs(y - want).max(initial=0.0) <= rel * max(np.abs(want).max(initial=0.0), 1.0), (n, dtype)
+
+    # gradients of raw q, k and v through the scores, the carry and the fold, over 5 tiles
+    raw_q, raw_k, v, weights = rng.normal(size=(4, 1, 2, 4 * tile + 1, 3))
+    if kind is la.IDENTITY:
+        raw_q, raw_k = np.abs(raw_q), np.abs(raw_k)
+
+    def loss(q, k, v):
+        return T.sum_all(T.mul(la.attention_core(q, k, v, 1e-12, ladder, *extra), Tensor(weights)))
+
+    assert grad_check(lambda t: loss(t, Tensor(raw_k), Tensor(v)), Tensor(raw_q)) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(raw_q), t, Tensor(v)), Tensor(raw_k)) < 1e-6
+    assert grad_check(lambda t: loss(Tensor(raw_q), Tensor(raw_k), t), Tensor(v)) < 1e-6

@@ -8,7 +8,7 @@ import pytest
 from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
 from basedlab import tensor as T
-from basedlab.errors import ParameterError, ShapeError
+from basedlab.errors import NumericError, ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check
 
 
@@ -322,3 +322,42 @@ def test_tiled_core_memory_stays_per_tile():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("n", [1, la.CORE_TILE, la.CORE_TILE + 1, 3 * la.CORE_TILE + 5])
+def test_taylor_layer_featurizes_at_most_one_tile_per_call(monkeypatch, n):
+    # intra-tile scores come from raw q.k; phi is formed per tile, only for the carried state
+    rows = []
+
+    def recording(x, _original=fm.taylor_compact):
+        rows.append(x.shape[-2])
+        return _original(x)
+
+    monkeypatch.setattr(fm, "taylor_compact", recording)
+    monkeypatch.setattr(fm, "apply", None)  # the layer featurizes nothing through the graph op
+    params = make_params(d_model=8, heads=2, d_prime=4, seed=24, decay=la.DecayConfig(la.default_decay_gammas(2)))
+    u = Tensor(np.random.default_rng(24).normal(size=(2, n, 8)), requires_grad=True)
+    T.sum_all(la.parallel_forward(params, u)).backward()
+    assert u.grad is not None
+    if n <= la.CORE_TILE:
+        assert rows == []
+    else:
+        assert rows and max(rows) <= la.CORE_TILE
+
+
+def test_core_checks_raw_inputs():
+    kind = fm.taylor_exp2(4)
+    q, v = np.ones((1, 2, 5, 4)), Tensor(np.ones((1, 2, 5, 3)))
+    for bad in (np.nan, np.inf):
+        k = q.copy()
+        k[0, 1, 3, 2] = bad
+        with pytest.raises(NumericError, match="TaylorExp2: non-finite input"):
+            la.attention_core(Tensor(q), Tensor(k), v, 1e-12, 1.0, kind)
+        with pytest.raises(NumericError, match="TaylorExp2: non-finite input"):
+            la.attention_core(Tensor(k), Tensor(q), v, 1e-12, 1.0, kind)
+    with pytest.raises(ShapeError, match="TaylorExp2 expects width 4"):
+        la.attention_core(Tensor(q[..., :3]), Tensor(q[..., :3]), v, 1e-12, 1.0, kind)
+    params = make_params()
+    params.wk.data[0, 0] = np.nan
+    with pytest.raises(NumericError, match="TaylorExp2: non-finite input"):
+        la.parallel_forward(params, Tensor(np.ones((3, 24))))

@@ -156,7 +156,7 @@ def test_greedy_decode_breaks_ties_low():
 # at call time, or the profiler's spans stop firing.
 PATCHABLE = (
     (md.HybridModel, "forward"), (la, "parallel_forward"), (la, "attention_core"),
-    (fm, "apply"), (fm, "taylor_compact"), (sw, "swa_forward"), (sw, "decode_step"),
+    (fm, "taylor_compact"), (sw, "swa_forward"), (sw, "decode_step"),
     (bc, "forward_gated"), (T, "cross_entropy_masked"), (T.Tensor, "backward"),
     (la.LinAttnState, "step"), (bc.ConvCache, "step"),
 )

@@ -4,10 +4,11 @@ All are derandomized, so every run checks the same examples: a config
 either raises ConfigError or resolves to a config that re-parses to itself,
 a truncated or bit-flipped checkpoint either loads or raises ConfigError,
 the tiled window core agrees with the dense masked reference, the tiled
-linear-attention core with its explicit N x N form, the tiled gated-conv
-core with the composed graph, the parallel, chunked and
-recurrent views of linear attention with each other, and every mixer's
-batched forward and backward with its per-sequence slices.
+linear-attention core with its explicit N x N form (on featurized and on
+raw Taylor inputs), the tiled gated-conv core with the composed graph, the
+parallel, chunked and recurrent views of linear attention with each other
+(empty input included), and every mixer's batched forward and backward
+with its per-sequence slices.
 """
 
 import json
@@ -16,7 +17,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basedlab import baseconv as bc
@@ -141,6 +142,23 @@ def test_attention_core_matches_masked_reference(b, h, n, decay, gamma, f32, see
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(b=st.integers(1, 3), h=st.integers(1, 3), n=st.integers(0, 200), decay=st.booleans(),
+       gamma=st.floats(0.5, 1.0), f32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_raw_core_matches_masked_reference(b, h, n, decay, gamma, f32, seed):
+    # raw q, k through the Taylor map inside the core against the featurized N x N form
+    dtype = np.float32 if f32 else np.float64
+    rng = np.random.default_rng(seed)
+    kind = fm.taylor_exp2(4)
+    q, k = rng.normal(size=(2, b, h, n, 4))
+    v = rng.normal(size=(b, h, n, 5))
+    gammas = np.linspace(gamma, 1.0, h) if decay else np.ones(h)
+    y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (q, k, v)), 1e-12, gammas if decay else 1.0, kind).data
+    want = masked_reference(fm.apply_numpy(kind, q), fm.apply_numpy(kind, k), v, gammas)
+    assert y.dtype == dtype and y.shape == v.shape
+    assert np.abs(y - want).max(initial=0.0) <= (1e-5 if f32 else 1e-12) * max(np.abs(want).max(initial=0.0), 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(b=st.integers(1, 3), n=st.integers(0, 300), taps=st.integers(1, 8), expand=st.integers(1, 3),
        f32=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_gated_core_matches_composed_reference(b, n, taps, expand, f32, seed):
@@ -152,7 +170,8 @@ def test_gated_core_matches_composed_reference(b, n, taps, expand, f32, seed):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
-@given(b=st.integers(1, 2), heads=st.integers(1, 3), n=st.integers(1, 80), chunk=st.integers(1, 80),
+@example(b=1, heads=2, n=0, chunk=3, decay="mixed", gamma=0.5, f32=True, seed=0)
+@given(b=st.integers(1, 2), heads=st.integers(1, 3), n=st.integers(0, 80), chunk=st.integers(1, 80),
        decay=st.sampled_from(["none", "ladder", "mixed"]), gamma=st.floats(0.5, 1.0), f32=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_three_views_agree(b, heads, n, chunk, decay, gamma, f32, seed):
@@ -172,8 +191,8 @@ def test_three_views_agree(b, heads, n, chunk, decay, gamma, f32, seed):
     tol = 1e-4 if f32 else 1e-8
     for row, want in zip(u, parallel):
         for view in (la.recurrent_forward(params, row).data, la.chunked_forward(params, row, chunk=chunk).data):
-            assert view.dtype == dtype
-            assert np.abs(view - want).max() <= tol * max(np.abs(want).max(), 1.0)
+            assert view.dtype == dtype and view.shape == want.shape
+            assert np.abs(view - want).max(initial=0.0) <= tol * max(np.abs(want).max(initial=0.0), 1.0)
 
 
 def _mixer(kind: str, rng: np.random.Generator):
