@@ -102,7 +102,7 @@ def model_state_size(config: ModelConfig, n_tokens: int) -> int:
 
     Linear-attention layers hold one (s, z) row per unique feature monomial;
     window layers hold 2 * head_dim * min(n, w) per head; conv layers hold
-    the last taps-1 up-projected rows.
+    the last taps - 1 layer-input rows.
     """
     if n_tokens < 0:
         raise ParameterError(f"n_tokens must be >= 0, got {n_tokens}")
@@ -113,7 +113,7 @@ def model_state_size(config: ModelConfig, n_tokens: int) -> int:
         elif ch == "S":
             total += 2 * config.d_model * min(n_tokens, config.window)
         else:
-            total += (config.conv_taps - 1) * config.conv_expand * config.d_model
+            total += (config.conv_taps - 1) * config.d_model
     return total
 
 

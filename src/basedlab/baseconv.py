@@ -9,13 +9,14 @@ back down:
     y = ((u W1 + b1) .* silu(h * (u W2) + b2)) W3 + b3
 
 `forward_gated` computes this as one graph op in tiles of CONV_TILE rows
-along the sequence. A tile's filter reaches back taps - 1 rows, so each tile
-also projects that many earlier rows (its halo) through W2; every other
-intermediate is one tile wide, and the whole chain down to W3 runs before
-the next tile starts. The backward keeps only the input, recomputes each
-tile and adds the halo rows' gradient into the rows before it. Decode
-(`ConvCache`) runs the same tile function on one row, with the cached last
-taps - 1 projected rows as the halo.
+along the sequence. The filter is the layer's only context: a tile's output
+reads the taps - 1 layer-input rows before it, so each tile projects those
+rows and its own through W2 in one matmul, filters them, and runs the chain
+down to W3 one tile wide before the next tile starts. The backward keeps
+only the input, recomputes each tile and adds the context rows' gradient
+into the rows before it. Decode (`ConvCache`) holds exactly that context,
+the last taps - 1 layer-input rows, and runs the same tile function on
+them plus the new row.
 """
 
 from __future__ import annotations
@@ -120,15 +121,16 @@ def forward_minimal(params: MinimalBaseConv, u: Tensor) -> Tensor:
 CONV_TILE = 128
 
 
-def _tile(p: GatedBaseConv, rows: np.ndarray, halo: np.ndarray):
-    """Steps 1-4 of the core on one tile of layer-input rows (..., c, d);
-    `halo` is u W2 of the h <= taps - 1 positions before them. Returns
-    pre = u W2 of the rows, gate = u W1 + b1, sig = sigmoid(conv) and the
-    SiLU act = conv * sig of conv = filter(halo, pre) + b2."""
-    gate = rows @ p.w1.data
+def _tile(p: GatedBaseConv, rows: np.ndarray, h: int):
+    """Steps 1-4 of the core on one tile: `rows` (..., h + c, d) are the
+    tile's c layer-input rows after the h <= taps - 1 rows before them, its
+    context. Returns pre = u W2 of all h + c rows, and for the tile's own
+    rows gate = u W1 + b1, sig = sigmoid(conv) and the SiLU act = conv * sig
+    of conv = filter(pre) + b2."""
+    gate = rows[..., h:, :] @ p.w1.data
     gate += p.b1.data
     pre = rows @ p.w2.data
-    conv = T.causal_conv_np(p.filt.data, halo, pre)
+    conv = T.causal_conv_np(p.filt.data, pre)[..., h:, :]
     conv += p.b2.data
     sig = T.sigmoid_np(conv)
     conv *= sig
@@ -138,8 +140,8 @@ def _tile(p: GatedBaseConv, rows: np.ndarray, halo: np.ndarray):
 def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     """((u W1 + b1) .* silu(h * (u W2) + b2)) W3 + b3 over the second-to-last
     axis, as one graph op in tiles of c = min(CONV_TILE, N) rows; a tile
-    starting at row s takes u W2 of the h = min(taps - 1, s) rows before it
-    as its halo (see the module docstring)."""
+    starting at row s also reads the h = min(taps - 1, s) layer-input rows
+    before it (see the module docstring)."""
     p = params
     if u.ndim < 2 or u.shape[-1] != p.d_model:
         raise ShapeError(f"input {u.shape} does not match d_model {p.d_model}")
@@ -150,15 +152,11 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     n, d, wide = u.shape[-2], p.d_model, p.expanded
     x = u.data.reshape((math.prod(u.shape[:-2]), n, d))
     c = min(CONV_TILE, max(n, 1))
-    starts = range(0, n, c)
-
-    def halo_of(s: int) -> tuple[int, np.ndarray]:
-        h = min(p.taps - 1, s)
-        return h, x[:, s - h:s] @ p.w2.data
+    spans = [(s, min(p.taps - 1, s)) for s in range(0, n, c)]
 
     out = np.empty(x.shape, u.dtype)
-    for s in starts:
-        _, gate, _, act = _tile(p, x[:, s:s + c], halo_of(s)[1])
+    for s, h in spans:
+        _, gate, _, act = _tile(p, x[:, s - h:s + c], h)
         gate *= act
         np.matmul(gate, p.w3.data, out=out[:, s:s + c])
     out += p.b3.data
@@ -168,10 +166,9 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
         du = np.zeros_like(x)
         dw1, dw2, dw3 = (np.zeros_like(w.data) for w in (p.w1, p.w2, p.w3))
         db1, db2, dfilt = (np.zeros_like(w.data) for w in (p.b1, p.b2, p.filt))
-        for s in starts:
-            rows = x[:, s:s + c]
-            h, halo = halo_of(s)
-            pre, gate, sig, act = _tile(p, rows, halo)
+        for s, h in spans:
+            rows = x[:, s - h:s + c]
+            pre, gate, sig, act = _tile(p, rows, h)
             g = grad[:, s:s + c]
             dw3 += (gate * act).reshape(-1, wide).T @ g.reshape(-1, d)
             dgated = g @ p.w3.data.T
@@ -180,15 +177,14 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
             sig -= act * sig  # silu'(conv) = sig + act (1 - sig)
             sig += act
             dconv *= sig
-            ext = np.concatenate([halo, pre], axis=-2) if h else pre
-            dext, dfilt_tile = T.causal_conv_grad_np(p.filt.data, ext, dconv, h)
+            dpre, dfilt_tile = T.causal_conv_grad_np(p.filt.data, pre, dconv, h)
             dfilt += dfilt_tile
             db1 += dgate.reshape(-1, wide).sum(axis=0)
             db2 += dconv.reshape(-1, wide).sum(axis=0)
-            dw1 += rows.reshape(-1, d).T @ dgate.reshape(-1, wide)
-            dw2 += x[:, s - h:s + c].reshape(-1, d).T @ dext.reshape(-1, wide)
+            dw1 += rows[:, h:].reshape(-1, d).T @ dgate.reshape(-1, wide)
+            dw2 += rows.reshape(-1, d).T @ dpre.reshape(-1, wide)
             du[:, s:s + c] += dgate @ p.w1.data.T
-            du[:, s - h:s + c] += dext @ p.w2.data.T
+            du[:, s - h:s + c] += dpre @ p.w2.data.T
         db3 = grad.reshape(-1, d).sum(axis=0)
         for w, dw in zip((u,) + weights, (du.reshape(u.shape), dw1, dw2, dw3, db1, db2, db3, dfilt)):
             T.accumulate(w, dw)
@@ -197,22 +193,23 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
 
 
 class ConvCache:
-    """Decode cache of `forward_gated`: the last taps-1 up-projected rows,
+    """Decode cache of `forward_gated`: the last taps - 1 layer-input rows,
     oldest first (zeros are the causal padding). Each step runs the core's
-    tile on one row with this tail as its halo."""
+    tile on them plus the new row."""
 
     def __init__(self, params: GatedBaseConv, dtype=np.float64):
         self.params = params
-        self.tail = np.zeros((params.taps - 1, params.expanded), dtype=dtype)
+        self.rows = np.zeros((params.taps - 1, params.d_model), dtype=dtype)
 
     def scalar_count(self) -> int:
-        return self.tail.size
+        return self.rows.size
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """One (d_model,) layer-input row in, one output row out."""
         p = self.params
-        pre, gate, _, act = _tile(p, x[None, :], self.tail)
-        if len(self.tail):
-            self.tail[:-1] = self.tail[1:]
-            self.tail[-1] = pre[0]
+        if x.shape != (p.d_model,):
+            raise ShapeError(f"ConvCache.step expects a ({p.d_model},) row, got {x.shape}")
+        rows = np.concatenate([self.rows, x[None, :]])
+        _, gate, _, act = _tile(p, rows, len(self.rows))
+        self.rows = rows[1:]
         return (gate[0] * act[0]) @ p.w3.data + p.b3.data

@@ -22,6 +22,7 @@ is 1 + d' + d'(d'+1)/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,15 +136,19 @@ CORE_TILE = 64
 IDENTITY = fm.FeatureMapKind("Identity")
 
 
-def _tile_decay(gamma, c: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _tile_decay(gamma: float | tuple[float, ...], c: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Causal mask gamma^(i-j), carry-in gamma^(i+1) and lift gamma^(c-1-j) of a
-    c-position tile (the last two as (c, 1) columns), with gamma's shape in front."""
+    c-position tile (the last two as (c, 1) columns), with one leading axis
+    per gamma when `gamma` is a tuple. Cached, read-only."""
     g = np.asarray(gamma, dtype=np.float64)[..., None, None]
     i = np.arange(c)
     expo = i[:, None] - i[None, :]
     mask = np.where(expo >= 0, g ** np.maximum(expo, 0), 0.0).astype(dtype)
     carry = (g ** (i[:, None] + 1)).astype(dtype)
     lift = (g ** (c - 1 - i[:, None])).astype(dtype)
+    for a in (mask, carry, lift):
+        a.flags.writeable = False
     return mask, carry, lift
 
 
@@ -177,7 +182,7 @@ def attention_core(
     d, dtype = v.shape[-1], q.dtype
     c = min(CORE_TILE, max(n, 1))
     spans = [(s, min(s + c, n)) for s in range(0, n, c)]
-    mask, carry, lift = _tile_decay(g, c, dtype)
+    mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
     fold = (g ** c).astype(dtype)[..., None, None]
     v1 = np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1)
     nd = np.empty(v1.shape, dtype)
@@ -251,7 +256,6 @@ class LinAttnState:
 
     params: LinAttnParams
     s: np.ndarray
-    t: int = 0
 
     @classmethod
     def zeros(cls, params: LinAttnParams, dtype=np.float64) -> "LinAttnState":
@@ -263,6 +267,8 @@ class LinAttnState:
     def step(self, x: np.ndarray) -> np.ndarray:
         """Project one (d_model,) row, advance the state, and return the output row."""
         p = self.params
+        if x.shape != (p.d_model,):
+            raise ShapeError(f"LinAttnState.step expects a ({p.d_model},) row, got {x.shape}")
         q = (x @ p.wq.data).reshape(p.heads, p.d_prime)
         k = (x @ p.wk.data).reshape(p.heads, p.d_prime)
         v = (x @ p.wv.data).reshape(p.heads, p.head_dim)
@@ -285,7 +291,6 @@ def recurrent_step(
         state.s *= params.decay.gamma.astype(state.s.dtype)[:, None, None]
     v1 = np.concatenate([v_t, np.ones((params.heads, 1), v_t.dtype)], axis=1)
     state.s += phi_k[:, :, None] * v1[:, None, :]
-    state.t += 1
     nd = np.einsum("hf,hfd->hd", phi_q, state.s)
     return state, nd[:, :-1] / np.maximum(nd[:, -1:], params.eps)
 

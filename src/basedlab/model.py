@@ -33,16 +33,7 @@ from .mqar import MqarBatch, evaluate
 from .tensor import Tensor
 
 _NORM_EPS = 1e-6
-_PATTERN_CYCLE = "CLCS"
 _DTYPES = {"f64": np.float64, "f32": np.float32}
-
-
-def default_layer_pattern(num_layers: int) -> str:
-    """Cycle C, L, C, S truncated to the requested depth."""
-    if num_layers < 1:
-        raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
-    reps = (num_layers + len(_PATTERN_CYCLE) - 1) // len(_PATTERN_CYCLE)
-    return (_PATTERN_CYCLE * reps)[:num_layers]
 
 
 @dataclass(frozen=True)
@@ -187,6 +178,8 @@ class HybridModel:
         tokens = np.asarray(tokens)
         if tokens.size == 0:
             raise InputError("forward: empty token sequence")
+        if tokens.dtype.kind not in "iu":
+            raise InputError(f"forward: token ids must be integers, got dtype {tokens.dtype}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab:
             raise InputError(f"forward: token outside [0, {self.config.vocab})")
         x = T.take_rows(self.embedding, tokens)
@@ -221,7 +214,7 @@ class HybridModel:
         state = self.start_decode()
         logits = None
         for t in prefix:
-            logits = state.step(int(t))
+            logits = state.step(t)
         out = []
         for _ in range(n_new):
             nxt = int(np.argmax(logits))
@@ -232,7 +225,7 @@ class HybridModel:
     def decode_logits(self, tokens: np.ndarray) -> np.ndarray:
         """Per-position logits from the recurrent path over a fixed sequence."""
         state = self.start_decode()
-        return np.stack([state.step(int(t)) for t in np.asarray(tokens)])
+        return np.stack([state.step(t) for t in np.asarray(tokens)])
 
 
 def _tensor_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
@@ -309,6 +302,8 @@ class DecodeState:
     def step(self, token: int) -> np.ndarray:
         model = self.model
         cfg = model.config
+        if isinstance(token, bool) or not isinstance(token, (int, np.integer)):
+            raise InputError(f"decode: token id must be an integer, got {token!r}")
         if not 0 <= token < cfg.vocab:
             raise InputError(f"decode: token {token} outside [0, {cfg.vocab})")
         x = model.embedding.data[token].copy()

@@ -156,7 +156,7 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
 
 class WindowCache:
     """Shift buffer of the last min(t, w) rotated keys and values per head,
-    oldest first, like `bc.ConvCache`'s tail; `t` is the next position."""
+    oldest first, like `bc.ConvCache`'s rows; `t` is the next position."""
 
     def __init__(self, params: SwaParams, dtype=np.float64):
         self.params = params

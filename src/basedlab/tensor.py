@@ -219,32 +219,27 @@ def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def causal_conv_np(filt: np.ndarray, halo: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Depthwise causal filter over the rows of `x` (second-to-last axis),
-    preceded by the h rows of `halo`: out[i] = sum_t filt[t] * row[i - t],
-    rows before the halo zero."""
-    c, h = x.shape[-2], halo.shape[-2]
+def causal_conv_np(filt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Depthwise causal filter over the rows of `x` (second-to-last axis):
+    out[i] = sum_t filt[t] * x[i - t], rows before row 0 zero."""
+    c = x.shape[-2]
     out = filt[0] * x
-    for t in range(1, min(filt.shape[0], h + c)):
-        if t < c:
-            out[..., t:, :] += filt[t] * x[..., :c - t, :]
-        lo, hi = max(t - h, 0), min(t, c)  # rows whose lag-t input is in the halo
-        if lo < hi:
-            out[..., lo:hi, :] += filt[t] * halo[..., h - t + lo:h - t + hi, :]
+    for t in range(1, min(filt.shape[0], c)):
+        out[..., t:, :] += filt[t] * x[..., :c - t, :]
     return out
 
 
-def causal_conv_grad_np(filt: np.ndarray, ext: np.ndarray, g: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of `causal_conv_np(filt, ext[:, :h], ext[:, h:])` for the
-    output gradient g, all (B, rows, C): returns (dext, dfilt)."""
-    c = g.shape[1]
-    dext, dfilt = np.zeros_like(ext), np.zeros_like(filt)
-    for t in range(min(filt.shape[0], h + c)):
-        lo = max(t - h, 0)  # first row whose lag-t input exists
-        src = slice(h + lo - t, h + c - t)
-        dfilt[t] = np.einsum("bic,bic->c", g[:, lo:], ext[:, src])
-        dext[:, src] += filt[t] * g[:, lo:]
-    return dext, dfilt
+def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Backward of `causal_conv_np(filt, x)[:, h:]` for the output gradient
+    g, both (B, rows, C): returns (dx, dfilt)."""
+    n = x.shape[1]
+    dx, dfilt = np.zeros_like(x), np.zeros_like(filt)
+    for t in range(min(filt.shape[0], n)):
+        lo = max(t - h, 0)  # first output row whose lag-t input exists
+        src = slice(h + lo - t, n - t)
+        dfilt[t] = np.einsum("bic,bic->c", g[:, lo:], x[:, src])
+        dx[:, src] += filt[t] * g[:, lo:]
+    return dx, dfilt
 
 
 def init_normal(rng: np.random.Generator, rows: int, cols: int, dtype) -> Tensor:
@@ -379,7 +374,7 @@ def causal_conv1d(u: Tensor, f: Tensor) -> Tensor:
         dx, df = causal_conv_grad_np(f.data, x, g.reshape(x.shape), 0)
         accumulate(u, dx.reshape(u.shape))
         accumulate(f, df)
-    return from_op(causal_conv_np(f.data, x[:, :0], x).reshape(u.shape), (u, f), backward)
+    return from_op(causal_conv_np(f.data, x).reshape(u.shape), (u, f), backward)
 
 
 def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:

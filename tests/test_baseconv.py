@@ -216,7 +216,7 @@ def test_gated_core_keeps_f32():
 
 
 def test_gated_core_gradients_across_tile_boundary():
-    # N = 130 puts two rows past the first tile, so the halo and its scatter are exercised
+    # N = 130 puts two rows past the first tile, so its context rows and their scatter are exercised
     params = random_gated(3, 2, 3, seed=22)
     for name in NAMES:
         getattr(params, name).data *= 0.3
@@ -255,10 +255,14 @@ def test_gated_core_rejects_mixed_dtypes():
 
 
 def test_conv_cache_steps_match_the_core():
-    # decode runs the core's tile on one row with the cache tail as its halo
-    params = random_gated(5, 2, 4, seed=27)
+    # decode runs the core's tile on the cached last taps - 1 input rows plus the new row
     x = np.random.default_rng(28).normal(size=(9, 5))
-    cache = bc.ConvCache(params)
-    stepped = np.stack([cache.step(row) for row in x])
-    assert np.abs(stepped - bc.forward_gated(params, Tensor(x)).data).max() < 1e-12
-    assert cache.scalar_count() == 3 * params.expanded
+    for taps in (1, 2, 4):
+        for dtype, rel in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            params = random_gated(5, 2, taps, seed=27, dtype=dtype)
+            cache = bc.ConvCache(params, dtype)
+            stepped = np.stack([cache.step(row) for row in x.astype(dtype)])
+            want = bc.forward_gated(params, Tensor(x, dtype=dtype)).data
+            assert stepped.dtype == dtype, (taps, dtype)
+            assert np.abs(stepped - want).max() <= rel * np.abs(want).max(), (taps, dtype)
+            assert cache.scalar_count() == (taps - 1) * params.d_model

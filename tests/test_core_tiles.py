@@ -1,14 +1,16 @@
-"""Both attention cores at tiles of 1, 3 and 7 rows: many carried contexts,
-and windows that span several tiles, against the dense references."""
+"""Every tiled core at tiles of 1, 3 and 7 rows: many carried contexts,
+and windows and filters that span several tiles, against the references."""
 
 import numpy as np
 import pytest
 
+from basedlab import baseconv as bc
 from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
 from basedlab import sliding_window as sw
 from basedlab import tensor as T
 from basedlab.tensor import Tensor, grad_check
+from test_baseconv import assert_matches_composed, random_gated
 from test_linear_attention import masked_reference
 from test_sliding_window import assert_matches_reference
 
@@ -88,3 +90,16 @@ def test_raw_input_core_at_small_tiles(monkeypatch, tile, kind):
     assert grad_check(lambda t: loss(t, Tensor(raw_k), Tensor(v)), Tensor(raw_q)) < 1e-6
     assert grad_check(lambda t: loss(Tensor(raw_q), t, Tensor(v)), Tensor(raw_k)) < 1e-6
     assert grad_check(lambda t: loss(Tensor(raw_q), Tensor(raw_k), t), Tensor(v)) < 1e-6
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_gated_conv_at_small_tiles(monkeypatch, tile):
+    # one-row tiles are the shape the decode cache runs
+    monkeypatch.setattr(bc, "CONV_TILE", tile)
+    rng = np.random.default_rng(60 + tile)
+    for taps in sorted({1, 2, tile + 1, 2 * tile + 1}):
+        for dtype, rel in DTYPES:
+            params = random_gated(3, 2, taps, seed=taps, dtype=dtype)
+            for n in sorted({1, tile, tile + 1, 2 * tile + 1, 20}):
+                x = rng.normal(size=(2, n, 3))
+                assert_matches_composed(params, x.astype(dtype), rng.normal(size=x.shape), rel)

@@ -24,14 +24,6 @@ def tiny_config(**kw):
     return md.ModelConfig(**base)
 
 
-def test_default_layer_pattern():
-    assert md.default_layer_pattern(1) == "C"
-    assert md.default_layer_pattern(4) == "CLCS"
-    assert md.default_layer_pattern(6) == "CLCSCL"
-    with pytest.raises(ConfigError):
-        md.default_layer_pattern(0)
-
-
 def test_config_normalizes_pattern():
     cfg = tiny_config(layer_pattern="cl cs")
     assert cfg.layer_pattern == "CLCS"
@@ -98,6 +90,14 @@ def test_forward_shapes_and_input_validation():
         model.forward(np.array([0, 12]))
     with pytest.raises(InputError):
         model.forward(np.array([-1]))
+    for ids in (np.array([1.5]), np.array([1.0, 2.0]), np.array([True, False])):
+        with pytest.raises(InputError, match="integers"):
+            model.forward(ids)
+    state = model.start_decode()
+    for token in (1.5, True, np.float64(2.0), np.bool_(True)):
+        with pytest.raises(InputError, match="integer"):
+            state.step(token)
+    assert state.step(np.int64(3)).shape == state.step(3).shape == (12,)
 
 
 def test_mlp_layers_add_parameters_and_still_decode():
@@ -140,6 +140,16 @@ def test_f32_decode_stays_f32(pattern, use_decay):
             if isinstance(value, np.ndarray) and value.dtype.kind == "f":
                 assert value.dtype == np.float32, (pattern, type(cache).__name__, name)
     assert model.decode_logits(np.arange(4)).dtype == np.float32
+
+
+@pytest.mark.parametrize("kind", ["L", "S", "C"])
+def test_decode_caches_reject_a_wrong_row(kind):
+    model = md.build(tiny_config(d_model=8, layer_pattern=kind))
+    cache = model.start_decode().caches[0]
+    for row in (np.ones(5), np.ones((1, 8)), np.ones(9)):
+        with pytest.raises(ShapeError, match=r"\(8,\) row"):
+            cache.step(row)
+    assert cache.step(np.ones(8)).shape == (8,)
 
 
 def test_greedy_decode_breaks_ties_low():
