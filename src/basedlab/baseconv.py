@@ -12,11 +12,13 @@ back down:
 along the sequence. The filter is the layer's only context: a tile's output
 reads the taps - 1 layer-input rows before it, so each tile projects those
 rows and its own through W2 in one matmul, filters them, and runs the chain
-down to W3 one tile wide before the next tile starts. The backward keeps
-only the input, recomputes each tile and adds the context rows' gradient
-into the rows before it. Decode (`ConvCache`) holds exactly that context,
-the last taps - 1 layer-input rows, and runs the same tile function on
-them plus the new row.
+down to W3 one tile wide before the next tile starts. When the call is
+one tile (every N <= CONV_TILE), the forward keeps that tile's arrays,
+read-only, and the backward reads them; with more tiles it keeps only the
+input and recomputes each tile, so memory stays one tile wide. Either way
+the backward adds the context rows' gradient into the rows before it.
+Decode (`ConvCache`) holds exactly that context, the last taps - 1
+layer-input rows, and runs the same tile function on them plus the new row.
 """
 
 from __future__ import annotations
@@ -121,12 +123,13 @@ def forward_minimal(params: MinimalBaseConv, u: Tensor) -> Tensor:
 CONV_TILE = 128
 
 
-def _tile(p: GatedBaseConv, rows: np.ndarray, h: int):
+def _tile(p: GatedBaseConv, rows: np.ndarray, h: int, grad: bool = False):
     """Steps 1-4 of the core on one tile: `rows` (..., h + c, d) are the
     tile's c layer-input rows after the h <= taps - 1 rows before them, its
     context. Returns pre = u W2 of all h + c rows, and for the tile's own
     rows gate = u W1 + b1, sig = sigmoid(conv) and the SiLU act = conv * sig
-    of conv = filter(pre) + b2."""
+    of conv = filter(pre) + b2. With `grad`, sig is replaced in place by
+    silu'(conv) = sig + act (1 - sig), which is all the backward reads of it."""
     gate = rows[..., h:, :] @ p.w1.data
     gate += p.b1.data
     pre = rows @ p.w2.data
@@ -134,6 +137,9 @@ def _tile(p: GatedBaseConv, rows: np.ndarray, h: int):
     conv += p.b2.data
     sig = T.sigmoid_np(conv)
     conv *= sig
+    if grad:
+        sig -= conv * sig
+        sig += conv
     return pre, gate, sig, conv
 
 
@@ -155,10 +161,16 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     spans = [(s, min(p.taps - 1, s)) for s in range(0, n, c)]
 
     out = np.empty(x.shape, u.dtype)
+    kept = None  # a call of one tile keeps its (pre, gate, silu', act) for the backward
     for s, h in spans:
-        _, gate, _, act = _tile(p, x[:, s - h:s + c], h)
-        gate *= act
-        np.matmul(gate, p.w3.data, out=out[:, s:s + c])
+        tile = _tile(p, x[:, s - h:s + c], h, grad=len(spans) == 1)
+        _, gate, _, act = tile
+        if len(spans) == 1:
+            kept = tile
+            for a in kept:
+                a.flags.writeable = False
+        gated = gate * act if kept else np.multiply(gate, act, out=gate)
+        np.matmul(gated, p.w3.data, out=out[:, s:s + c])
     out += p.b3.data
 
     def backward(grad):
@@ -168,15 +180,14 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
         db1, db2, dfilt = (np.zeros_like(w.data) for w in (p.b1, p.b2, p.filt))
         for s, h in spans:
             rows = x[:, s - h:s + c]
-            pre, gate, sig, act = _tile(p, rows, h)
+            pre, gate, dsilu, act = kept or _tile(p, rows, h, grad=True)
             g = grad[:, s:s + c]
-            dw3 += (gate * act).reshape(-1, wide).T @ g.reshape(-1, d)
-            dgated = g @ p.w3.data.T
-            dgate = dgated * act
-            dconv = dgated * gate
-            sig -= act * sig  # silu'(conv) = sig + act (1 - sig)
-            sig += act
-            dconv *= sig
+            buf = gate * act
+            dw3 += buf.reshape(-1, wide).T @ g.reshape(-1, d)
+            dconv = g @ p.w3.data.T  # the gradient of gate * act, turned into dconv in place
+            dgate = np.multiply(dconv, act, out=buf)
+            dconv *= gate
+            dconv *= dsilu
             dpre, dfilt_tile = T.causal_conv_grad_np(p.filt.data, pre, dconv, h)
             dfilt += dfilt_tile
             db1 += dgate.reshape(-1, wide).sum(axis=0)

@@ -231,14 +231,15 @@ def causal_conv_np(filt: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     """Backward of `causal_conv_np(filt, x)[:, h:]` for the output gradient
-    g, both (B, rows, C): returns (dx, dfilt)."""
+    g, both (B, rows, C): returns (dx, dfilt). Each tap's filt[t] * g is
+    written into one scratch array shared by all taps."""
     n = x.shape[1]
-    dx, dfilt = np.zeros_like(x), np.zeros_like(filt)
+    dx, dfilt, scratch = np.zeros_like(x), np.zeros_like(filt), np.empty_like(g)
     for t in range(min(filt.shape[0], n)):
         lo = max(t - h, 0)  # first output row whose lag-t input exists
         src = slice(h + lo - t, n - t)
         dfilt[t] = np.einsum("bic,bic->c", g[:, lo:], x[:, src])
-        dx[:, src] += filt[t] * g[:, lo:]
+        dx[:, src] += np.multiply(filt[t], g[:, lo:], out=scratch[:, lo:])
     return dx, dfilt
 
 

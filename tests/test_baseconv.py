@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from basedlab import baseconv as bc
+from basedlab import model as md
+from basedlab import mqar as mq
 from basedlab import tensor as T
 from basedlab.errors import ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check, sigmoid_np
@@ -213,6 +215,80 @@ def test_gated_core_keeps_f32():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(2, 150, 6)).astype(np.float32)
     assert_matches_composed(params, x, rng.normal(size=x.shape), 1e-5)
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("taps", [1, 3, 5])
+@pytest.mark.parametrize("n, recomputed", [(bc.CONV_TILE, 0), (bc.CONV_TILE + 1, 2)])
+def test_gated_core_keeps_its_one_tile(monkeypatch, n, recomputed, taps, dtype, rel):
+    # one tile: the backward reads the forward's arrays; two tiles: it runs each tile again
+    calls, tile = [], bc._tile
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return tile(*args, **kwargs)
+    monkeypatch.setattr(bc, "_tile", counted)
+    params = random_gated(4, 2, taps, seed=n + taps, dtype=dtype)
+    rng = np.random.default_rng(n * taps)
+    x = rng.normal(size=(2, 3, n, 4)).astype(dtype)
+    u = Tensor(x, requires_grad=True)
+    y = bc.forward_gated(params, u)
+    forward_calls = len(calls)
+    T.sum_all(y).backward()
+    assert len(calls) - forward_calls == recomputed
+    assert_matches_composed(params, x, rng.normal(size=x.shape), rel)
+
+
+def test_gated_core_second_backward_reads_unchanged_tiles():
+    # the graph is kept, so a second backward through the same output must see the same kept arrays
+    params = random_gated(4, 2, 3, seed=30)
+    u = Tensor(np.random.default_rng(31).normal(size=(2, 40, 4)), requires_grad=True)
+    y = bc.forward_gated(params, u)
+    runs = []
+    for _ in range(2):
+        for t in (u, y) + tuple(getattr(params, name) for name in NAMES):
+            t.grad = None
+        T.sum_all(T.mul(y, y)).backward()
+        runs.append([u.grad] + [getattr(params, name).grad for name in NAMES])
+    for name, a, b in zip(("u",) + NAMES, *runs):
+        assert np.array_equal(a, b), name
+
+
+def test_gated_core_calls_share_no_buffers():
+    # two calls on the same parameters, both alive until one backward over their sum
+    params = random_gated(4, 2, 3, seed=32)
+    rng = np.random.default_rng(33)
+    xa, xb, wa, wb = rng.normal(size=(4, 2, 50, 4))
+
+    def run(forward, p):
+        ua, ub = Tensor(xa, requires_grad=True), Tensor(xb, requires_grad=True)
+        for name in NAMES:
+            getattr(p, name).grad = None
+        ya, yb = forward(p, ua), forward(p, ub)
+        T.add(T.sum_all(T.mul(ya, Tensor(wa))), T.sum_all(T.mul(yb, Tensor(wb)))).backward()
+        return [ya.data, yb.data, ua.grad, ub.grad] + [getattr(p, name).grad for name in NAMES]
+
+    exact = bc.GatedBaseConv(**{name: Tensor(getattr(params, name).data.copy(), requires_grad=True)
+                                for name in NAMES})
+    for name, g, w in zip(("ya", "yb", "ua", "ub") + NAMES, run(bc.forward_gated, params), run(composed_gated, exact)):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+
+
+def test_train_step_on_kept_tile_matches_recompute(monkeypatch):
+    # N = 64 is one tile at CONV_TILE and two at 32, where the backward runs each tile again
+    task = mq.MqarConfig(seed=34, num_keys=8, num_values=8, seq_len=64, kv_pairs=4)
+
+    def trained():
+        model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=16, d_prime=4, window=8,
+                                        layer_pattern="CS", seed=34))
+        rng = np.random.default_rng(34)
+        md.train_mqar(model, (mq.generate(task, 4, rng=rng) for _ in range(2)),
+                      md.TrainConfig(steps=2, batch_size=4, lr=1e-2))
+        return [p.data for p in model.parameters()]
+
+    kept = trained()
+    monkeypatch.setattr(bc, "CONV_TILE", 32)
+    for a, b in zip(kept, trained()):
+        assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
 
 
 def test_gated_core_gradients_across_tile_boundary():
