@@ -148,9 +148,8 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
         raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
     q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
     if params.rotary:
-        positions = np.arange(u.shape[-2])
-        q = T.rotary(q, positions, params.rotary_base)
-        k = T.rotary(k, positions, params.rotary_base)
+        q = T.rotary(q, params.rotary_base)
+        k = T.rotary(k, params.rotary_base)
     return T.matmul(T.merge_heads(window_core(q, k, v, params.window)), params.wo)
 
 

@@ -9,6 +9,7 @@ bit-reproducible across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -189,25 +190,49 @@ def silu_np(x: np.ndarray) -> np.ndarray:
     return x * sigmoid_np(x)
 
 
-def rotary_np(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
-    """Rotary position encoding on a plain array (shared with decode paths).
+def _complex_pairs(x: np.ndarray, where: str) -> np.ndarray:
+    """A float array's feature pairs read as the complex numbers
+    x[..., 2m] + i x[..., 2m + 1] (a view of x, or of a contiguous copy)."""
+    if x.ndim == 0 or x.shape[-1] % 2:
+        raise ShapeError(f"{where}: feature width must be even, got shape {x.shape}")
+    x = np.ascontiguousarray(x, dtype=np.result_type(x, np.float32))
+    return x.view(np.result_type(x, np.complex64))
 
-    Pair m of a width-d row at position p turns by theta = p * base^(-2m/d);
-    `positions` broadcasts against the rows x.shape[:-1]. The map is
-    orthogonal, so inner products depend only on position offsets, and
-    negated positions undo it.
-    """
-    d = x.shape[-1]
+
+@functools.lru_cache(maxsize=32)
+def _freqs(d: int, base: float) -> np.ndarray:
+    """base^(-2m/d) for the pairs m < d/2. Cached, read-only."""
     freqs = base ** (-2.0 * np.arange(d // 2) / d)
-    theta = np.asarray(positions, dtype=np.float64)[..., None] * freqs
-    cos = np.cos(theta).astype(x.dtype)
-    sin = np.sin(theta).astype(x.dtype)
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    freqs.flags.writeable = False
+    return freqs
+
+
+def _turns(positions, d: int, base: float, dtype: np.dtype) -> np.ndarray:
+    """exp(i p base^(-2m/d)) per position p and pair m < d/2, from float64
+    cos and sin, as complex `dtype`."""
+    theta = np.asarray(positions, dtype=np.float64)[..., None] * _freqs(d, base)
+    turns = np.empty(theta.shape, np.complex128)
+    np.cos(theta, out=turns.real)
+    np.sin(theta, out=turns.imag)
+    return turns.astype(dtype, copy=False)
+
+
+@functools.lru_cache(maxsize=32)
+def _turn_table(n: int, d: int, base: float, dtype: np.dtype) -> np.ndarray:
+    """`_turns` of positions 0..n-1, shape (n, d/2). Cached, read-only."""
+    table = _turns(np.arange(n), d, base, dtype)
+    table.flags.writeable = False
+    return table
+
+
+def rotary_np(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
+    """Rotary position encoding on a plain array: pair m of a width-d row at
+    position p, read as x[2m] + i x[2m + 1], times exp(i p base^(-2m/d)).
+    `positions` broadcasts against the rows x.shape[:-1]; only their turns
+    are computed, and row p is bit-identical to row p of `rotary`."""
+    pairs = _complex_pairs(x, "rotary_np")
+    out = pairs * _turns(positions, x.shape[-1], base, pairs.dtype)
+    return out.view(out.real.dtype)
 
 
 def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -396,18 +421,14 @@ def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:
     return from_op(xhat * w.data, (x, w), backward)
 
 
-def rotary(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotate consecutive feature pairs by position-dependent angles (`rotary_np`)."""
-    d = x.shape[-1]
-    if d % 2 != 0:
-        raise ShapeError(f"rotary: feature width must be even, got {d}")
-    n = x.shape[-2]
-    positions = np.asarray(positions, dtype=np.float64)
-    if positions.shape != (n,):
-        raise ShapeError(f"rotary: positions {positions.shape} do not match sequence length {n}")
+def rotary(x: Tensor, base: float = 10000.0) -> Tensor:
+    """`rotary_np` of (..., N, d) rows at positions 0..N-1, through one cached
+    (N, d/2) table of turns; the backward multiplies by their conjugates."""
+    pairs = _complex_pairs(x.data, "rotary")
+    table = _turn_table(x.shape[-2], x.shape[-1], float(base), pairs.dtype)
     def backward(g):
-        accumulate(x, rotary_np(g, -positions, base))
-    return from_op(rotary_np(x.data, positions, base), (x,), backward)
+        accumulate(x, (_complex_pairs(g, "rotary") * table.conj()).view(x.dtype))
+    return from_op((pairs * table).view(x.dtype), (x,), backward)
 
 
 def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:

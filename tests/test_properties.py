@@ -7,8 +7,9 @@ the tiled window core agrees with the dense masked reference, the tiled
 linear-attention core with its explicit N x N form (on featurized and on
 raw Taylor inputs), the tiled gated-conv core with the composed graph, the
 parallel, chunked and recurrent views of linear attention with each other
-(empty input included), and every mixer's batched forward and backward
-with its per-sequence slices.
+(empty input included), every mixer's batched forward and backward
+with its per-sequence slices, and a whole model's batched forward and
+token-by-token decode with its per-sequence forward.
 """
 
 import json
@@ -231,3 +232,33 @@ def test_leading_dims_match_per_sequence_slices(kind, b1, b2, n, seed):
         part, dpart = run(x[i, j], weights[i, j])
         assert np.abs(whole[i, j] - part).max(initial=0.0) <= 1e-12
         assert np.abs(dwhole[i, j] - dpart).max(initial=0.0) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(pattern=st.text("CLS", min_size=1, max_size=4), heads=st.integers(1, 2), head_dim=st.sampled_from([2, 4]),
+       decay=st.sampled_from(["none", "ladder", "mixed"]), mlp=st.booleans(), tied=st.booleans(),
+       rotary=st.booleans(), window=st.integers(1, 160), b=st.integers(1, 3), n=st.integers(1, 150),
+       f32=st.booleans(), seed=st.integers(0, 2**16))
+def test_model_decode_and_batch_match_per_sequence_forward(pattern, heads, head_dim, decay, mlp, tied, rotary,
+                                                           window, b, n, f32, seed):
+    # one model, three routes to the same logits: batched forward, per-sequence forward, token-by-token decode
+    config = md.ModelConfig(vocab=7, d_model=heads * head_dim, heads=heads, d_prime=2, window=window,
+                            layer_pattern=pattern, seed=seed, dtype="f32" if f32 else "f64", rotary=rotary,
+                            use_decay=decay != "none", head_mixing=decay == "mixed", include_mlp=mlp,
+                            tie_embeddings=tied)
+    model = md.build(config)
+    for p in model.parameters():
+        if p.ndim == 2:
+            # weights of std 0.2, so attention is far from uniform and rotary moves the logits; at std 0.5
+            # f32 forward and f32 decode both drift ~5e-6 from the f64 logits of a CLLL model
+            p.data *= 10.0
+    tokens = np.random.default_rng(seed).integers(0, 7, size=(b, n))
+    dtype, tol = (np.float32, 1e-5) if f32 else (np.float64, 1e-9)
+    batched = model.forward(tokens).data
+    assert batched.dtype == dtype and batched.shape == (b, n, 7)
+    for row, got in zip(tokens, batched):
+        want = model.forward(row).data
+        decoded = model.decode_logits(row)
+        assert decoded.dtype == dtype
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        assert np.abs(decoded - want).max() <= tol * np.abs(want).max()

@@ -123,6 +123,43 @@ def test_rotary_preserves_norm():
         assert np.abs(np.linalg.norm(r, axis=-1) - np.linalg.norm(x, axis=-1)).max() < 1e-12
 
 
+def test_decode_rotary_row_equals_table_row():
+    # decode turns one row at position t; prefill reads row t of the cached table
+    rng = np.random.default_rng(11)
+    for dtype in (np.float64, np.float32):
+        x = rng.normal(size=(2, 300, 32)).astype(dtype)  # (heads, N, head dim)
+        table = T.rotary(Tensor(x)).data
+        for t in range(300):
+            assert np.array_equal(T.rotary_np(x[:, t], t), table[:, t]), (dtype, t)
+
+
+def test_rotary_table_is_cached_and_read_only():
+    params = random_params(d_model=8, heads=2, window=3, seed=4)
+    u = Tensor(np.random.default_rng(12).normal(size=(2, 37, 8)), requires_grad=True)
+    T.sum_all(sw.swa_forward(params, u)).backward()
+    before = T._turn_table.cache_info()
+    T.sum_all(sw.swa_forward(params, u)).backward()
+    after = T._turn_table.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)  # q and k
+    table = T._turn_table(37, 4, 10000.0, np.dtype(np.complex128))
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
+def test_decode_adds_no_rotary_cache_entry():
+    # constant-memory decode: a stream past t = 10^4 holds what one at t = 10 holds
+    params = random_params(d_model=4, heads=1, window=3, seed=5)
+    cache = sw.WindowCache(params)
+    x = np.random.default_rng(13).normal(size=4)
+    infos = lambda: (T._turn_table.cache_info(), T._freqs.cache_info().currsize, cache.scalar_count())
+    for _ in range(10):
+        sw.decode_step(params, cache, x)
+    at_10 = infos()
+    while cache.t <= 10**4:
+        sw.decode_step(params, cache, x)
+    assert infos() == at_10
+
+
 def test_batched_matches_per_sequence():
     params = random_params()
     u = np.random.default_rng(5).normal(size=(3, 11, 8))

@@ -80,22 +80,68 @@ def test_rms_norm_oracle():
 def test_rotary_position_zero_is_identity():
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=(1, 4)))
-    out = T.rotary(x, np.array([0]))
+    out = T.rotary(x)
     assert np.array_equal(out.data, x.data)
 
 
 def test_rotary_preserves_norm():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(6, 8)))
-    out = T.rotary(x, np.arange(6))
+    out = T.rotary(x)
     assert np.allclose(np.linalg.norm(out.data, axis=-1), np.linalg.norm(x.data, axis=-1))
 
 
+def _rotary_reference(x, positions, base=10000.0):
+    # the pair formula in float64: (a cos - b sin, a sin + b cos) per pair (a, b)
+    d = x.shape[-1]
+    theta = np.asarray(positions, dtype=np.float64)[..., None] * base ** (-2.0 * np.arange(d // 2) / d)
+    a, b = x[..., 0::2].astype(np.float64), x[..., 1::2].astype(np.float64)
+    out = np.empty(x.shape, np.float64)
+    out[..., 0::2] = a * np.cos(theta) - b * np.sin(theta)
+    out[..., 1::2] = a * np.sin(theta) + b * np.cos(theta)
+    return out
+
+
 def test_rotary_pair_formula():
-    x = Tensor(np.array([[1.0, 0.0]]))
-    theta = 3.0  # position 3, base exponent 0 for the first pair
-    out = T.rotary(x, np.array([3]), base=10000.0)
-    assert np.allclose(out.data, [[np.cos(theta), np.sin(theta)]])
+    rng = np.random.default_rng(5)
+    positions = np.array([0, 1, 4095, 10**5])
+    for dtype, tol in ((np.float64, 1e-15), (np.float32, 1e-6)):
+        x = rng.normal(size=(2, 4096, 8)).astype(dtype)
+        table = T.rotary(Tensor(x)).data  # positions 0..4095 through the cached table
+        rows = T.rotary_np(x[:, :4], positions)  # the given positions only
+        assert table.dtype == dtype and rows.dtype == dtype
+        for got, want, scale in ((table, _rotary_reference(x, np.arange(4096)), x),
+                                 (rows, _rotary_reference(x[:, :4], positions), x[:, :4])):
+            norm = np.linalg.norm(scale.astype(np.float64), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= tol * norm)
+
+
+def test_rotary_inverse_undoes_forward():
+    # the backward is the inverse rotation: the gradient of sum(rotary(x) * rotary(x)) is 2 x
+    rng = np.random.default_rng(6)
+    for dtype, tol in ((np.float64, 1e-15), (np.float32, 1e-6)):
+        x = Tensor(rng.normal(size=(3, 50, 6)), requires_grad=True, dtype=dtype)
+        out = T.rotary(x, base=100.0)
+        T.sum_all(T.mul(out, Tensor(out.data))).backward()
+        assert x.grad.dtype == dtype
+        assert np.abs(x.grad - x.data).max() <= tol * np.abs(x.data).max()
+
+
+def test_rotary_reads_non_contiguous_input():
+    x = np.random.default_rng(7).normal(size=(6, 9))
+    for view in (x.T, x[:, :8][::2]):
+        assert not view.flags.c_contiguous
+        positions = np.arange(view.shape[0])
+        assert np.array_equal(T.rotary_np(view, positions), T.rotary_np(view.copy(), positions))
+
+
+def test_rotary_rejects_odd_width():
+    with pytest.raises(ShapeError):
+        T.rotary_np(np.ones((2, 3)), np.arange(2))
+    with pytest.raises(ShapeError):
+        T.rotary_np(np.float64(1.0), 0)
+    with pytest.raises(ShapeError):
+        T.rotary(Tensor(np.ones((2, 3))))
 
 
 def test_cross_entropy_masked_oracle():
@@ -174,7 +220,7 @@ GRAD_CASES = {
     "softmax": lambda t: T.sum_all(T.mul(T.softmax_last(t), Tensor(np.arange(12.0).reshape(3, 4)))),
     "reshape_transpose": lambda t: T.sum_all(T.mul(T.transpose(T.reshape(t, (4, 3)), (1, 0)), Tensor(np.arange(12.0).reshape(3, 4)))),
     "rms_norm": lambda t: T.sum_all(T.rms_norm(t, Tensor(np.arange(1.0, 5.0)))),
-    "rotary": lambda t: T.sum_all(T.mul(T.rotary(t, np.arange(3)), Tensor(np.arange(12.0).reshape(3, 4)))),
+    "rotary": lambda t: T.sum_all(T.mul(T.rotary(t), Tensor(np.arange(12.0).reshape(3, 4)))),
     "conv": lambda t: T.sum_all(T.causal_conv1d(t, Tensor(np.array([[1.0, -0.5, 0.2, 0.9], [0.3, 0.7, -1.1, 0.4]])))),
     "rowscale": lambda t: T.sum_all(T.mul_rowscale(t, Tensor(np.array([0.5, -1.5, 2.5])))),
 }
