@@ -205,12 +205,12 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
 
 class ConvCache:
     """Decode cache of `forward_gated`: the last taps - 1 layer-input rows,
-    oldest first (zeros are the causal padding). Each step runs the core's
-    tile on them plus the new row."""
+    oldest first, in the parameters' dtype (zeros are the causal padding).
+    Each step runs the core's tile on them plus the new row."""
 
-    def __init__(self, params: GatedBaseConv, dtype=np.float64):
+    def __init__(self, params: GatedBaseConv):
         self.params = params
-        self.rows = np.zeros((params.taps - 1, params.d_model), dtype=dtype)
+        self.rows = np.zeros((params.taps - 1, params.d_model), params.w1.dtype)
 
     def scalar_count(self) -> int:
         return self.rows.size
@@ -218,8 +218,7 @@ class ConvCache:
     def step(self, x: np.ndarray) -> np.ndarray:
         """One (d_model,) layer-input row in, one output row out."""
         p = self.params
-        if x.shape != (p.d_model,):
-            raise ShapeError(f"ConvCache.step expects a ({p.d_model},) row, got {x.shape}")
+        T.check_row(x, p.w1, "ConvCache.step")
         rows = np.concatenate([self.rows, x[None, :]])
         _, gate, _, act = _tile(p, rows, len(self.rows))
         self.rows = rows[1:]

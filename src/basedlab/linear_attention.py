@@ -11,9 +11,9 @@ tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
 plus the block S = [s | z] (z as its last column) carried from tile to tile,
 forward and backward. It takes the raw d'-wide q and k: the intra-tile
 scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
-`recurrent_step` advances the same block one token at a time, and
-`LinAttnState`, the decode cache, holds it, so a cache is exactly the context
-the core carries between tiles. `chunked_forward` is the instrumented
+`LinAttnState`, the decode cache, holds that block, so a cache is exactly the
+context the core carries between tiles; its `step` folds one token in with
+the core's own `_fold` and then reads it. `chunked_forward` is the instrumented
 per-head tile loop that featurizes each tile in fast memory. The three agree
 to roundoff; optional per-head decay multiplies the state by gamma each step.
 Every view uses the Taylor map's unique-monomial layout, so the state width D
@@ -152,6 +152,12 @@ def _tile_decay(gamma: float | tuple[float, ...], c: int, dtype: np.dtype) -> tu
     return mask, carry, lift
 
 
+def _fold(state, decay, keys: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The [s | z] block S after a tile, decay * S + keys^T [V | 1], with `keys`
+    the tile's phi(K) lifted by gamma^(c-1-j); written into `out` when given."""
+    return np.add(decay * state, np.swapaxes(keys, -1, -2) @ v1, out=out)
+
+
 def attention_core(
     q: Tensor, k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0, kind: fm.FeatureMapKind = IDENTITY
 ) -> Tensor:
@@ -196,7 +202,7 @@ def attention_core(
         states.append(state)
         scores.append(sc)
         if e < n:  # the last tile's fold would go unused
-            state = fold * state + np.swapaxes(fm.phi(kind, kt) * lift, -1, -2) @ vt
+            state = _fold(state, fold, fm.phi(kind, kt) * lift, vt)
     num, den = nd[..., :d], nd[..., d]
     floored = np.maximum(den, eps)
     out = num / floored[..., None]
@@ -244,22 +250,20 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
     return T.matmul(T.merge_heads(y), params.wo)
 
 
-@dataclass
 class LinAttnState:
-    """Running state per head, s = [s | z] of shape (heads, D, head_dim + 1):
-    the KV state with the normalizer z as its last column, the block
-    `attention_core` carries between tiles.
+    """Running state per head, s = [s | z] of shape (heads, D, head_dim + 1)
+    in the parameters' dtype: the KV state with the normalizer z as its last
+    column, the block `attention_core` carries between tiles.
 
     It is also the layer's constant-memory decode cache: `step` runs one
-    layer-input row through the whole layer.
+    layer-input row through the whole layer, folding it into s in place with
+    `_fold` and then reading s, the core's tile at N = 1 in the other order.
     """
 
-    params: LinAttnParams
-    s: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: LinAttnParams, dtype=np.float64) -> "LinAttnState":
-        return cls(params, np.zeros((params.heads, params.feature_width, params.head_dim + 1), dtype=dtype))
+    def __init__(self, params: LinAttnParams):
+        self.params = params
+        self.s = np.zeros((params.heads, params.feature_width, params.head_dim + 1), params.wq.dtype)
+        self.decay = 1.0 if params.decay is None else params.decay.gamma.astype(self.s.dtype)[:, None, None]
 
     def scalar_count(self) -> int:
         return self.s.size
@@ -267,32 +271,12 @@ class LinAttnState:
     def step(self, x: np.ndarray) -> np.ndarray:
         """Project one (d_model,) row, advance the state, and return the output row."""
         p = self.params
-        if x.shape != (p.d_model,):
-            raise ShapeError(f"LinAttnState.step expects a ({p.d_model},) row, got {x.shape}")
-        q = (x @ p.wq.data).reshape(p.heads, p.d_prime)
-        k = (x @ p.wk.data).reshape(p.heads, p.d_prime)
-        v = (x @ p.wv.data).reshape(p.heads, p.head_dim)
-        _, y = recurrent_step(p, self, q, k, v)
-        return _combine_heads_numpy(p, x[None], y[:, None])[0]
-
-
-def recurrent_step(
-    params: LinAttnParams, state: LinAttnState, q_t: np.ndarray, k_t: np.ndarray, v_t: np.ndarray
-) -> tuple[LinAttnState, np.ndarray]:
-    """Advance one token. Inputs are per-head rows: q_t, k_t (heads, d'),
-    v_t (heads, head_dim). Returns the state (updated in place; a state is
-    single-owner) and y_t (heads, head_dim)."""
-    qk, hv = (params.heads, params.d_prime), (params.heads, params.head_dim)
-    if q_t.shape != qk or k_t.shape != qk or v_t.shape != hv:
-        raise ShapeError(f"recurrent_step: expected q, k {qk} and v {hv}, got {q_t.shape}, {k_t.shape} and {v_t.shape}")
-    phi_q = fm.apply_numpy(params.kind, q_t)
-    phi_k = fm.apply_numpy(params.kind, k_t)
-    if params.decay is not None:
-        state.s *= params.decay.gamma.astype(state.s.dtype)[:, None, None]
-    v1 = np.concatenate([v_t, np.ones((params.heads, 1), v_t.dtype)], axis=1)
-    state.s += phi_k[:, :, None] * v1[:, None, :]
-    nd = np.einsum("hf,hfd->hd", phi_q, state.s)
-    return state, nd[:, :-1] / np.maximum(nd[:, -1:], params.eps)
+        T.check_row(x, p.wq, "LinAttnState.step")
+        q, k, v = ((x @ w.data).reshape(p.heads, 1, -1) for w in (p.wq, p.wk, p.wv))
+        v1 = np.concatenate([v, np.ones((p.heads, 1, 1), v.dtype)], axis=-1)
+        _fold(self.s, self.decay, fm.apply_numpy(p.kind, k), v1, out=self.s)
+        nd = fm.apply_numpy(p.kind, q) @ self.s
+        return _combine_heads_numpy(p, x[None], nd[..., :-1] / np.maximum(nd[..., -1:], p.eps))[0]
 
 
 def _rows(params: LinAttnParams, u: Tensor | np.ndarray, view: str) -> np.ndarray:
@@ -300,6 +284,8 @@ def _rows(params: LinAttnParams, u: Tensor | np.ndarray, view: str) -> np.ndarra
     un = u.data if isinstance(u, Tensor) else np.asarray(u)
     if un.ndim != 2 or un.shape[1] != params.d_model:
         raise ShapeError(f"{view}: expected an (N, {params.d_model}) input, got {un.shape}")
+    if un.dtype != params.wq.dtype:
+        raise ShapeError(f"{view}: mixed dtypes {un.dtype.name} and {params.wq.dtype.name}")
     return un
 
 
@@ -310,7 +296,7 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
     point, not trainability.
     """
     un = _rows(params, u, "recurrent_forward")
-    state = LinAttnState.zeros(params, dtype=un.dtype)
+    state = LinAttnState(params)
     rows = [state.step(row) for row in un]
     return Tensor(np.stack(rows) if rows else np.empty((0, params.d_model), un.dtype))
 

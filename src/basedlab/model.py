@@ -208,13 +208,10 @@ class HybridModel:
 
     def decode(self, prefix: np.ndarray, n_new: int) -> np.ndarray:
         """Greedy continuation; ties resolve to the lowest token id."""
-        prefix = np.asarray(prefix)
-        if prefix.ndim != 1 or prefix.size == 0:
-            raise InputError("decode: prefix must be a nonempty 1-D token sequence")
+        if isinstance(n_new, bool) or not isinstance(n_new, (int, np.integer)) or n_new < 0:
+            raise InputError(f"decode: n_new must be an integer >= 0, got {n_new!r}")
         state = self.start_decode()
-        logits = None
-        for t in prefix:
-            logits = state.step(t)
+        logits = _step_all(state, prefix, "decode")[-1]
         out = []
         for _ in range(n_new):
             nxt = int(np.argmax(logits))
@@ -224,8 +221,15 @@ class HybridModel:
 
     def decode_logits(self, tokens: np.ndarray) -> np.ndarray:
         """Per-position logits from the recurrent path over a fixed sequence."""
-        state = self.start_decode()
-        return np.stack([state.step(t) for t in np.asarray(tokens)])
+        return _step_all(self.start_decode(), tokens, "decode_logits")
+
+
+def _step_all(state: "DecodeState", tokens, where: str) -> np.ndarray:
+    """The (N, vocab) logits of stepping each of a nonempty 1-D token sequence."""
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise InputError(f"{where}: expected a nonempty 1-D token sequence, got shape {tokens.shape}")
+    return np.stack([state.step(t) for t in tokens])
 
 
 def _tensor_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
@@ -282,8 +286,8 @@ def build(config: ModelConfig) -> HybridModel:
 # -- constant-memory decode state ------------------------------------------------
 
 
-# layer kind -> decode cache constructor taking (params, dtype)
-_CACHES = {"L": la.LinAttnState.zeros, "S": sw.WindowCache, "C": bc.ConvCache}
+# layer kind -> decode cache class, built from the layer's parameters alone
+_CACHES = {"L": la.LinAttnState, "S": sw.WindowCache, "C": bc.ConvCache}
 
 
 class DecodeState:
@@ -292,8 +296,7 @@ class DecodeState:
 
     def __init__(self, model: HybridModel):
         self.model = model
-        dtype = _DTYPES[model.config.dtype]
-        self.caches = [_CACHES[layer.kind](layer.mixer, dtype) for layer in model.layers]
+        self.caches = [_CACHES[layer.kind](layer.mixer) for layer in model.layers]
 
     def scalar_count(self) -> int:
         """Scalars held by all decode caches right now."""

@@ -4,9 +4,10 @@ Position i attends to j in [max(0, i - w + 1), i] with logits q.k / sqrt(d)
 and max-subtracted softmax. `window_core` computes it as a loop over tiles
 of WINDOW_TILE queries: each tile scores only its own keys plus the w - 1
 before it, the context it carries in, so a forward or backward costs
-O(N (c + w)) time and memory, never N x N. Rotary position encoding uses
-absolute positions, so a decode step after cache eviction still reproduces
-the prefill output.
+O(N (c + w)) time and memory, never N x N. Each tile runs `_attend`, and so
+does a decode step, on the window `WindowCache` holds. Rotary position
+encoding uses absolute positions, so a decode step after cache eviction still
+reproduces the prefill output.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class SwaParams:
     window: int
     heads: int
     rotary: bool = True
-    rotary_base: float = 10000.0
 
     def __post_init__(self):
         if self.window < 1:
@@ -94,13 +94,23 @@ def _tile_mask(rows: int, offset: int, window: int, dtype: np.dtype) -> np.ndarr
     return mask
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, scale: float, out: np.ndarray | None = None):
+    """softmax(q k^T * scale + mask) @ v over the last two axes, the output
+    written into `out` when given. Returns the probabilities and the output."""
+    attn = q @ np.swapaxes(k, -1, -2)
+    attn *= scale
+    attn += mask
+    T.softmax_np(attn, out=attn)
+    return attn, np.matmul(attn, v, out=out)
+
+
 def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """y_i = sum_j softmax_j(q_i.k_j / sqrt(d)) v_j over i - w < j <= i, along
     the second-to-last axis.
 
     A loop over tiles of c = min(WINDOW_TILE, N) queries: tile [s, e) scores
     the keys [max(0, s - w + 1), e), the last w - 1 rows before it being the
-    context it carries in, under `_tile_mask`, with a max-subtracted softmax.
+    context it carries in, under `_tile_mask`, through `_attend`.
     The backward walks the same tiles and adds into the slices of dk and dv
     they read, so nothing of size N x N is ever formed.
     """
@@ -116,12 +126,8 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     out = np.empty(v.shape, dtype)
     probs = []
     for s, e, lo in spans:
-        attn = qd[..., s:e, :] @ np.swapaxes(kd[..., lo:e, :], -1, -2)
-        attn *= scale
-        attn += _tile_mask(e - s, s - lo, window, dtype)
-        T.softmax_np(attn, out=attn)
-        np.matmul(attn, vd[..., lo:e, :], out=out[..., s:e, :])
-        probs.append(attn)
+        mask = _tile_mask(e - s, s - lo, window, dtype)
+        probs.append(_attend(qd[..., s:e, :], kd[..., lo:e, :], vd[..., lo:e, :], mask, scale, out[..., s:e, :])[0])
 
     def backward(grad):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
@@ -148,18 +154,19 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
         raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
     q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
     if params.rotary:
-        q = T.rotary(q, params.rotary_base)
-        k = T.rotary(k, params.rotary_base)
+        q = T.rotary(q)
+        k = T.rotary(k)
     return T.matmul(T.merge_heads(window_core(q, k, v, params.window)), params.wo)
 
 
 class WindowCache:
     """Shift buffer of the last min(t, w) rotated keys and values per head,
-    oldest first, like `bc.ConvCache`'s rows; `t` is the next position."""
+    oldest first, in the parameters' dtype, like `bc.ConvCache`'s rows: the
+    context `window_core` carries into a tile. `t` is the next position."""
 
-    def __init__(self, params: SwaParams, dtype=np.float64):
+    def __init__(self, params: SwaParams):
         self.params = params
-        self.k = np.zeros((params.heads, 0, params.head_dim), dtype=dtype)
+        self.k = np.zeros((params.heads, 0, params.head_dim), params.wq.dtype)
         self.v = np.zeros_like(self.k)
         self.t = 0
 
@@ -173,25 +180,20 @@ class WindowCache:
 
 def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple[WindowCache, np.ndarray]:
     """Append one token's k, v, drop the key that left the window, and
-    attend over the rest.
+    attend over the rest with the core's `_attend`, unmasked.
 
     `x_t` is the layer input row (d_model,); returns the cache (mutated in
     place; a cache is single-owner per decode stream) and the output row
     after the output projection.
     """
-    if x_t.shape != (params.d_model,):
-        raise ShapeError(f"decode_step expects a ({params.d_model},) row, got {x_t.shape}")
-    h, dh = params.heads, params.head_dim
-    q = (x_t @ params.wq.data).reshape(h, dh)
-    k = (x_t @ params.wk.data).reshape(h, dh)
-    v = (x_t @ params.wv.data).reshape(h, dh)
+    T.check_row(x_t, params.wq, "decode_step")
+    q, k, v = ((x_t @ w.data).reshape(params.heads, 1, params.head_dim) for w in (params.wq, params.wk, params.wv))
     if params.rotary:
-        q = T.rotary_np(q, cache.t, params.rotary_base)
-        k = T.rotary_np(k, cache.t, params.rotary_base)
+        q = T.rotary_np(q, cache.t)
+        k = T.rotary_np(k, cache.t)
     drop = int(cache.k.shape[1] == params.window)
-    cache.k = np.concatenate([cache.k[:, drop:], k[:, None]], axis=1)
-    cache.v = np.concatenate([cache.v[:, drop:], v[:, None]], axis=1)
+    cache.k = np.concatenate([cache.k[:, drop:], k], axis=1)
+    cache.v = np.concatenate([cache.v[:, drop:], v], axis=1)
     cache.t += 1
-    weights = T.softmax_np(np.einsum("hd,hwd->hw", q, cache.k) / math.sqrt(dh))
-    y = np.einsum("hw,hwd->hd", weights, cache.v)
-    return cache, y.reshape(h * dh) @ params.wo.data
+    _, y = _attend(q, cache.k, cache.v, 0.0, 1.0 / math.sqrt(params.head_dim))
+    return cache, y.reshape(-1) @ params.wo.data

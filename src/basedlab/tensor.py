@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
+ROTARY_BASE = 10000.0
 _node_counter = itertools.count()
 
 
@@ -139,9 +140,16 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
-def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
+def _check_same_dtype(a: Tensor | np.ndarray, b: Tensor, op: str) -> None:
     if a.dtype != b.dtype:
         raise ShapeError(f"{op}: mixed dtypes {a.dtype.name} and {b.dtype.name}")
+
+
+def check_row(x: np.ndarray, w: Tensor, where: str) -> None:
+    """ShapeError unless a decode step's input x is one row in the dtype of the input projection w."""
+    if not isinstance(x, np.ndarray) or x.shape != (w.shape[0],):
+        raise ShapeError(f"{where} expects a ({w.shape[0]},) row, got {type(x).__name__} of shape {np.shape(x)}")
+    _check_same_dtype(x, w, where)
 
 
 # -- elementwise and affine ops ----------------------------------------------
@@ -200,17 +208,17 @@ def _complex_pairs(x: np.ndarray, where: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _freqs(d: int, base: float) -> np.ndarray:
-    """base^(-2m/d) for the pairs m < d/2. Cached, read-only."""
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
+def _freqs(d: int) -> np.ndarray:
+    """ROTARY_BASE^(-2m/d) for the pairs m < d/2. Cached, read-only."""
+    freqs = ROTARY_BASE ** (-2.0 * np.arange(d // 2) / d)
     freqs.flags.writeable = False
     return freqs
 
 
-def _turns(positions, d: int, base: float, dtype: np.dtype) -> np.ndarray:
-    """exp(i p base^(-2m/d)) per position p and pair m < d/2, from float64
-    cos and sin, as complex `dtype`."""
-    theta = np.asarray(positions, dtype=np.float64)[..., None] * _freqs(d, base)
+def _turns(positions, d: int, dtype: np.dtype) -> np.ndarray:
+    """exp(i p ROTARY_BASE^(-2m/d)) per position p and pair m < d/2, from
+    float64 cos and sin, as complex `dtype`."""
+    theta = np.asarray(positions, dtype=np.float64)[..., None] * _freqs(d)
     turns = np.empty(theta.shape, np.complex128)
     np.cos(theta, out=turns.real)
     np.sin(theta, out=turns.imag)
@@ -218,20 +226,20 @@ def _turns(positions, d: int, base: float, dtype: np.dtype) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _turn_table(n: int, d: int, base: float, dtype: np.dtype) -> np.ndarray:
+def _turn_table(n: int, d: int, dtype: np.dtype) -> np.ndarray:
     """`_turns` of positions 0..n-1, shape (n, d/2). Cached, read-only."""
-    table = _turns(np.arange(n), d, base, dtype)
+    table = _turns(np.arange(n), d, dtype)
     table.flags.writeable = False
     return table
 
 
-def rotary_np(x: np.ndarray, positions, base: float = 10000.0) -> np.ndarray:
+def rotary_np(x: np.ndarray, positions) -> np.ndarray:
     """Rotary position encoding on a plain array: pair m of a width-d row at
-    position p, read as x[2m] + i x[2m + 1], times exp(i p base^(-2m/d)).
+    position p, read as x[2m] + i x[2m + 1], times exp(i p ROTARY_BASE^(-2m/d)).
     `positions` broadcasts against the rows x.shape[:-1]; only their turns
     are computed, and row p is bit-identical to row p of `rotary`."""
     pairs = _complex_pairs(x, "rotary_np")
-    out = pairs * _turns(positions, x.shape[-1], base, pairs.dtype)
+    out = pairs * _turns(positions, x.shape[-1], pairs.dtype)
     return out.view(out.real.dtype)
 
 
@@ -421,11 +429,11 @@ def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:
     return from_op(xhat * w.data, (x, w), backward)
 
 
-def rotary(x: Tensor, base: float = 10000.0) -> Tensor:
+def rotary(x: Tensor) -> Tensor:
     """`rotary_np` of (..., N, d) rows at positions 0..N-1, through one cached
     (N, d/2) table of turns; the backward multiplies by their conjugates."""
     pairs = _complex_pairs(x.data, "rotary")
-    table = _turn_table(x.shape[-2], x.shape[-1], float(base), pairs.dtype)
+    table = _turn_table(x.shape[-2], x.shape[-1], pairs.dtype)
     def backward(g):
         accumulate(x, (_complex_pairs(g, "rotary") * table.conj()).view(x.dtype))
     return from_op((pairs * table).view(x.dtype), (x,), backward)

@@ -336,7 +336,7 @@ def test_conv_cache_steps_match_the_core():
     for taps in (1, 2, 4):
         for dtype, rel in ((np.float64, 1e-12), (np.float32, 1e-5)):
             params = random_gated(5, 2, taps, seed=27, dtype=dtype)
-            cache = bc.ConvCache(params, dtype)
+            cache = bc.ConvCache(params)
             stepped = np.stack([cache.step(row) for row in x.astype(dtype)])
             want = bc.forward_gated(params, Tensor(x, dtype=dtype)).data
             assert stepped.dtype == dtype, (taps, dtype)

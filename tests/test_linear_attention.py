@@ -19,29 +19,19 @@ def make_params(d_model=24, heads=2, d_prime=4, seed=0, **kw):
 def test_first_token_output_is_value():
     # with an empty state the normalizer cancels: y_0 = phi(q).phi(k) v / phi(q).phi(k)
     params = make_params()
-    rng = np.random.default_rng(1)
-    state = la.LinAttnState.zeros(params)
-    q = rng.normal(size=(2, 4))
-    k = rng.normal(size=(2, 4))
-    v = rng.normal(size=(2, 12))
-    state, y = la.recurrent_step(params, state, q, k, v)
+    params.wo = Tensor(np.eye(24))  # the output row is then the per-head values, concatenated
+    x = np.random.default_rng(1).normal(size=24)
+    v = x @ params.wv.data
+    y = la.LinAttnState(params).step(x)
     assert np.abs(y - v).max() < 1e-12
-
-
-@pytest.mark.parametrize("wrong", ["q", "k", "v"])
-def test_recurrent_step_checks_every_row_shape(wrong):
-    params = make_params()
-    rows = {"q": np.ones((2, 4)), "k": np.ones((2, 4)), "v": np.ones((2, 12))}
-    rows[wrong] = np.ones((3, rows[wrong].shape[1]))  # heads + 1 rows
-    with pytest.raises(ShapeError, match="recurrent_step"):
-        la.recurrent_step(params, la.LinAttnState.zeros(params), rows["q"], rows["k"], rows["v"])
 
 
 def test_identity_map_state_accumulation():
     kind = fm.FeatureMapKind("Identity", 1)
-    params = la.create(d_model=1, heads=1, d_prime=1, head_dim=1, kind=kind, rng=np.random.default_rng(0))
-    state = la.LinAttnState.zeros(params)
-    state, _ = la.recurrent_step(params, state, np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]))
+    one = lambda value: Tensor(np.array([[value]]))
+    params = la.LinAttnParams(wq=one(1.0), wk=one(2.0), wv=one(3.0), wo=one(1.0), kind=kind, heads=1)
+    state = la.LinAttnState(params)
+    state.step(np.array([1.0]))  # q = 1, k = 2, v = 3
     assert state.s[0, 0, 0] == 6.0  # phi(k) v = 2 * 3
     assert state.s[0, 0, -1] == 2.0  # z, the last column
 
@@ -118,9 +108,21 @@ def test_rollout_equals_parallel_per_position():
     assert np.abs(yp - yr).max() < 1e-8
 
 
+def test_graph_free_views_reject_mixed_dtypes():
+    # a float64 input on float32 parameters raises, as parallel_forward does
+    params = make_params(dtype=np.float32)
+    u = np.random.default_rng(10).normal(size=(5, 24))
+    for view in (la.chunked_forward, la.recurrent_forward):
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            view(params, u)
+        assert view(params, u.astype(np.float32)).dtype == np.float32
+    with pytest.raises(ShapeError, match="mixed dtypes"):
+        la.parallel_forward(params, Tensor(u))
+
+
 def test_state_scalar_count():
     params = make_params(d_model=24, heads=2, d_prime=4)
-    state = la.LinAttnState.zeros(params)
+    state = la.LinAttnState(params)
     width = params.feature_width
     assert state.scalar_count() == 2 * (width * 12 + width)
 

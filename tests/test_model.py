@@ -146,10 +146,53 @@ def test_f32_decode_stays_f32(pattern, use_decay):
 def test_decode_caches_reject_a_wrong_row(kind):
     model = md.build(tiny_config(d_model=8, layer_pattern=kind))
     cache = model.start_decode().caches[0]
-    for row in (np.ones(5), np.ones((1, 8)), np.ones(9)):
+    for row in (np.ones(5), np.ones((1, 8)), np.ones(9), [1.0] * 8):
         with pytest.raises(ShapeError, match=r"\(8,\) row"):
             cache.step(row)
     assert cache.step(np.ones(8)).shape == (8,)
+
+
+def _mixer(kind, dtype):
+    """One layer's parameters in `dtype` and its decode cache class."""
+    rng = np.random.default_rng(5)
+    if kind == "L":
+        decay = la.DecayConfig(la.default_decay_gammas(2))
+        return la.create(8, 2, 4, decay=decay, rng=rng, dtype=dtype), la.LinAttnState
+    if kind == "S":
+        return sw.create(8, 2, 3, rng=rng, dtype=dtype), sw.WindowCache
+    return bc.create_gated(8, expand=2, taps=3, rng=rng, dtype=dtype), bc.ConvCache
+
+
+@pytest.mark.parametrize("kind", ["L", "S", "C"])
+def test_decode_caches_take_the_parameters_dtype(kind):
+    rows = np.random.default_rng(6).normal(size=(5, 8))
+    for dtype in (np.float32, np.float64):
+        params, cache_class = _mixer(kind, dtype)
+        cache = cache_class(params)  # no dtype passed: the parameters set it
+        for x in rows.astype(dtype):
+            assert cache.step(x).dtype == dtype, (kind, dtype)
+        arrays = {name: a for name, a in vars(cache).items() if isinstance(a, np.ndarray)}
+        assert arrays and all(a.dtype == dtype for a in arrays.values()), (kind, dtype)
+
+
+@pytest.mark.parametrize("kind", ["L", "S", "C"])
+def test_decode_caches_reject_a_row_of_the_other_dtype(kind):
+    for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
+        params, cache_class = _mixer(kind, dtype)
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            cache_class(params).step(np.ones(8, other))
+
+
+def test_decode_rejects_an_empty_sequence_and_a_bad_length():
+    model = md.build(tiny_config())
+    for empty in (np.array([], dtype=np.int64), []):
+        with pytest.raises(InputError, match="nonempty"):
+            model.decode_logits(empty)
+    for n_new in (1.5, -1, True, "2", None, np.float64(2.0)):
+        with pytest.raises(InputError, match="n_new"):
+            model.decode(np.array([3, 1]), n_new)
+    assert model.decode(np.array([3, 1]), 0).shape == (0,)
+    assert model.decode(np.array([3, 1]), np.int64(2)).shape == (2,)
 
 
 def test_greedy_decode_breaks_ties_low():

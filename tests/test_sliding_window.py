@@ -108,10 +108,9 @@ def test_rotary_dot_products_depend_only_on_offset():
     rng = np.random.default_rng(3)
     q = rng.normal(size=(8,))
     k = rng.normal(size=(8,))
-    base = 10000.0
     for i, j, shift in [(5, 2, 7), (9, 9, 3), (4, 0, 100)]:
-        a = T.rotary_np(q, i, base) @ T.rotary_np(k, j, base)
-        b = T.rotary_np(q, i + shift, base) @ T.rotary_np(k, j + shift, base)
+        a = T.rotary_np(q, i) @ T.rotary_np(k, j)
+        b = T.rotary_np(q, i + shift) @ T.rotary_np(k, j + shift)
         assert abs(a - b) < 1e-9
 
 
@@ -119,7 +118,7 @@ def test_rotary_preserves_norm():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(3, 10))
     for pos in [0, 1, 17, 512]:
-        r = T.rotary_np(x, pos, 10000.0)
+        r = T.rotary_np(x, pos)
         assert np.abs(np.linalg.norm(r, axis=-1) - np.linalg.norm(x, axis=-1)).max() < 1e-12
 
 
@@ -141,7 +140,7 @@ def test_rotary_table_is_cached_and_read_only():
     T.sum_all(sw.swa_forward(params, u)).backward()
     after = T._turn_table.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)  # q and k
-    table = T._turn_table(37, 4, 10000.0, np.dtype(np.complex128))
+    table = T._turn_table(37, 4, np.dtype(np.complex128))
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
 
