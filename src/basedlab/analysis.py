@@ -219,8 +219,9 @@ def io_cost_decode(
 def tiled_reference_run(params: la.LinAttnParams, u: Tensor | np.ndarray, chunk: int = 16) -> dict:
     """Run the tiled schedule, instrumenting element transfers per tile.
 
-    Returns {"output", "counters", "closed_form"}; the counters and the
-    closed form agree exactly, independent of chunk size.
+    Returns {"output", "counters", "closed_form"}; the counters (the sizes
+    of the slices the tiles read and write) and the closed form agree
+    exactly, independent of chunk size.
     """
     counters = {"q_read": 0, "k_read": 0, "v_read": 0, "y_write": 0}
     out = la.chunked_forward(params, u, chunk=chunk, counter=counters)

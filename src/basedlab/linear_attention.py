@@ -111,6 +111,8 @@ def create(
 ) -> LinAttnParams:
     """Fresh parameters with scaled-normal init (std 0.02)."""
     rng = rng or np.random.default_rng(0)
+    if heads < 1:
+        raise ParameterError(f"heads must be >= 1, got {heads}")
     if head_dim is None:
         if d_model % heads != 0:
             raise ShapeError(
@@ -153,9 +155,10 @@ def _tile_decay(gamma: float | tuple[float, ...], c: int, dtype: np.dtype) -> tu
 
 
 def _fold(state, decay, keys: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The [s | z] block S after a tile, decay * S + keys^T [V | 1], with `keys`
-    the tile's phi(K) lifted by gamma^(c-1-j); written into `out` when given."""
-    return np.add(decay * state, np.swapaxes(keys, -1, -2) @ v1, out=out)
+    """The [s | z] block S after a tile, decay * S + keys^T [V | 1] (S unscaled
+    when `decay` is None), with `keys` the tile's phi(K) lifted by
+    gamma^(c-1-j); written into `out` when given."""
+    return np.add(state if decay is None else decay * state, np.swapaxes(keys, -1, -2) @ v1, out=out)
 
 
 def attention_core(
@@ -263,7 +266,7 @@ class LinAttnState:
     def __init__(self, params: LinAttnParams):
         self.params = params
         self.s = np.zeros((params.heads, params.feature_width, params.head_dim + 1), params.wq.dtype)
-        self.decay = 1.0 if params.decay is None else params.decay.gamma.astype(self.s.dtype)[:, None, None]
+        self.decay = None if params.decay is None else params.decay.gamma.astype(self.s.dtype)[:, None, None]
 
     def scalar_count(self) -> int:
         return self.s.size
@@ -317,10 +320,11 @@ def chunked_forward(
 
     Raw q, k tiles are read at width d' and featurized in fast memory; the
     optional `counter` dict accumulates element-transfer totals under the
-    keys q_read / k_read / v_read / y_write. Graph-free reference path: the
+    keys q_read / k_read / v_read / y_write, the sizes of the slices each
+    tile actually reads and writes. Graph-free reference path: the
     returned tensor carries no gradients, train through parallel_forward.
     """
-    if not isinstance(chunk, int) or chunk < 1:
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ParameterError(f"chunk must be a positive integer, got {chunk}")
     un = _rows(params, u, "chunked_forward")
     n = un.shape[0]
@@ -339,17 +343,15 @@ def chunked_forward(
             kc = k[base:base + chunk, h]
             vc = v[base:base + chunk, h]
             c = qc.shape[0]
-            if counter is not None:
-                counter["q_read"] = counter.get("q_read", 0) + c * dp
-                counter["k_read"] = counter.get("k_read", 0) + c * dp
-                counter["v_read"] = counter.get("v_read", 0) + c * dh
             phi_qc = fm.apply_numpy(params.kind, qc)
             phi_kc = fm.apply_numpy(params.kind, kc)
             mask, carry, lift = _tile_decay(gamma, c, un.dtype)
             vc1 = np.concatenate([vc, np.ones((c, 1), un.dtype)], axis=1)
             nd = fm.tile_scores(params.kind, qc, kc, mask) @ vc1 + carry * (phi_qc @ s)
-            ys[h, base:base + c] = nd[:, :dh] / np.maximum(nd[:, dh:], params.eps)
-            if counter is not None:
-                counter["y_write"] = counter.get("y_write", 0) + c * dh
+            yc = ys[h, base:base + c]
+            np.divide(nd[:, :dh], np.maximum(nd[:, dh:], params.eps), out=yc)
+            if counter is not None:  # the sizes of the slices this tile read and wrote
+                for key, a in (("q_read", qc), ("k_read", kc), ("v_read", vc), ("y_write", yc)):
+                    counter[key] = counter.get(key, 0) + a.size
             s = gamma ** c * s + (phi_kc * lift).T @ vc1
     return Tensor(_combine_heads_numpy(params, un, ys))

@@ -278,6 +278,8 @@ def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) 
 
 def init_normal(rng: np.random.Generator, rows: int, cols: int, dtype) -> Tensor:
     """Trainable (rows, cols) weight drawn from N(0, 0.02^2): the one parameter init."""
+    if rows < 0 or cols < 0:
+        raise ParameterError(f"weight shape ({rows}, {cols}) has a negative size")
     return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
 
 

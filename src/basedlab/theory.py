@@ -3,12 +3,14 @@
 Three constructions, all over {0,1} with integer arithmetic so claims can be
 checked exactly: the per-pair recall polynomial, the p-hot token encoding
 with its block-exclusive equality polynomial, and a one-attention-layer +
-two-MLP network that solves recall outright. A tiny integer polynomial type
-backs the symbolic degree audits.
+two-MLP network that solves recall outright. Each polynomial's one kernel
+runs on int bits and on a tiny integer `Polynomial` type held in object
+arrays, so the degree audits read the polynomial the code computes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -55,7 +57,6 @@ class Polynomial:
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        other = other if isinstance(other, Polynomial) else Polynomial.const(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -120,7 +121,18 @@ def _as_bits(u, name: str = "u") -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _symbols(name: str, *shape: int) -> np.ndarray:
+    """Object array of formal variables labelled (name, *index)."""
+    return np.array([Polynomial.variable((name, *idx)) for idx in np.ndindex(*shape)], dtype=object).reshape(shape)
+
+
 # -- recall polynomial --------------------------------------------------------
+
+
+def _recall_gate(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v * prod_c [q_c k_c + (1 - q_c)(1 - k_c)], on int bits or Polynomial
+    entries alike (array operands first: a Polynomial takes no array)."""
+    return v * np.prod(q * k + (1 - q) * (1 - k))
 
 
 def mqar_poly(u, i: int, j: int) -> np.ndarray:
@@ -138,25 +150,19 @@ def mqar_poly(u, i: int, j: int) -> np.ndarray:
             raise IndexError(f"row {name}={row} out of range for {n} rows")
     if i <= j:
         raise ParameterError(f"query row i={i} must follow key row j={j}")
-    gate = int(np.prod(mat[i] * mat[j] + (1 - mat[i]) * (1 - mat[j])))
-    return gate * mat[j + 1]
+    return _recall_gate(mat[i], mat[j], mat[j + 1])
 
 
 def mqar_poly_symbolic(d: int) -> list[Polynomial]:
-    """The recall polynomial over formal bits, one polynomial per output bit.
+    """The recall polynomial over formal bits, one polynomial per output bit:
+    `mqar_poly`'s gate run on symbols.
 
     Variables: ("k", c) key bits, ("v", c) value bits, ("q", c) query bits.
     Each output bit is multilinear of degree 2d + 1.
     """
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    q = [Polynomial.variable(("q", c)) for c in range(d)]
-    k = [Polynomial.variable(("k", c)) for c in range(d)]
-    v = [Polynomial.variable(("v", c)) for c in range(d)]
-    gate = Polynomial.const(1)
-    for c in range(d):
-        gate = gate * (q[c] * k[c] + (1 - q[c]) * (1 - k[c]))
-    return [gate * v[c] for c in range(d)]
+    return list(_recall_gate(_symbols("q", d), _symbols("k", d), _symbols("v", d)))
 
 
 # -- p-hot encoding -----------------------------------------------------------
@@ -200,31 +206,36 @@ def phot_decode(vec, p: int, c: int) -> int:
     return t
 
 
+def _block_product(a: np.ndarray, b: np.ndarray):
+    """prod_j [a_j . b_j + (1 - sum a_j)(1 - sum b_j)] over the rows (blocks)
+    of two (p, base) arrays, on int bits or Polynomial entries alike."""
+    return np.prod((a * b).sum(axis=1) + (1 - a.sum(axis=1)) * (1 - b.sum(axis=1)))
+
+
 def eq_phot_poly(u1, u2, p: int) -> int:
     """1 iff the two encodings agree in every block.
 
     Accepts p-hot and almost-p-hot inputs (a block may be all zeros); a block
     with two or more ones is malformed.
     """
+    if p < 1:
+        raise ParameterError(f"need p >= 1, got p={p}")
     a = _as_bits(u1, "u1")
     b = _as_bits(u2, "u2")
     if a.shape != b.shape or a.ndim != 1:
         raise EncodingError(f"encodings must be equal-length vectors, got {a.shape} and {b.shape}")
     if a.shape[0] % p != 0:
         raise EncodingError(f"length {a.shape[0]} is not divisible by p={p}")
-    base = a.shape[0] // p
-    result = 1
-    for block in range(p):
-        s = slice(block * base, (block + 1) * base)
-        s1, s2 = int(a[s].sum()), int(b[s].sum())
-        if s1 > 1 or s2 > 1:
-            raise EncodingError(f"block {block} has more than one set bit")
-        result *= int((a[s] * b[s]).sum()) + (1 - s1) * (1 - s2)
-    return result
+    a, b = a.reshape(p, -1), b.reshape(p, -1)
+    crowded = np.flatnonzero((a.sum(axis=1) > 1) | (b.sum(axis=1) > 1))
+    if crowded.size:
+        raise EncodingError(f"block {crowded[0]} has more than one set bit")
+    return int(_block_product(a, b))
 
 
 def eq_phot_poly_symbolic(p: int, base: int) -> Polynomial:
-    """The block-product equality polynomial over formal bits.
+    """The block-product equality polynomial over formal bits: `eq_phot_poly`'s
+    product run on symbols.
 
     Variables ("a", j, k) and ("b", j, k); block labels pair the side with
     the block index, so block-exclusivity means no monomial reads the same
@@ -232,19 +243,7 @@ def eq_phot_poly_symbolic(p: int, base: int) -> Polynomial:
     """
     if p < 1 or base < 2:
         raise ParameterError(f"need p >= 1 and base >= 2, got p={p} base={base}")
-    product = Polynomial.const(1)
-    for j in range(p):
-        a = [Polynomial.variable(("a", j, k)) for k in range(base)]
-        b = [Polynomial.variable(("b", j, k)) for k in range(base)]
-        dot = Polynomial.const(0)
-        sum_a = Polynomial.const(0)
-        sum_b = Polynomial.const(0)
-        for k in range(base):
-            dot = dot + a[k] * b[k]
-            sum_a = sum_a + a[k]
-            sum_b = sum_b + b[k]
-        product = product * (dot + (1 - sum_a) * (1 - sum_b))
-    return product
+    return _block_product(_symbols("a", p, base), _symbols("b", p, base))
 
 
 def phot_blocks(p: int, base: int) -> dict:
@@ -284,20 +283,14 @@ def exact_attention_mqar(u, with_match_matrix: bool = False):
     mask = np.tril(np.ones((n, n), dtype=np.int64))
     z = np.maximum(scores, 0) * mask
 
-    w1 = np.zeros((n, n + 1), dtype=np.int64)  # suffix sums, plus a sink column
-    for col in range(n):
-        w1[col:, col] = 1
+    w1 = np.tril(np.ones((n, n + 1), dtype=np.int64))  # suffix sums, plus a sink column
     counts = z @ w1
     kept = np.maximum(counts - counts[:, :1] + 1, 0)
-    w3 = np.eye(n + 1, dtype=np.int64)
-    for col in range(n):
-        w3[col + 1, col] = -1
+    w3 = np.eye(n + 1, dtype=np.int64) - np.eye(n + 1, k=-1, dtype=np.int64)
     selector = kept @ w3
     v_ext = np.concatenate([values, np.zeros((1, d), dtype=np.int64)])
     out = selector @ v_ext
-    if with_match_matrix:
-        return out, z
-    return out
+    return (out, z) if with_match_matrix else out
 
 
 # -- exhaustive verification -----------------------------------------------------
@@ -318,74 +311,52 @@ def all_bit_matrices(rows: int, cols: int) -> Iterator[np.ndarray]:
         yield flat.reshape(rows, cols)
 
 
-def _check_mqar_poly() -> CheckResult:
+def _mqar_poly_cases() -> Iterator[bool]:
     rows, d = 6, 2
     pairs = [(i, j) for j in range(rows - 1) for i in range(j + 1, rows)]
-    instances = 0
     for mat in all_bit_matrices(rows, d):
         for i, j in pairs:
-            got = mqar_poly(mat, i, j)
             want = mat[j + 1] if np.array_equal(mat[i], mat[j]) else np.zeros(d, dtype=np.int64)
-            if not np.array_equal(got, want):
-                return CheckResult("mqar_poly exhaustive", False, instances)
-            instances += 1
-    return CheckResult("mqar_poly exhaustive", True, instances)
+            yield np.array_equal(mqar_poly(mat, i, j), want)
 
 
-def _check_mqar_degree() -> CheckResult:
-    instances = 0
+def _mqar_degree_cases() -> Iterator[bool]:
     for d in (1, 2, 3):
         for poly in mqar_poly_symbolic(d):
-            if poly.degree() != 2 * d + 1 or not poly.is_multilinear():
-                return CheckResult("mqar_poly degree audit", False, instances)
-            instances += 1
-    return CheckResult("mqar_poly degree audit", True, instances)
+            yield poly.degree() == 2 * d + 1 and poly.is_multilinear()
 
 
-def _check_phot_roundtrip() -> CheckResult:
-    instances = 0
-    if phot_encode(3, 2, 4).tolist() != [0, 1, 0, 1]:
-        return CheckResult("p-hot round trip", False, instances)
-    instances += 1
+def _phot_roundtrip_cases() -> Iterator[bool]:
+    yield phot_encode(3, 2, 4).tolist() == [0, 1, 0, 1]
     for p, c in ((1, 7), (2, 16), (3, 27)):
         for t in range(c):
             vec = phot_encode(t, p, c)
-            if int(vec.sum()) != p or phot_decode(vec, p, c) != t:
-                return CheckResult("p-hot round trip", False, instances)
-            instances += 1
-    return CheckResult("p-hot round trip", True, instances)
+            yield int(vec.sum()) == p and phot_decode(vec, p, c) == t
 
 
-def _check_eq_phot() -> CheckResult:
-    instances = 0
+def _eq_phot_cases() -> Iterator[bool]:
     for c in (9, 81):
         codes = [phot_encode(t, 2, c) for t in range(c)]
         for t1 in range(c):
             for t2 in range(c):
-                if eq_phot_poly(codes[t1], codes[t2], 2) != int(t1 == t2):
-                    return CheckResult("eq_phot_poly exhaustive", False, instances)
-                instances += 1
-    p = 2
-    base = 3
-    block_choices = [np.zeros(base, dtype=np.int64)] + [np.eye(base, dtype=np.int64)[k] for k in range(base)]
-    almost = [np.concatenate(pair) for pair in ((x, y) for x in block_choices for y in block_choices)]
+                yield eq_phot_poly(codes[t1], codes[t2], 2) == int(t1 == t2)
+    almost = _almost_phot(2, 3)
     for v1 in almost:
         for v2 in almost:
-            if eq_phot_poly(v1, v2, p) != int(np.array_equal(v1, v2)):
-                return CheckResult("eq_phot_poly exhaustive", False, instances)
-            instances += 1
-    return CheckResult("eq_phot_poly exhaustive", True, instances)
+            yield eq_phot_poly(v1, v2, 2) == int(np.array_equal(v1, v2))
 
 
-def _check_eq_phot_degree() -> CheckResult:
-    instances = 0
+def _almost_phot(p: int, base: int) -> list[np.ndarray]:
+    """Every almost-p-hot encoding: each block one-hot or all zeros."""
+    choices = [np.zeros(base, dtype=np.int64)] + list(np.eye(base, dtype=np.int64))
+    return [np.concatenate(blocks) for blocks in itertools.product(choices, repeat=p)]
+
+
+def _eq_phot_degree_cases() -> Iterator[bool]:
     for p in (1, 2, 3):
         base = 3 if p < 3 else 2
         poly = eq_phot_poly_symbolic(p, base)
-        if poly.degree() != 2 * p or not poly.is_block_exclusive(phot_blocks(p, base)):
-            return CheckResult("eq_phot_poly degree audit", False, instances)
-        instances += 1
-    return CheckResult("eq_phot_poly degree audit", True, instances)
+        yield poly.degree() == 2 * p and poly.is_block_exclusive(phot_blocks(p, base))
 
 
 def _first_match_oracle(mat: np.ndarray) -> np.ndarray:
@@ -399,29 +370,35 @@ def _first_match_oracle(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_exact_attention() -> CheckResult:
+def _exact_attention_cases() -> Iterator[bool]:
     n, d = 2, 2
-    instances = 0
     for mat in all_bit_matrices(3 * n, d):
         got, z = exact_attention_mqar(mat, with_match_matrix=True)
-        if not np.array_equal(got, _first_match_oracle(mat)):
-            return CheckResult("exact attention recall", False, instances)
-        for t in range(n):
-            for s in range(n):
-                want = int(s <= t and np.array_equal(mat[3 * t + 2], mat[3 * s]))
-                if z[t, s] != want:
-                    return CheckResult("exact attention recall", False, instances)
-        instances += 1
-    return CheckResult("exact attention recall", True, instances)
+        want_z = [[int(s <= t and np.array_equal(mat[3 * t + 2], mat[3 * s])) for s in range(n)] for t in range(n)]
+        yield np.array_equal(got, _first_match_oracle(mat)) and z.tolist() == want_z
+
+
+_CHECKS = (
+    ("mqar_poly exhaustive", _mqar_poly_cases),
+    ("mqar_poly degree audit", _mqar_degree_cases),
+    ("p-hot round trip", _phot_roundtrip_cases),
+    ("eq_phot_poly exhaustive", _eq_phot_cases),
+    ("eq_phot_poly degree audit", _eq_phot_degree_cases),
+    ("exact attention recall", _exact_attention_cases),
+)
 
 
 def run_all_checks() -> list[CheckResult]:
-    """Every exhaustive oracle and degree audit; all should pass."""
-    return [
-        _check_mqar_poly(),
-        _check_mqar_degree(),
-        _check_phot_roundtrip(),
-        _check_eq_phot(),
-        _check_eq_phot_degree(),
-        _check_exact_attention(),
-    ]
+    """Every exhaustive oracle and degree audit; all should pass. Each check
+    in `_CHECKS` yields one pass/fail per instance, and `instances` counts
+    the passes before the first failure."""
+    results = []
+    for name, cases in _CHECKS:
+        instances, passed = 0, True
+        for ok in cases():
+            if not ok:
+                passed = False
+                break
+            instances += 1
+        results.append(CheckResult(name, passed, instances))
+    return results

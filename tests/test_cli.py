@@ -44,11 +44,25 @@ def test_iocost_defaults(capsys):
     assert "decode per token: 10784 elements" in out
 
 
-def test_verify_passes(capsys):
-    assert main(["verify"]) == 0
+VERIFY_CHECKS = [
+    ("mqar_poly exhaustive", 61440),
+    ("mqar_poly degree audit", 6),
+    ("p-hot round trip", 51),
+    ("eq_phot_poly exhaustive", 6898),
+    ("eq_phot_poly degree audit", 3),
+    ("exact attention recall", 4096),
+]
+
+
+def test_verify_passes(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["verify", "--out", str(out_dir)]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+    assert out.splitlines() == [f"PASS {name} ({n} instances)" for name, n in VERIFY_CHECKS]
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report == [{"name": name, "passed": True, "instances": n} for name, n in VERIFY_CHECKS]
 
 
 def test_unknown_config_key(tmp_path, capsys):

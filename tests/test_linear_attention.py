@@ -66,6 +66,17 @@ def test_chunk_edge_cases():
         la.chunked_forward(params, u, chunk=0)
 
 
+@pytest.mark.parametrize("chunk", [True, False, np.int64(4)], ids=["True", "False", "int64"])
+def test_chunk_rejects_bools_and_takes_numpy_integers(chunk):
+    params = make_params()
+    u = np.random.default_rng(4).normal(size=(13, 24))
+    if isinstance(chunk, bool):
+        with pytest.raises(ParameterError):
+            la.chunked_forward(params, u, chunk=chunk)
+    else:
+        assert np.array_equal(la.chunked_forward(params, u, chunk=chunk).data, la.chunked_forward(params, u, chunk=4).data)
+
+
 def test_batched_parallel_forward():
     params = make_params()
     rng = np.random.default_rng(5)

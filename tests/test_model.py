@@ -15,7 +15,7 @@ from basedlab import model as md
 from basedlab import mqar as mq
 from basedlab import sliding_window as sw
 from basedlab import tensor as T
-from basedlab.errors import ConfigError, InputError, ShapeError, TrainingDiverged
+from basedlab.errors import ConfigError, InputError, ParameterError, ShapeError, TrainingDiverged
 
 
 def tiny_config(**kw):
@@ -437,3 +437,14 @@ def test_init_is_pinned(extra, digest, tmp_path):
     path = tmp_path / "init.ckpt"
     md.save_checkpoint(path, md.build(cfg))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [
+    lambda: la.create(8, 0, 4),
+    lambda: la.create(8, -2, 4),
+    lambda: sw.create(-1, 1, 2),
+    lambda: bc.create_gated(-1),
+], ids=["L-zero-heads", "L-negative-heads", "S-negative-width", "C-negative-width"])
+def test_layer_create_rejects_bad_sizes_with_a_typed_error(make):
+    with pytest.raises(ParameterError):
+        make()

@@ -86,6 +86,43 @@ def test_mqar_symbolic_structure():
         th.mqar_poly_symbolic(0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_mqar_symbolic_evaluates_to_mqar_poly_on_every_assignment(d):
+    polys = th.mqar_poly_symbolic(d)
+    for code in range(2 ** (3 * d)):
+        bits = [(code >> b) & 1 for b in range(3 * d)]
+        k, v, q = bits[:d], bits[d:2 * d], bits[2 * d:]
+        want = th.mqar_poly(np.array([k, v, q]), 2, 0)  # key row 0, value row 1, query row 2
+        assign = {(name, c): row[c] for name, row in (("k", k), ("v", v), ("q", q)) for c in range(d)}
+        assert [poly.evaluate(assign) for poly in polys] == want.tolist()
+
+
+@pytest.mark.parametrize("p,base", [(1, 3), (2, 3)])
+def test_eq_phot_symbolic_evaluates_to_eq_phot_poly_on_every_pair(p, base):
+    poly = th.eq_phot_poly_symbolic(p, base)
+    encodings = th._almost_phot(p, base)
+    assert len(encodings) == (base + 1) ** p
+    for v1 in encodings:
+        for v2 in encodings:
+            assign = {}
+            for j in range(p):
+                for k in range(base):
+                    assign[("a", j, k)] = int(v1[j * base + k])
+                    assign[("b", j, k)] = int(v2[j * base + k])
+            assert poly.evaluate(assign) == th.eq_phot_poly(v1, v2, p)
+
+
+def test_degree_audit_catches_a_gate_right_only_on_bits(monkeypatch):
+    def squared_gate(q, k, v):  # 1 - (q - k)^2 is XNOR on bits but squares each variable
+        diff = q - k
+        return v * np.prod(1 - diff * diff)
+
+    monkeypatch.setattr(th, "_recall_gate", squared_gate)
+    results = {r.name: r for r in th.run_all_checks()}
+    assert results["mqar_poly exhaustive"].passed
+    assert not results["mqar_poly degree audit"].passed
+
+
 def test_phot_encode_examples():
     assert th.phot_encode(3, 2, 4).tolist() == [0, 1, 0, 1]  # digits (1, 1) base 2
     assert th.phot_encode(0, 2, 4).tolist() == [1, 0, 1, 0]
@@ -132,6 +169,9 @@ def test_eq_phot_agreement_and_zero_blocks():
         th.eq_phot_poly(a[:4], b[:4], 3)  # length not divisible by p
     with pytest.raises(EncodingError):
         th.eq_phot_poly(a, b[:3], 2)
+    for p in (0, -2):  # no block count below 1 (0 divided by zero, -2 returned 1)
+        with pytest.raises(ParameterError):
+            th.eq_phot_poly(a, b, p)
 
 
 def test_eq_phot_symbolic_degree_and_blocks():
