@@ -217,7 +217,8 @@ def io_cost_decode(
 
 
 def tiled_reference_run(params: la.LinAttnParams, u: Tensor | np.ndarray, chunk: int = 16) -> dict:
-    """Run the tiled schedule, instrumenting element transfers per tile.
+    """Run `attention_core`, the production core, at tiles of `chunk` rows
+    without a graph (`la.chunked_forward`), counting element transfers.
 
     Returns {"output", "counters", "closed_form"}; the counters (the sizes
     of the slices the tiles read and write) and the closed form agree

@@ -11,13 +11,13 @@ tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
 plus the block S = [s | z] (z as its last column) carried from tile to tile,
 forward and backward. It takes the raw d'-wide q and k: the intra-tile
 scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
-`LinAttnState`, the decode cache, holds that block, so a cache is exactly the
-context the core carries between tiles; its `step` folds one token in with
-the core's own `_fold` and then reads it. `chunked_forward` is the instrumented
-per-head tile loop that featurizes each tile in fast memory. The three agree
-to roundoff; optional per-head decay multiplies the state by gamma each step.
-Every view uses the Taylor map's unique-monomial layout, so the state width D
-is 1 + d' + d'(d'+1)/2.
+`chunked_forward` is the same core at tiles of `chunk` rows, run without a
+graph and counting the slices each tile reads and writes. `LinAttnState`, the
+decode cache, holds that block, so a cache is exactly the context the core
+carries between tiles; its `step` folds one token in with the core's own
+`_fold` and then reads it. The views agree to roundoff; optional per-head
+decay multiplies the state by gamma each step. Every view uses the Taylor
+map's unique-monomial layout, so the state width D is 1 + d' + d'(d'+1)/2.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class LinAttnParams:
     def __post_init__(self):
         if self.heads < 1:
             raise ParameterError(f"heads must be >= 1, got {self.heads}")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be > 0, got {self.eps}")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
         for name, t in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv)):
             if t.ndim != 2:
                 raise ShapeError(f"{name} must be 2-D, got {t.shape}")
@@ -162,21 +162,25 @@ def _fold(state, decay, keys: np.ndarray, v1: np.ndarray, out: np.ndarray | None
 
 
 def attention_core(
-    q: Tensor, k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0, kind: fm.FeatureMapKind = IDENTITY
+    q: Tensor, k: Tensor, v: Tensor, eps: float, gamma: float | np.ndarray = 1.0, kind: fm.FeatureMapKind = IDENTITY,
+    tile: int = CORE_TILE, counter: dict | None = None,
 ) -> Tensor:
     """y_i = phi(q_i).s_i / max(phi(q_i).z_i, eps) over the second-to-last axis.
 
     `kind` is phi, applied inside the core (the default Identity takes
     featurized inputs); `gamma` is a scalar or one decay per head (the
-    third-to-last axis). A loop over tiles of c = min(CORE_TILE, N)
-    positions: each tile takes its exact quadratic form, `fm.tile_scores`
-    (1 + a + a^2/2 of the raw q.k for the Taylor map) under the causal mask,
-    plus carry * (phi(Q) S) of the state S it carries in, then folds its keys
-    into it, S <- gamma^c S + (lift phi(K))^T [V | 1]; the ones column
-    carries z as the last column of S. phi(Q) is formed from the second tile
-    on and phi(K) up to the second-to-last, so never at N <= CORE_TILE. The
-    backward walks the tiles in reverse carrying dS and recomputes phi per
-    tile, so nothing of size N x F is ever stored.
+    third-to-last axis). A loop over tiles of c = min(tile, N) positions:
+    each tile takes its exact quadratic form, `fm.tile_scores` (1 + a + a^2/2
+    of the raw q.k for the Taylor map) under the causal mask, plus
+    carry * (phi(Q) S) of the state S it carries in, writes its output rows,
+    then folds its keys into S, S <- gamma^c S + (lift phi(K))^T [V | 1]; the
+    ones column carries z as the last column of S. phi(Q) is formed from the
+    second tile on and phi(K) up to the second-to-last, so never at N <= tile.
+    An optional `counter` dict adds up the sizes of the q, k, v slices each
+    tile reads and the y slice it writes (keys q_read, k_read, v_read,
+    y_write). The backward walks the tiles in reverse carrying dS and
+    recomputes phi per tile, so nothing of size N x F is ever stored; the
+    states and scores it reads are kept only when an input requires grad.
     """
     n = q.shape[-2]
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
@@ -189,28 +193,33 @@ def attention_core(
     for x in (qd, kd):
         fm.check(kind, x)
     d, dtype = v.shape[-1], q.dtype
-    c = min(CORE_TILE, max(n, 1))
+    c = min(tile, max(n, 1))
     spans = [(s, min(s + c, n)) for s in range(0, n, c)]
     mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
     fold = (g ** c).astype(dtype)[..., None, None]
     v1 = np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1)
-    nd = np.empty(v1.shape, dtype)
+    nd, out = np.empty(v1.shape, dtype), np.empty(v.shape, dtype)
+    keep = q.requires_grad or k.requires_grad or v.requires_grad
     states, scores, state = [], [], 0.0
     for s, e in spans:
-        qt, kt, vt = qd[..., s:e, :], kd[..., s:e, :], v1[..., s:e, :]
+        qt, kt, vt, ndt = qd[..., s:e, :], kd[..., s:e, :], v1[..., s:e, :], nd[..., s:e, :]
         sc = fm.tile_scores(kind, qt, kt, mask[..., :e - s, :e - s])
-        np.matmul(sc, vt, out=nd[..., s:e, :])
+        np.matmul(sc, vt, out=ndt)
         if s:
-            nd[..., s:e, :] += carry[..., :e - s, :] * (fm.phi(kind, qt) @ state)
-        states.append(state)
-        scores.append(sc)
+            ndt += carry[..., :e - s, :] * (fm.phi(kind, qt) @ state)
+        yt = np.divide(ndt[..., :d], np.maximum(ndt[..., d:], eps), out=out[..., s:e, :])
+        if counter is not None:
+            for key, a in (("q_read", qt), ("k_read", kt), ("v_read", vt[..., :d]), ("y_write", yt)):
+                counter[key] = counter.get(key, 0) + a.size
+        if keep:
+            states.append(state)
+            scores.append(sc)
         if e < n:  # the last tile's fold would go unused
             state = _fold(state, fold, fm.phi(kind, kt) * lift, vt)
-    num, den = nd[..., :d], nd[..., d]
-    floored = np.maximum(den, eps)
-    out = num / floored[..., None]
 
     def backward(grad):
+        num, den = nd[..., :d], nd[..., d]
+        floored = np.maximum(den, eps)
         dnum = grad / floored[..., None]
         dden = -(grad * num).sum(axis=-1) / (floored * floored)
         dden = np.where(den > eps, dden, 0.0)
@@ -316,42 +325,19 @@ def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.n
 def chunked_forward(
     params: LinAttnParams, u: Tensor | np.ndarray, chunk: int = 16, counter: dict | None = None
 ) -> Tensor:
-    """Tiled schedule: exact intra-tile causal product plus carried KV state.
-
-    Raw q, k tiles are read at width d' and featurized in fast memory; the
-    optional `counter` dict accumulates element-transfer totals under the
-    keys q_read / k_read / v_read / y_write, the sizes of the slices each
-    tile actually reads and writes. Graph-free reference path: the
+    """`attention_core` at tiles of `chunk` rows, run without a graph: the
     returned tensor carries no gradients, train through parallel_forward.
+    The optional `counter` dict takes the core's transfer totals, the sizes
+    of the q, k, v slices each tile reads and of the y slice it writes.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ParameterError(f"chunk must be a positive integer, got {chunk}")
     un = _rows(params, u, "chunked_forward")
     n = un.shape[0]
-    chunk = min(chunk, max(n, 1))
-    dp, dh = params.d_prime, params.head_dim
-    q = (un @ params.wq.data).reshape(n, params.heads, dp)
-    k = (un @ params.wk.data).reshape(n, params.heads, dp)
-    v = (un @ params.wv.data).reshape(n, params.heads, dh)
-    width = params.feature_width
-    ys = np.empty((params.heads, n, dh), dtype=un.dtype)
-    for h in range(params.heads):
-        gamma = float(params.decay.gamma[h]) if params.decay is not None else 1.0
-        s = np.zeros((width, dh + 1), dtype=un.dtype)  # [s | z], as attention_core carries it
-        for base in range(0, n, chunk):
-            qc = q[base:base + chunk, h]
-            kc = k[base:base + chunk, h]
-            vc = v[base:base + chunk, h]
-            c = qc.shape[0]
-            phi_qc = fm.apply_numpy(params.kind, qc)
-            phi_kc = fm.apply_numpy(params.kind, kc)
-            mask, carry, lift = _tile_decay(gamma, c, un.dtype)
-            vc1 = np.concatenate([vc, np.ones((c, 1), un.dtype)], axis=1)
-            nd = fm.tile_scores(params.kind, qc, kc, mask) @ vc1 + carry * (phi_qc @ s)
-            yc = ys[h, base:base + c]
-            np.divide(nd[:, :dh], np.maximum(nd[:, dh:], params.eps), out=yc)
-            if counter is not None:  # the sizes of the slices this tile read and wrote
-                for key, a in (("q_read", qc), ("k_read", kc), ("v_read", vc), ("y_write", yc)):
-                    counter[key] = counter.get(key, 0) + a.size
-            s = gamma ** c * s + (phi_kc * lift).T @ vc1
-    return Tensor(_combine_heads_numpy(params, un, ys))
+    q, k, v = (
+        Tensor(np.swapaxes((un @ w.data).reshape(n, params.heads, width), 0, 1))
+        for w, width in ((params.wq, params.d_prime), (params.wk, params.d_prime), (params.wv, params.head_dim))
+    )
+    gamma = 1.0 if params.decay is None else params.decay.gamma
+    y = attention_core(q, k, v, params.eps, gamma, params.kind, chunk, counter)
+    return Tensor(_combine_heads_numpy(params, un, y.data))

@@ -38,6 +38,8 @@ class Polynomial:
 
     @classmethod
     def const(cls, c: int) -> "Polynomial":
+        if not isinstance(c, (int, np.integer)):
+            raise ParameterError(f"Polynomial coefficients must be integers, got {c!r}")
         return cls({(): int(c)})
 
     @classmethod

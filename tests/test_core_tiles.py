@@ -29,8 +29,7 @@ def test_window_core_at_small_tiles(monkeypatch, tile):
 
 
 @pytest.mark.parametrize("tile", [1, 3, 7])
-def test_attention_core_at_small_tiles(monkeypatch, tile):
-    monkeypatch.setattr(la, "CORE_TILE", tile)
+def test_attention_core_at_small_tiles(tile):
     kind = fm.taylor_exp2(3)
     rng = np.random.default_rng(40 + tile)
     ladder = la.default_decay_gammas(2)
@@ -40,7 +39,7 @@ def test_attention_core_at_small_tiles(monkeypatch, tile):
         for gamma, gammas in ((1.0, np.ones(2)), (ladder, ladder)):
             want = masked_reference(pq, pk, v, gammas)
             for dtype, rel in DTYPES:
-                y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (pq, pk, v)), 1e-12, gamma).data
+                y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (pq, pk, v)), 1e-12, gamma, tile=tile).data
                 assert y.dtype == dtype and y.shape == v.shape
                 assert np.abs(y - want).max(initial=0.0) <= rel * max(np.abs(want).max(initial=0.0), 1.0), (n, dtype)
 
@@ -48,7 +47,7 @@ def test_attention_core_at_small_tiles(monkeypatch, tile):
     raw_q, raw_k, v, weights = rng.normal(size=(4, 1, 2, 4 * tile + 1, 3))
 
     def loss(q, k, v):
-        y = la.attention_core(fm.apply(kind, q), fm.apply(kind, k), v, 1e-12, ladder)
+        y = la.attention_core(fm.apply(kind, q), fm.apply(kind, k), v, 1e-12, ladder, tile=tile)
         return T.sum_all(T.mul(y, Tensor(weights)))
 
     assert grad_check(lambda t: loss(t, Tensor(raw_k), Tensor(v)), Tensor(raw_q)) < 1e-6
@@ -61,9 +60,8 @@ RAW_KINDS = [fm.taylor_exp2(3), fm.FeatureMapKind("PosELU", 3), fm.FeatureMapKin
 
 @pytest.mark.parametrize("kind", RAW_KINDS, ids=lambda kind: kind.tag)
 @pytest.mark.parametrize("tile", [1, 3, 7])
-def test_raw_input_core_at_small_tiles(monkeypatch, tile, kind):
+def test_raw_input_core_at_small_tiles(tile, kind):
     # the core featurizes raw q, k itself: intra-tile scores from q.k, phi only for the carried state
-    monkeypatch.setattr(la, "CORE_TILE", tile)
     rng = np.random.default_rng(50 + tile)
     ladder = la.default_decay_gammas(2)
     extra = () if kind is la.IDENTITY else (kind,)
@@ -75,7 +73,7 @@ def test_raw_input_core_at_small_tiles(monkeypatch, tile, kind):
         for gamma, gammas in ((1.0, np.ones(2)), (ladder, ladder)):
             want = masked_reference(pq, pk, v, gammas)
             for dtype, rel in DTYPES:
-                y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (raw_q, raw_k, v)), 1e-12, gamma, *extra).data
+                y = la.attention_core(*(Tensor(a, dtype=dtype) for a in (raw_q, raw_k, v)), 1e-12, gamma, *extra, tile=tile).data
                 assert y.dtype == dtype and y.shape == v.shape
                 assert np.abs(y - want).max(initial=0.0) <= rel * max(np.abs(want).max(initial=0.0), 1.0), (n, dtype)
 
@@ -85,7 +83,7 @@ def test_raw_input_core_at_small_tiles(monkeypatch, tile, kind):
         raw_q, raw_k = np.abs(raw_q), np.abs(raw_k)
 
     def loss(q, k, v):
-        return T.sum_all(T.mul(la.attention_core(q, k, v, 1e-12, ladder, *extra), Tensor(weights)))
+        return T.sum_all(T.mul(la.attention_core(q, k, v, 1e-12, ladder, *extra, tile=tile), Tensor(weights)))
 
     assert grad_check(lambda t: loss(t, Tensor(raw_k), Tensor(v)), Tensor(raw_q)) < 1e-6
     assert grad_check(lambda t: loss(Tensor(raw_q), t, Tensor(v)), Tensor(raw_k)) < 1e-6

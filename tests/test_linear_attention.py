@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from basedlab import analysis as an
 from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
 from basedlab import tensor as T
@@ -233,13 +234,42 @@ def test_gradient_with_floored_denominator():
     assert grad_check(f, Tensor(np.abs(rng.normal(size=(1, 1, 4, 3))))) < 1e-6
 
 
-def test_counter_totals():
-    params = make_params(d_model=24, heads=2, d_prime=4)
-    u = Tensor(np.random.default_rng(18).normal(size=(16, 24)))
-    counter = {}
-    la.chunked_forward(params, u, chunk=4, counter=counter)
-    assert counter["q_read"] == counter["k_read"] == 2 * 16 * 4
-    assert counter["v_read"] == counter["y_write"] == 2 * 16 * 12
+@pytest.mark.parametrize(
+    "n,chunk,decay,dtype",
+    [(16, 4, False, np.float64), (16, 5, False, np.float64), (16, 7, False, np.float64), (0, 4, False, np.float64),
+     (16, 5, True, np.float64), (16, 7, False, np.float32)],
+    ids=["divides", "chunk5", "chunk7", "empty", "decay-mixed", "f32"],
+)
+def test_counter_totals(n, chunk, decay, dtype):
+    # the counters are the production core's: they equal the closed form at any chunk, decay or dtype
+    rng = np.random.default_rng(18)
+    mixed = la.DecayConfig(la.default_decay_gammas(2), w_mix=Tensor(rng.normal(size=(24, 2)), dtype=dtype))
+    params = make_params(d_model=24, heads=2, d_prime=4, decay=mixed if decay else None, dtype=dtype)
+    u = Tensor(rng.normal(size=(n, 24)), dtype=dtype)
+    run = an.tiled_reference_run(params, u, chunk=chunk)
+    assert run["counters"] == run["closed_form"]
+    assert run["counters"]["q_read"] == run["counters"]["k_read"] == 2 * n * 4
+    assert run["counters"]["v_read"] == run["counters"]["y_write"] == 2 * n * 12
+    y, want = run["output"].data, la.parallel_forward(params, u).data
+    assert y.dtype == dtype and y.shape == (n, 24)
+    if dtype == np.float64:
+        assert np.abs(y - want).max(initial=0.0) < 1e-8
+    else:
+        assert np.abs(y - want).max(initial=0.0) <= 1e-4 * np.abs(want).max(initial=0.0)
+
+
+def test_graph_free_chunked_forward_keeps_no_backward_state():
+    # Kept for a backward, each of the 256 tiles' F x (d + 1) states would take the peak near 30 MB.
+    params = make_params(d_model=64, heads=1, d_prime=16)
+    u = np.random.default_rng(24).normal(size=(4096, 64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        an.tiled_reference_run(params, u, chunk=16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_validation_errors():
@@ -250,6 +280,9 @@ def test_validation_errors():
         la.DecayConfig(np.array([1.5]))
     with pytest.raises(ShapeError):
         la.create(d_model=10, heads=3, d_prime=4, rng=rng)  # heads must divide widths
+    for eps in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ParameterError, match="eps"):
+            la.create(8, 2, 4, eps=eps)
     params = make_params()
     with pytest.raises(ShapeError):
         la.parallel_forward(params, Tensor(np.ones((4, 7))))

@@ -1,5 +1,7 @@
 """Exact circuit views: the polynomial type, encodings, and their audits."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,23 @@ def test_polynomial_arithmetic():
     assert 2 * x == x + x
     assert 1 - x == Polynomial.const(1) - x
     assert -(x + 1) == -1 - x
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda x: x * 1.5, lambda x: x + 0.5, lambda x: 0.5 - x, lambda x: x * Fraction(1, 2)],
+    ids=["x*1.5", "x+0.5", "0.5-x", "x*Fraction(1,2)"],
+)
+def test_polynomial_rejects_non_integer_coefficients(op):
+    # truncating 1.5 to 1 would make a degree audit read the wrong polynomial
+    with pytest.raises(ParameterError, match="integers"):
+        op(Polynomial.variable("x"))
+
+
+def test_polynomial_takes_numpy_integer_coefficients():
+    x = Polynomial.variable("x")
+    assert x * np.int64(2) == 2 * x
+    assert repr(x * np.int64(2)) == repr(2 * x)
 
 
 def test_polynomial_degree_and_flags():
