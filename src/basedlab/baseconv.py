@@ -12,11 +12,11 @@ back down:
 along the sequence. The filter is the layer's only context: a tile's output
 reads the taps - 1 layer-input rows before it, so each tile projects those
 rows and its own through W2 in one matmul, filters them, and runs the chain
-down to W3 one tile wide before the next tile starts. When the call is
-one tile (every N <= CONV_TILE), the forward keeps that tile's arrays,
-read-only, and the backward reads them; with more tiles it keeps only the
-input and recomputes each tile, so memory stays one tile wide. Either way
-the backward adds the context rows' gradient into the rows before it.
+down to W3 one tile wide before the next tile starts. A call of one tile
+(every N <= CONV_TILE) keeps that tile's arrays, read-only, for the
+backward; a call of more tiles keeps only its inputs and output, and the
+backward reruns `_tile` per tile, so memory stays one tile wide. Either way
+it adds the context rows' gradient into the rows before the tile.
 Decode (`ConvCache`) holds exactly that context, the last taps - 1
 layer-input rows, and runs the same tile function on them plus the new row.
 """

@@ -11,6 +11,9 @@ tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
 plus the block S = [s | z] (z as its last column) carried from tile to tile,
 forward and backward. It takes the raw d'-wide q and k: the intra-tile
 scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
+A call of one tile keeps that tile's arrays for the backward; a call of more
+tiles keeps only its inputs and output, and the backward recomputes each
+tile with the forward's own tile code.
 `chunked_forward` is the same core at tiles of `chunk` rows, run without a
 graph and counting the slices each tile reads and writes. `LinAttnState`, the
 decode cache, holds that block, so a cache is exactly the context the core
@@ -178,18 +181,21 @@ def attention_core(
     second tile on and phi(K) up to the second-to-last, so never at N <= tile.
     An optional `counter` dict adds up the sizes of the q, k, v slices each
     tile reads and the y slice it writes (keys q_read, k_read, v_read,
-    y_write). The backward walks the tiles in reverse carrying dS and
-    recomputes phi per tile, so nothing of size N x F is ever stored; the
-    states and scores it reads are kept only when an input requires grad.
+    y_write). The backward walks the tiles in reverse carrying dS. A call of
+    one tile keeps that tile's arrays for the backward; a call of more tiles
+    keeps only its inputs and output, and the backward reruns `sweep`, the
+    forward's own tile loop, so nothing of size N x F is ever stored.
     """
     n = q.shape[-2]
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"attention_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
+    if isinstance(tile, bool) or not isinstance(tile, (int, np.integer)) or tile < 1:
+        raise ParameterError(f"attention_core: tile must be a positive integer, got {tile!r}")
     g = np.asarray(gamma, dtype=np.float64)
     if g.size > 1 and (q.ndim < 3 or q.shape[-3] != g.size):
         raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {q.shape}")
     g = g.reshape(-1 if g.size > 1 else ())
-    qd, kd = q.data, k.data
+    qd, kd, vd = q.data, k.data, v.data
     for x in (qd, kd):
         fm.check(kind, x)
     d, dtype = v.shape[-1], q.dtype
@@ -197,51 +203,56 @@ def attention_core(
     spans = [(s, min(s + c, n)) for s in range(0, n, c)]
     mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
     fold = (g ** c).astype(dtype)[..., None, None]
-    v1 = np.concatenate([v.data, np.ones(v.shape[:-1] + (1,), dtype)], axis=-1)
-    nd, out = np.empty(v1.shape, dtype), np.empty(v.shape, dtype)
-    keep = q.requires_grad or k.requires_grad or v.requires_grad
-    states, scores, state = [], [], 0.0
-    for s, e in spans:
-        qt, kt, vt, ndt = qd[..., s:e, :], kd[..., s:e, :], v1[..., s:e, :], nd[..., s:e, :]
-        sc = fm.tile_scores(kind, qt, kt, mask[..., :e - s, :e - s])
-        np.matmul(sc, vt, out=ndt)
-        if s:
-            ndt += carry[..., :e - s, :] * (fm.phi(kind, qt) @ state)
+    ones = np.ones(v.shape[:-2] + (c, 1), dtype)
+
+    def sweep():
+        """Per tile in order: its span, the S it carries in, its scores, [num | den] and [V | 1] rows."""
+        state = 0.0
+        for s, e in spans:
+            qt, kt = qd[..., s:e, :], kd[..., s:e, :]
+            vt = np.concatenate([vd[..., s:e, :], ones[..., :e - s, :]], axis=-1)
+            sc = fm.tile_scores(kind, qt, kt, mask[..., :e - s, :e - s])
+            ndt = sc @ vt
+            if s:
+                ndt += carry[..., :e - s, :] * (fm.phi(kind, qt) @ state)
+            yield (s, e), state, sc, ndt, vt
+            if e < n:  # the last tile's fold would go unused
+                state = _fold(state, fold, fm.phi(kind, kt) * lift, vt)
+
+    out, kept = np.empty(v.shape, dtype), []
+    for arrays in sweep():
+        (s, e), _, _, ndt, vt = arrays
         yt = np.divide(ndt[..., :d], np.maximum(ndt[..., d:], eps), out=out[..., s:e, :])
         if counter is not None:
-            for key, a in (("q_read", qt), ("k_read", kt), ("v_read", vt[..., :d]), ("y_write", yt)):
+            for key, a in (("q_read", qd[..., s:e, :]), ("k_read", kd[..., s:e, :]), ("v_read", vt[..., :d]), ("y_write", yt)):
                 counter[key] = counter.get(key, 0) + a.size
-        if keep:
-            states.append(state)
-            scores.append(sc)
-        if e < n:  # the last tile's fold would go unused
-            state = _fold(state, fold, fm.phi(kind, kt) * lift, vt)
+        if len(spans) == 1:
+            kept.append(arrays)
 
     def backward(grad):
-        num, den = nd[..., :d], nd[..., d]
-        floored = np.maximum(den, eps)
-        dnum = grad / floored[..., None]
-        dden = -(grad * num).sum(axis=-1) / (floored * floored)
-        dden = np.where(den > eps, dden, 0.0)
-        dnd = np.concatenate([dnum, dden[..., None]], axis=-1)
-        dq, dk, dv1 = np.empty_like(qd), np.empty_like(kd), np.empty_like(v1)
+        dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
         dstate = 0.0  # gradient of the state the later tiles read
-        for (s, e), state, sc in reversed(list(zip(spans, states, scores))):
-            qt, kt, vt, gt = qd[..., s:e, :], kd[..., s:e, :], v1[..., s:e, :], dnd[..., s:e, :]
+        for (s, e), state, sc, ndt, vt in reversed(kept or list(sweep())):
+            qt, kt, gy = qd[..., s:e, :], kd[..., s:e, :], grad[..., s:e, :]
+            num, den = ndt[..., :d], ndt[..., d]
+            floored = np.maximum(den, eps)
+            dden = -(gy * num).sum(axis=-1) / (floored * floored)
+            gt = np.concatenate([gy / floored[..., None], np.where(den > eps, dden, 0.0)[..., None]], axis=-1)
             dq[..., s:e, :], dk[..., s:e, :] = fm.tile_scores_vjp(
                 kind, qt, kt, mask[..., :e - s, :e - s], gt @ np.swapaxes(vt, -1, -2)
             )
-            dv1[..., s:e, :] = np.swapaxes(sc, -1, -2) @ gt
+            dvt = np.swapaxes(sc, -1, -2) @ gt
             if e < n:
                 dk[..., s:e, :] += fm.phi_vjp(kind, kt, lift * (vt @ np.swapaxes(dstate, -1, -2)))
-                dv1[..., s:e, :] += (fm.phi(kind, kt) * lift) @ dstate
+                dvt += (fm.phi(kind, kt) * lift) @ dstate
+            dv[..., s:e, :] = dvt[..., :d]
             if s:
                 gt = carry[..., :e - s, :] * gt
                 dq[..., s:e, :] += fm.phi_vjp(kind, qt, gt @ np.swapaxes(state, -1, -2))
                 dstate = fold * dstate + np.swapaxes(fm.phi(kind, qt), -1, -2) @ gt
         T.accumulate(q, dq)
         T.accumulate(k, dk)
-        T.accumulate(v, dv1[..., :d])
+        T.accumulate(v, dv)
 
     return T.from_op(out, (q, k, v), backward)
 
@@ -330,8 +341,6 @@ def chunked_forward(
     The optional `counter` dict takes the core's transfer totals, the sizes
     of the q, k, v slices each tile reads and of the y slice it writes.
     """
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ParameterError(f"chunk must be a positive integer, got {chunk}")
     un = _rows(params, u, "chunked_forward")
     n = un.shape[0]
     q, k, v = (

@@ -36,8 +36,8 @@ class SwaParams:
     rotary: bool = True
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ParameterError(f"window must be >= 1, got {self.window}")
+        if isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer)) or self.window < 1:
+            raise ParameterError(f"window must be a positive integer, got {self.window!r}")
         if self.heads < 1:
             raise ParameterError(f"heads must be >= 1, got {self.heads}")
         if self.wq.shape != self.wk.shape or self.wq.shape[1] != self.wv.shape[1]:
@@ -112,26 +112,35 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     the keys [max(0, s - w + 1), e), the last w - 1 rows before it being the
     context it carries in, under `_tile_mask`, through `_attend`.
     The backward walks the same tiles and adds into the slices of dk and dv
-    they read, so nothing of size N x N is ever formed.
+    they read, so nothing of size N x N is ever formed. A call of one tile
+    keeps its probabilities for the backward; a call of more tiles keeps
+    only its inputs and output, and the backward reruns `_attend` per tile.
     """
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"window_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
-    if window < 1:
-        raise ParameterError(f"window_core: window must be >= 1, got {window}")
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise ParameterError(f"window_core: window must be a positive integer, got {window!r}")
     n, dtype = q.shape[-2], q.dtype
     c = min(WINDOW_TILE, max(n, 1))
     spans = [(s, min(s + c, n), max(0, s - window + 1)) for s in range(0, n, c)]
     scale = 1.0 / math.sqrt(q.shape[-1])
     qd, kd, vd = q.data, k.data, v.data
-    out = np.empty(v.shape, dtype)
-    probs = []
-    for s, e, lo in spans:
+
+    def attend(s, e, lo, out=None):
+        """Tile [s, e)'s probabilities, its output written into `out` when given."""
         mask = _tile_mask(e - s, s - lo, window, dtype)
-        probs.append(_attend(qd[..., s:e, :], kd[..., lo:e, :], vd[..., lo:e, :], mask, scale, out[..., s:e, :])[0])
+        return _attend(qd[..., s:e, :], kd[..., lo:e, :], vd[..., lo:e, :], mask, scale, out)[0]
+
+    out, kept = np.empty(v.shape, dtype), []
+    for s, e, lo in spans:
+        attn = attend(s, e, lo, out[..., s:e, :])
+        if len(spans) == 1:
+            kept.append(attn)
 
     def backward(grad):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for (s, e, lo), attn in zip(spans, probs):
+        for s, e, lo in spans:
+            attn = kept[0] if kept else attend(s, e, lo)
             g = grad[..., s:e, :]
             dlogits = g @ np.swapaxes(vd[..., lo:e, :], -1, -2)
             dlogits -= (dlogits * attn).sum(axis=-1, keepdims=True)

@@ -1,8 +1,6 @@
 """Gated convolutions: delta filters isolate the gate, oracles pin the math,
 and the tiled core agrees with the composed graph it replaces."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -305,17 +303,10 @@ def test_gated_core_gradients_across_tile_boundary():
         assert grad_check(f, fields[name]) < 1e-6
 
 
-def test_gated_core_memory_stays_per_tile():
+def test_gated_core_memory_stays_per_tile(traced):
     params = bc.create_gated(64, rng=np.random.default_rng(24))
     u = Tensor(np.random.default_rng(25).normal(size=(1, 4096, 64)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        y = bc.forward_gated(params, u)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    y, peak, _ = traced(bc.forward_gated, params, u)
     assert y.shape == u.shape
     assert peak < 8 * 2**20, peak  # the composed graph held 68 MB here
 

@@ -1,5 +1,6 @@
 """Every tiled core at tiles of 1, 3 and 7 rows: many carried contexts,
-and windows and filters that span several tiles, against the references."""
+and windows and filters that span several tiles, against the references;
+and what each core keeps for its backward."""
 
 import numpy as np
 import pytest
@@ -101,3 +102,44 @@ def test_gated_conv_at_small_tiles(monkeypatch, tile):
             for n in sorted({1, tile, tile + 1, 2 * tile + 1, 20}):
                 x = rng.normal(size=(2, n, 3))
                 assert_matches_composed(params, x.astype(dtype), rng.normal(size=x.shape), rel)
+
+
+def _core_inputs(rng, n, width):
+    """q, k of width `width` and v of width 64, one head, all requiring grad."""
+    shapes = ((1, 1, n, width), (1, 1, n, width), (1, 1, n, 64))
+    return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+
+def test_cores_of_many_tiles_hold_only_their_output(traced):
+    # Kept for the backward, L's per-tile states and scores and its N-row [v | 1]
+    # and [num | den] held 12.9 MB here, and S's probabilities 6.05 MB; the output is 2 MB.
+    rng = np.random.default_rng(70)
+    _, _, held = traced(la.attention_core, *_core_inputs(rng, 4096, 16), 1e-12, 1.0, fm.taylor_exp2(16))
+    assert held < 3 * 2**20, held / 2**20
+    _, _, held = traced(sw.window_core, *_core_inputs(rng, 4096, 64), 64)
+    assert held < 3 * 2**20, held / 2**20
+
+
+@pytest.mark.parametrize("n", [la.CORE_TILE, 2 * la.CORE_TILE + 2], ids=["one-tile", "three-tiles"])
+def test_backward_recomputes_tiles_only_past_one(monkeypatch, n):
+    # every train shape is one tile: its backward reads the forward's arrays
+    calls = {"L": 0, "S": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fm, "tile_scores", counting("L", fm.tile_scores))
+    monkeypatch.setattr(sw, "_attend", counting("S", sw._attend))
+    rng = np.random.default_rng(71)
+    for key, tile, core in (
+        ("L", la.CORE_TILE, lambda q, k, v: la.attention_core(q, k, v, 1e-12, 1.0, fm.taylor_exp2(4))),
+        ("S", sw.WINDOW_TILE, lambda q, k, v: sw.window_core(q, k, v, 8)),
+    ):
+        tiles = -(-n // tile)
+        y = core(*_core_inputs(rng, n, 4))
+        assert calls[key] == tiles
+        T.sum_all(y).backward()
+        assert calls[key] == (1 if tiles == 1 else 2 * tiles), key

@@ -1,7 +1,5 @@
 """Linear attention: the three views agree, states count, decay behaves."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -65,6 +63,15 @@ def test_chunk_edge_cases():
     assert np.abs(la.chunked_forward(params, u, chunk=50).data - yp).max() < 1e-8  # clamps to n
     with pytest.raises(ParameterError):
         la.chunked_forward(params, u, chunk=0)
+
+
+@pytest.mark.parametrize("tile", [True, 0, -1, 2.5, "4"])
+def test_core_rejects_a_tile_that_is_not_a_positive_integer(tile):
+    # tile = -1 left no spans and returned np.empty's memory; 0 raised a bare ValueError from range
+    x = Tensor(np.ones((2, 5, 3)))
+    with pytest.raises(ParameterError, match="tile must be a positive integer"):
+        la.attention_core(x, x, x, 1e-12, tile=tile)
+    assert np.array_equal(la.attention_core(x, x, x, 1e-12, tile=np.int64(2)).data, la.attention_core(x, x, x, 1e-12, tile=2).data)
 
 
 @pytest.mark.parametrize("chunk", [True, False, np.int64(4)], ids=["True", "False", "int64"])
@@ -258,17 +265,11 @@ def test_counter_totals(n, chunk, decay, dtype):
         assert np.abs(y - want).max(initial=0.0) <= 1e-4 * np.abs(want).max(initial=0.0)
 
 
-def test_graph_free_chunked_forward_keeps_no_backward_state():
+def test_graph_free_chunked_forward_keeps_no_backward_state(traced):
     # Kept for a backward, each of the 256 tiles' F x (d + 1) states would take the peak near 30 MB.
     params = make_params(d_model=64, heads=1, d_prime=16)
     u = np.random.default_rng(24).normal(size=(4096, 64))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        an.tiled_reference_run(params, u, chunk=16)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(an.tiled_reference_run, params, u, chunk=16)
     assert peak < 16 * 2**20
 
 
@@ -351,7 +352,7 @@ def test_tiled_core_keeps_f32():
     assert q.grad.dtype == k.grad.dtype == v.grad.dtype == np.float32
 
 
-def test_tiled_core_memory_stays_per_tile():
+def test_tiled_core_memory_stays_per_tile(traced):
     # The forward holds nt tiles of F x (d + 1) state and N x tile scores; an
     # N x F x d running state would take 320 MB at this shape.
     rng = np.random.default_rng(23)
@@ -359,13 +360,7 @@ def test_tiled_core_memory_stays_per_tile():
     pq = Tensor(np.abs(rng.normal(size=(1, 1, n, width))))
     pk = Tensor(np.abs(rng.normal(size=(1, 1, n, width))))
     v = Tensor(rng.normal(size=(1, 1, n, d)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        la.attention_core(pq, pk, v, 1e-12)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak, _ = traced(la.attention_core, pq, pk, v, 1e-12)
     assert peak < 64 * 2**20
 
 

@@ -2,7 +2,6 @@
 reference, rotary positions, the decode shift buffer."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,8 +229,9 @@ def test_forward_gradients():
 
 def test_validation_errors():
     eye = lambda n: Tensor(np.eye(n))
-    with pytest.raises(ParameterError):
-        sw.SwaParams(wq=eye(4), wk=eye(4), wv=eye(4), wo=eye(4), window=0, heads=1)
+    for window in (0, 2.5, True):  # at 2.5 the decode cache never reached its window and grew every step
+        with pytest.raises(ParameterError, match="window must be a positive integer"):
+            sw.SwaParams(wq=eye(4), wk=eye(4), wv=eye(4), wo=eye(4), window=window, heads=1)
     with pytest.raises(ParameterError):
         sw.SwaParams(wq=eye(4), wk=eye(4), wv=eye(4), wo=eye(4), window=2, heads=0)
     with pytest.raises(ShapeError):
@@ -246,6 +246,14 @@ def test_validation_errors():
     cache = sw.WindowCache(params)
     with pytest.raises(ShapeError):
         sw.decode_step(params, cache, np.zeros(9))
+
+
+@pytest.mark.parametrize("window", [True, 0, -1, 2.5, "4"])
+def test_window_core_rejects_a_window_that_is_not_a_positive_integer(window):
+    x = Tensor(np.ones((2, 5, 4)))
+    with pytest.raises(ParameterError, match="window must be a positive integer"):
+        sw.window_core(x, x, x, window)
+    assert np.array_equal(sw.window_core(x, x, x, np.int64(2)).data, sw.window_core(x, x, x, 2).data)
 
 
 def test_large_logits_stay_finite():
@@ -277,15 +285,10 @@ def test_window_core_gradients_across_padded_tiles():
         assert grad_check(lambda t: T.sum_all(sw.swa_forward(params, t)), u) < 1e-6
 
 
-def test_window_core_memory_stays_per_tile():
+def test_window_core_memory_stays_per_tile(traced):
     # the dense N x N path traced about 780 MB here
     q, k, v = (Tensor(a) for a in np.random.default_rng(15).normal(size=(3, 1, 1, 4096, 64)))
-    tracemalloc.start()
-    try:
-        y = sw.window_core(q, k, v, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    y, peak, _ = traced(sw.window_core, q, k, v, 64)
     assert y.shape == (1, 1, 4096, 64)
     assert peak < 64e6, peak / 1e6
 
