@@ -65,6 +65,8 @@ class GatedBaseConv:
     filt: Tensor
 
     def __post_init__(self):
+        if self.w1.ndim != 2:
+            raise ShapeError(f"w1 must be 2-D, got {self.w1.shape}")
         d, wide = self.w1.shape
         if self.w2.shape != (d, wide) or self.w3.shape != (wide, d):
             raise ShapeError(f"w1 {self.w1.shape}, w2 {self.w2.shape}, w3 {self.w3.shape} disagree")

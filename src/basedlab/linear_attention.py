@@ -21,6 +21,8 @@ carries between tiles; its `step` folds one token in with the core's own
 `_fold` and then reads it. The views agree to roundoff; optional per-head
 decay multiplies the state by gamma each step. Every view uses the Taylor
 map's unique-monomial layout, so the state width D is 1 + d' + d'(d'+1)/2.
+Every view projects and merges its heads through `T.Heads`, the shell it
+shares with the sliding-window layer.
 """
 
 from __future__ import annotations
@@ -55,46 +57,26 @@ def default_decay_gammas(heads: int) -> np.ndarray:
 
 
 @dataclass
-class LinAttnParams:
-    """Projections plus feature-map choice for one linear-attention layer."""
+class LinAttnParams(T.Heads):
+    """The `T.Heads` projections plus feature-map choice for one linear-attention layer."""
 
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
     kind: fm.FeatureMapKind
-    heads: int
     eps: float = 1e-12
     decay: DecayConfig | None = None
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ParameterError(f"heads must be >= 1, got {self.heads}")
+        super().__post_init__()
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
-        for name, t in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv)):
-            if t.ndim != 2:
-                raise ShapeError(f"{name} must be 2-D, got {t.shape}")
-        if self.wq.shape != self.wk.shape:
-            raise ShapeError(f"wq {self.wq.shape} and wk {self.wk.shape} must match")
-        if self.wq.shape[1] % self.heads or self.wv.shape[1] % self.heads:
-            raise ShapeError("projection widths must divide evenly into heads")
-        if self.wo.shape[0] != self.wv.shape[1]:
-            raise ShapeError(f"wo {self.wo.shape} does not accept {self.heads} heads of width {self.head_dim}")
         if self.decay is not None and self.decay.gamma.shape != (self.heads,):
             raise ParameterError(f"decay needs one gamma per head, got {self.decay.gamma.shape}")
-
-    @property
-    def d_model(self) -> int:
-        return self.wq.shape[0]
+        w_mix = None if self.decay is None else self.decay.w_mix
+        if w_mix is not None and (w_mix.shape != (self.d_model, self.heads) or w_mix.dtype != self.wq.dtype):
+            raise ShapeError(f"w_mix must be (d_model, heads) = ({self.d_model}, {self.heads}) in wq's dtype, got {w_mix.shape} {w_mix.dtype.name}")
 
     @property
     def d_prime(self) -> int:
         return self.wq.shape[1] // self.heads
-
-    @property
-    def head_dim(self) -> int:
-        return self.wv.shape[1] // self.heads
 
     @property
     def feature_width(self) -> int:
@@ -102,36 +84,13 @@ class LinAttnParams:
 
 
 def create(
-    d_model: int,
-    heads: int,
-    d_prime: int,
-    head_dim: int | None = None,
-    kind: fm.FeatureMapKind | None = None,
-    eps: float = 1e-12,
-    decay: DecayConfig | None = None,
-    rng: np.random.Generator | None = None,
-    dtype=np.float64,
+    d_model: int, heads: int, d_prime: int, kind: fm.FeatureMapKind | None = None, eps: float = 1e-12,
+    decay: DecayConfig | None = None, rng: np.random.Generator | None = None, dtype=np.float64,
 ) -> LinAttnParams:
-    """Fresh parameters with scaled-normal init (std 0.02)."""
-    rng = rng or np.random.default_rng(0)
-    if heads < 1:
-        raise ParameterError(f"heads must be >= 1, got {heads}")
-    if head_dim is None:
-        if d_model % heads != 0:
-            raise ShapeError(
-                f"d_model={d_model} is not divisible by heads={heads}; pass head_dim explicitly"
-            )
-        head_dim = d_model // heads
-    kind = kind or fm.taylor_exp2(d_prime)
-    return LinAttnParams(
-        wq=T.init_normal(rng, d_model, heads * d_prime, dtype),
-        wk=T.init_normal(rng, d_model, heads * d_prime, dtype),
-        wv=T.init_normal(rng, d_model, heads * head_dim, dtype),
-        wo=T.init_normal(rng, heads * head_dim, d_model, dtype),
-        kind=kind,
-        heads=heads,
-        eps=eps,
-        decay=decay,
+    """Fresh parameters from `T.Heads.draw`, q and k d_prime wide per head."""
+    return LinAttnParams.draw(
+        rng or np.random.default_rng(0), d_model, heads * d_prime, dtype,
+        heads=heads, kind=kind or fm.taylor_exp2(d_prime), eps=eps, decay=decay,
     )
 
 
@@ -262,15 +221,13 @@ def attention_core(
 
 def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
     """All positions at once; differentiable. Accepts (..., N, d_model)."""
-    if u.shape[-1] != params.d_model:
-        raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
-    q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
+    q, k, v = params.project(u)
     y = attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
     if params.decay is not None and params.decay.w_mix is not None:
         # weigh each head's output by softmax(u @ w_mix) before the projection
         weights = T.softmax_last(T.matmul(u, params.decay.w_mix))
         y = T.mul_rowscale(y, T.transpose(weights, (*range(u.ndim - 2), u.ndim - 1, u.ndim - 2)))
-    return T.matmul(T.merge_heads(y), params.wo)
+    return params.merge(y)
 
 
 class LinAttnState:
@@ -295,7 +252,7 @@ class LinAttnState:
         """Project one (d_model,) row, advance the state, and return the output row."""
         p = self.params
         T.check_row(x, p.wq, "LinAttnState.step")
-        q, k, v = ((x @ w.data).reshape(p.heads, 1, -1) for w in (p.wq, p.wk, p.wv))
+        q, k, v = p.project_rows(x)
         v1 = np.concatenate([v, np.ones((p.heads, 1, 1), v.dtype)], axis=-1)
         _fold(self.s, self.decay, fm.apply_numpy(p.kind, k), v1, out=self.s)
         nd = fm.apply_numpy(p.kind, q) @ self.s
@@ -325,12 +282,11 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
 
 
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
-    """per_head_y is (heads, N, head_dim); the head mixing of parallel_forward without the graph."""
+    """per_head_y is (heads, N, head_dim); parallel_forward's head mixing, then `merge_rows`, without the graph."""
     if params.decay is not None and params.decay.w_mix is not None:
         weights = T.softmax_np(un @ params.decay.w_mix.data)
         per_head_y = per_head_y * np.swapaxes(weights, 0, 1)[:, :, None]
-    stacked = np.swapaxes(per_head_y, 0, 1).reshape(un.shape[0], params.wo.shape[0])
-    return stacked @ params.wo.data
+    return params.merge_rows(per_head_y)
 
 
 def chunked_forward(
@@ -342,11 +298,7 @@ def chunked_forward(
     of the q, k, v slices each tile reads and of the y slice it writes.
     """
     un = _rows(params, u, "chunked_forward")
-    n = un.shape[0]
-    q, k, v = (
-        Tensor(np.swapaxes((un @ w.data).reshape(n, params.heads, width), 0, 1))
-        for w, width in ((params.wq, params.d_prime), (params.wk, params.d_prime), (params.wv, params.head_dim))
-    )
+    q, k, v = (Tensor(a) for a in params.project_rows(un))
     gamma = 1.0 if params.decay is None else params.decay.gamma
     y = attention_core(q, k, v, params.eps, gamma, params.kind, chunk, counter)
     return Tensor(_combine_heads_numpy(params, un, y.data))

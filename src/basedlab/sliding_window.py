@@ -7,7 +7,8 @@ before it, the context it carries in, so a forward or backward costs
 O(N (c + w)) time and memory, never N x N. Each tile runs `_attend`, and so
 does a decode step, on the window `WindowCache` holds. Rotary position
 encoding uses absolute positions, so a decode step after cache eviction still
-reproduces the prefill output.
+reproduces the prefill output. Prefill and decode project and merge their
+heads through `T.Heads`, the shell shared with the linear-attention layer.
 """
 
 from __future__ import annotations
@@ -24,57 +25,27 @@ from .tensor import Tensor
 
 
 @dataclass
-class SwaParams:
-    """Projections and window size for one sliding-window attention layer."""
+class SwaParams(T.Heads):
+    """The `T.Heads` projections and window size for one sliding-window attention layer."""
 
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
     window: int
-    heads: int
     rotary: bool = True
 
     def __post_init__(self):
+        super().__post_init__()
         if isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer)) or self.window < 1:
             raise ParameterError(f"window must be a positive integer, got {self.window!r}")
-        if self.heads < 1:
-            raise ParameterError(f"heads must be >= 1, got {self.heads}")
-        if self.wq.shape != self.wk.shape or self.wq.shape[1] != self.wv.shape[1]:
+        if self.wq.shape[1] != self.wv.shape[1]:
             raise ShapeError("q, k, v projections must share output width")
-        if self.wq.shape[1] % self.heads:
-            raise ShapeError(f"projection width {self.wq.shape[1]} does not divide into {self.heads} heads")
         if self.rotary and self.head_dim % 2:
             raise ShapeError(f"rotary needs an even head dim, got {self.head_dim}")
 
-    @property
-    def d_model(self) -> int:
-        return self.wq.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.wq.shape[1] // self.heads
-
 
 def create(
-    d_model: int,
-    heads: int,
-    window: int,
-    rotary: bool = True,
-    rng: np.random.Generator | None = None,
-    dtype=np.float64,
+    d_model: int, heads: int, window: int, rotary: bool = True, rng: np.random.Generator | None = None, dtype=np.float64,
 ) -> SwaParams:
-    """Fresh parameters with scaled-normal init (std 0.02)."""
-    rng = rng or np.random.default_rng(0)
-    return SwaParams(
-        wq=T.init_normal(rng, d_model, d_model, dtype),
-        wk=T.init_normal(rng, d_model, d_model, dtype),
-        wv=T.init_normal(rng, d_model, d_model, dtype),
-        wo=T.init_normal(rng, d_model, d_model, dtype),
-        window=window,
-        heads=heads,
-        rotary=rotary,
-    )
+    """Fresh parameters from `T.Heads.draw`, every projection d_model wide."""
+    return SwaParams.draw(rng or np.random.default_rng(0), d_model, d_model, dtype, heads=heads, window=window, rotary=rotary)
 
 
 # -- tiled window core -----------------------------------------------------------
@@ -159,13 +130,11 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
 def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
     """Windowed causal attention over all positions; differentiable. Accepts
     (..., N, d_model)."""
-    if u.shape[-1] != params.d_model:
-        raise ShapeError(f"input width {u.shape[-1]} does not match d_model {params.d_model}")
-    q, k, v = (T.split_heads(T.matmul(u, w), params.heads) for w in (params.wq, params.wk, params.wv))
+    q, k, v = params.project(u)
     if params.rotary:
         q = T.rotary(q)
         k = T.rotary(k)
-    return T.matmul(T.merge_heads(window_core(q, k, v, params.window)), params.wo)
+    return params.merge(window_core(q, k, v, params.window))
 
 
 class WindowCache:
@@ -196,7 +165,7 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     after the output projection.
     """
     T.check_row(x_t, params.wq, "decode_step")
-    q, k, v = ((x_t @ w.data).reshape(params.heads, 1, params.head_dim) for w in (params.wq, params.wk, params.wv))
+    q, k, v = params.project_rows(x_t)
     if params.rotary:
         q = T.rotary_np(q, cache.t)
         k = T.rotary_np(k, cache.t)
@@ -205,4 +174,4 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     cache.v = np.concatenate([cache.v[:, drop:], v], axis=1)
     cache.t += 1
     _, y = _attend(q, cache.k, cache.v, 0.0, 1.0 / math.sqrt(params.head_dim))
-    return cache, y.reshape(-1) @ params.wo.data
+    return cache, params.merge_rows(y)[0]

@@ -4,7 +4,9 @@ Arrays are row-major numpy buffers (float64 by default, float32 on request).
 Every op returns a fresh tensor; tensors are never mutated once created, so
 the recorded graph stays valid. `backward` replays the graph in reverse
 execution order with plain sequential accumulation, which makes gradients
-bit-reproducible across runs.
+bit-reproducible across runs. `Heads` is the one shell of the two attention
+layers: their four projections, checks and init, and the head split and
+merge, with and without the graph.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -278,8 +281,8 @@ def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) 
 
 def init_normal(rng: np.random.Generator, rows: int, cols: int, dtype) -> Tensor:
     """Trainable (rows, cols) weight drawn from N(0, 0.02^2): the one parameter init."""
-    if rows < 0 or cols < 0:
-        raise ParameterError(f"weight shape ({rows}, {cols}) has a negative size")
+    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (rows, cols)):
+        raise ParameterError(f"weight shape ({rows!r}, {cols!r}) must be two integers >= 0")
     return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
 
 
@@ -345,6 +348,71 @@ def merge_heads(y: Tensor) -> Tensor:
     *lead, heads, n, width = y.shape
     k = len(lead)
     return reshape(transpose(y, (*range(k), k + 1, k, k + 2)), (*lead, n, heads * width))
+
+
+@dataclass
+class Heads:
+    """The shell of an attention layer: wq, wk, wv project d_model-wide rows
+    to per-head queries, keys and values in the `split_heads` layout, and wo
+    maps the merged heads back to d_model. The L and S layers extend it with
+    the settings of their cores."""
+
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    wo: Tensor
+    heads: int
+
+    def __post_init__(self):
+        if isinstance(self.heads, bool) or not isinstance(self.heads, (int, np.integer)) or self.heads < 1:
+            raise ParameterError(f"heads must be a positive integer, got {self.heads!r}")
+        for name, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
+            if w.ndim != 2 or w.dtype != self.wq.dtype:
+                raise ShapeError(f"{name} must be 2-D in wq's dtype {self.wq.dtype.name}, got {w.shape} {w.dtype.name}")
+        if self.wk.shape != self.wq.shape or self.wv.shape[0] != self.d_model:
+            raise ShapeError(f"wq {self.wq.shape} and wk {self.wk.shape} must match, and wv {self.wv.shape} read d_model rows")
+        if self.wq.shape[1] % self.heads or self.wv.shape[1] % self.heads:
+            raise ShapeError("projection widths must divide evenly into heads")
+        if self.wo.shape != (self.wv.shape[1], self.d_model):
+            raise ShapeError(f"wo {self.wo.shape} does not map {self.heads} heads of width {self.head_dim} to d_model")
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, d_model: int, qk_width: int, dtype, **fields):
+        """A layer of fresh `init_normal` projections, drawn wq, wk, wv, wo:
+        q and k `qk_width` wide, v and the merged heads d_model wide."""
+        shapes = ((d_model, qk_width), (d_model, qk_width), (d_model, d_model), (d_model, d_model))
+        return cls(*(init_normal(rng, rows, cols, dtype) for rows, cols in shapes), **fields)
+
+    @property
+    def d_model(self) -> int:
+        return self.wq.shape[0]
+
+    @property
+    def head_dim(self) -> int:
+        return self.wv.shape[1] // self.heads
+
+    def project(self, u: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """(..., N, d_model) rows to (..., heads, N, width) queries, keys and values."""
+        if u.shape[-1] != self.d_model:
+            raise ShapeError(f"input width {u.shape[-1]} does not match d_model {self.d_model}")
+        return tuple(split_heads(matmul(u, w), self.heads) for w in (self.wq, self.wk, self.wv))
+
+    def merge(self, y: Tensor) -> Tensor:
+        """(..., heads, N, head_dim) outputs to (..., N, d_model) rows through wo."""
+        return matmul(merge_heads(y), self.wo)
+
+    def project_rows(self, un: np.ndarray) -> list[np.ndarray]:
+        """`project` without the graph or its check: (N, d_model) rows, or one
+        (d_model,) row as N = 1, to (heads, N, width) arrays."""
+        h = self.heads
+        if un.ndim == 1:  # a decode step's row: one reshape, as decode is bound by per-call overhead
+            return [(un @ w.data).reshape(h, 1, -1) for w in (self.wq, self.wk, self.wv)]
+        return [np.swapaxes((un @ w.data).reshape(len(un), h, w.shape[1] // h), 0, 1) for w in (self.wq, self.wk, self.wv)]
+
+    def merge_rows(self, y: np.ndarray) -> np.ndarray:
+        """`merge` without the graph: (heads, N, head_dim) to (N, d_model)."""
+        n = y.shape[1]  # at N = 1 (decode) one reshape merges the heads, no transpose needed
+        return (y.reshape(1, -1) if n == 1 else np.swapaxes(y, 0, 1).reshape(n, self.wo.shape[0])) @ self.wo.data
 
 
 def mul_rowscale(x: Tensor, s: Tensor) -> Tensor:

@@ -195,6 +195,12 @@ def test_validation_errors():
             b1=Tensor(np.zeros(8)), b2=Tensor(np.zeros(8)), b3=Tensor(np.zeros(4)),
             filt=Tensor(np.zeros((2, 7))),
         )
+    with pytest.raises(ShapeError, match="w1 must be 2-D"):  # was a bare ValueError from unpacking
+        bc.GatedBaseConv(
+            w1=Tensor(np.zeros(4)), w2=Tensor(np.zeros((4, 8))), w3=Tensor(np.zeros((8, 4))),
+            b1=Tensor(np.zeros(8)), b2=Tensor(np.zeros(8)), b3=Tensor(np.zeros(4)),
+            filt=Tensor(np.zeros((2, 8))),
+        )
 
 
 @pytest.mark.parametrize("taps", [1, 3, 5, 200])

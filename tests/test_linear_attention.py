@@ -289,6 +289,18 @@ def test_validation_errors():
         la.parallel_forward(params, Tensor(np.ones((4, 7))))
     with pytest.raises(ParameterError):
         make_params(decay=la.DecayConfig(np.array([0.9])))  # one gamma for two heads
+    weights = dict(wq=params.wq, wk=params.wk, wv=params.wv, wo=params.wo, kind=params.kind)
+    with pytest.raises(ParameterError, match="heads must be a positive integer"):  # was a later TypeError
+        la.LinAttnParams(**weights, heads=2.0)
+    with pytest.raises(ParameterError, match="must be two integers"):  # numpy's TypeError from the init draw
+        la.create(24, 2.0, 4)
+    with pytest.raises(ShapeError, match="wo"):  # was accepted, and the views returned 25-wide rows
+        la.LinAttnParams(**{**weights, "wo": Tensor(np.ones((24, 25)))}, heads=2)
+    # three mixing weights for two heads made the decode step raise numpy's broadcast error, and
+    # an f32 w_mix in an f64 layer decoded with mixed dtypes while prefill raised
+    for w_mix in (Tensor(np.ones((24, 3))), Tensor(np.ones((24, 2)), dtype=np.float32)):
+        with pytest.raises(ShapeError, match="w_mix"):
+            la.LinAttnParams(**weights, heads=2, decay=la.DecayConfig(la.default_decay_gammas(2), w_mix))
     batched = np.ones((2, 5, 24))  # the graph-free views take one (N, d_model) sequence
     with pytest.raises(ShapeError, match=r"chunked_forward: expected an \(N, 24\) input, got \(2, 5, 24\)"):
         la.chunked_forward(params, batched)

@@ -384,6 +384,36 @@ def test_checkpoint_round_trip(dtype, tmp_path):
     assert np.array_equal(model.forward(toks).data, loaded.forward(toks).data)
 
 
+def _section_names(raw: bytes) -> list[str]:
+    """The section names of a checkpoint file, in file order."""
+    off = 16 + struct.unpack_from("<Q", raw, 8)[0]  # past magic, format word and config
+    (count,), off = struct.unpack_from("<I", raw, off), off + 4
+    names = []
+    for _ in range(count):
+        (size,) = struct.unpack_from("<I", raw, off)
+        names.append(raw[off + 4:off + 4 + size].decode())
+        off += 4 + size
+        (ndim,) = struct.unpack_from("<Q", raw, off)
+        off += 8 + 8 * ndim + 8 * math.prod(struct.unpack_from(f"<{ndim}Q", raw, off + 8))
+    assert off == len(raw)
+    return names
+
+
+def test_checkpoint_sections_keep_their_order(tmp_path):
+    # an attention layer's tensors are its wq, wk, wv, wo, then decay's w_mix
+    model = md.build(tiny_config(layer_pattern="LS", use_decay=True, head_mixing=True))
+    md.train_mqar(model, mq.stream(make_task(), 2), md.TrainConfig(steps=2, batch_size=2, lr=1e-3))
+    path = tmp_path / "model.ckpt"
+    md.save_checkpoint(path, model)
+    loaded = md.load_checkpoint(path)
+    fields = (("norm", "wq", "wk", "wv", "wo", "w_mix"), ("norm", "wq", "wk", "wv", "wo"))
+    names = ["embedding", *(f"layers.{i}.{f}" for i, layer in enumerate(fields) for f in layer), "final_norm", "head"]
+    assert _section_names(path.read_bytes()) == names
+    assert [name for name, _ in loaded.named_parameters()] == names
+    for (_, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert q.dtype == p.dtype and np.array_equal(p.data, q.data)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

@@ -240,6 +240,12 @@ def test_validation_errors():
         sw.SwaParams(wq=eye(6), wk=eye(6), wv=eye(6), wo=eye(6), window=2, heads=4)
     with pytest.raises(ShapeError):  # odd head dim under rotary
         sw.SwaParams(wq=eye(3), wk=eye(3), wv=eye(3), wo=eye(3), window=2, heads=1, rotary=True)
+    with pytest.raises(ShapeError, match="wq must be 2-D"):  # was a bare IndexError
+        sw.SwaParams(wq=Tensor(np.ones(4)), wk=eye(4), wv=eye(4), wo=eye(4), window=2, heads=1)
+    with pytest.raises(ShapeError, match="wo"):  # was accepted, and the decode step failed in numpy
+        sw.SwaParams(wq=eye(4), wk=eye(4), wv=eye(4), wo=eye(6), window=2, heads=1)
+    with pytest.raises(ParameterError, match="heads must be a positive integer"):  # was a later TypeError
+        sw.SwaParams(wq=eye(4), wk=eye(4), wv=eye(4), wo=eye(4), window=2, heads=2.0)
     params = random_params()
     with pytest.raises(ShapeError):
         sw.swa_forward(params, Tensor(np.zeros((5, 9))))

@@ -177,6 +177,47 @@ def test_split_merge_heads_and_rowscale():
     assert np.array_equal(scaled.data[0, 1], np.full(4, 3.0))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_heads_rows_match_graph(dtype, heads, n):
+    # q and k 3 wide per head, v and the merged heads d_model = 4 * heads wide
+    rng = np.random.default_rng(heads * 10 + n)
+    d = 4 * heads
+    shell = T.Heads.draw(rng, d, 3 * heads, dtype, heads=heads)
+    un = rng.normal(size=(n, d)).astype(dtype)
+    rows = shell.project_rows(un)
+    for a, t in zip(rows, shell.project(Tensor(un))):
+        assert a.dtype == dtype and a.shape == t.shape and np.array_equal(a, t.data)
+    if n:  # a decode step's single row is the N = 1 case
+        for a, t in zip(shell.project_rows(un[0]), shell.project(Tensor(un[:1]))):
+            assert a.shape == t.shape and np.array_equal(a, t.data)
+    y = rng.normal(size=(heads, n, shell.head_dim)).astype(dtype)
+    merged = shell.merge_rows(y)
+    assert merged.dtype == dtype and merged.shape == (n, d)
+    assert np.array_equal(merged, T.matmul(T.merge_heads(Tensor(y)), shell.wo).data)
+
+
+def test_heads_validation():
+    w = lambda *shape: Tensor(np.ones(shape))
+    good = dict(wq=w(4, 6), wk=w(4, 6), wv=w(4, 4), wo=w(4, 4))
+    for heads in (0, 2.0, True):
+        with pytest.raises(ParameterError, match="heads must be a positive integer"):
+            T.Heads(**good, heads=heads)
+    for name, t in (("wq", w(4)), ("wk", w(4, 6, 1)), ("wv", w(4)), ("wo", w(16))):
+        with pytest.raises(ShapeError, match=f"{name} must be 2-D"):
+            T.Heads(**{**good, name: t}, heads=2)
+    with pytest.raises(ShapeError, match="wo must be 2-D in wq's dtype float64"):  # decode upcast it silently
+        T.Heads(**{**good, "wo": Tensor(np.ones((4, 4)), dtype=np.float32)}, heads=2)
+    for bad in (dict(wk=w(4, 8)), dict(wv=w(5, 4)), dict(wo=w(4, 5)), dict(wo=w(6, 4))):
+        with pytest.raises(ShapeError):
+            T.Heads(**{**good, **bad}, heads=2)
+    with pytest.raises(ShapeError, match="divide evenly"):
+        T.Heads(**good, heads=4)  # q and k 6 wide
+    with pytest.raises(ShapeError, match="does not match d_model"):
+        T.Heads(**good, heads=2).project(w(3, 5))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
