@@ -20,7 +20,7 @@ import numpy as np
 from . import feature_maps as fm
 from . import linear_attention as la
 from . import mqar as mq
-from .errors import ConfigError, ParameterError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, integer
 from .model import HybridModel, ModelConfig, TrainConfig, build, train_mqar
 from .tensor import Tensor
 
@@ -49,8 +49,7 @@ class ArchSpec:
         if canon is None:
             raise ConfigError(f"arch kind {self.kind!r}: expected one of {ARCH_KINDS}")
         object.__setattr__(self, "kind", canon)
-        if self.d < 1:
-            raise ConfigError(f"arch d={self.d}: must be >= 1")
+        integer(self.d, "arch d", 1, ConfigError)
         needed = {
             "Based": ("d_prime",),
             "Attention": ("n",),
@@ -60,9 +59,7 @@ class ArchSpec:
             "Hyena": ("n",),
         }[self.kind]
         for name in needed:
-            value = getattr(self, name)
-            if value is None or value < 1:
-                raise ConfigError(f"arch kind {self.kind}: field {name} is required and must be >= 1")
+            integer(getattr(self, name), f"arch kind {self.kind}: field {name} is required and", 1, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -74,6 +71,7 @@ class StateSizeReport:
 
 def state_size(spec: ArchSpec, bytes_per_element: int = DEFAULT_BYTES_PER_ELEMENT) -> StateSizeReport:
     """Recurrent-state scalar count for one architecture."""
+    integer(bytes_per_element, "state_size: bytes_per_element")
     if spec.kind == "Based":
         unique = fm.unique_dim(spec.d_prime)
         elements = (spec.d + 1) * unique
@@ -104,8 +102,7 @@ def model_state_size(config: ModelConfig, n_tokens: int) -> int:
     window layers hold 2 * head_dim * min(n, w) per head; conv layers hold
     the last taps - 1 layer-input rows.
     """
-    if n_tokens < 0:
-        raise ParameterError(f"n_tokens must be >= 0, got {n_tokens}")
+    integer(n_tokens, "model_state_size: n_tokens", 0)
     total = 0
     for ch in config.layer_pattern:
         if ch == "L":
@@ -166,9 +163,8 @@ def io_cost_prefill(
     """
     if mode not in ("baseline", "ours"):
         raise ConfigError(f"io mode {mode!r}: expected baseline or ours")
-    for name, value in (("b", b), ("h", h), ("n", n), ("d", d), ("d_prime", d_prime)):
-        if value < 1:
-            raise ParameterError(f"io_cost_prefill: {name} must be >= 1, got {value}")
+    for name, value in (("b", b), ("h", h), ("n", n), ("d", d), ("d_prime", d_prime), ("bytes_per_element", bytes_per_element)):
+        integer(value, f"io_cost_prefill: {name}")
     bhn = b * h * n
     width = fm.dims(fm.taylor_exp2(d_prime), 1 if pad_tile is None else pad_tile).padded
     savings = 2 * bhn * width
@@ -206,9 +202,8 @@ def io_cost_decode(
     pad_tile: int | None = None,
     state_resident: bool = True,
 ) -> DecodeCostReport:
-    for name, value in (("b", b), ("h", h), ("d", d), ("d_prime", d_prime)):
-        if value < 1:
-            raise ParameterError(f"io_cost_decode: {name} must be >= 1, got {value}")
+    for name, value in (("b", b), ("h", h), ("d", d), ("d_prime", d_prime), ("bytes_per_element", bytes_per_element)):
+        integer(value, f"io_cost_decode: {name}")
     width = fm.dims(fm.taylor_exp2(d_prime), 1 if pad_tile is None else pad_tile).padded
     per_token = b * h * (2 * width + 2 * d)
     state = b * h * width * d
@@ -312,8 +307,7 @@ def tradeoff_sweep(points: list[dict], bytes_per_element: int = DEFAULT_BYTES_PE
     jobs > 1, points run in isolated worker processes; the merge order is
     the input order either way.
     """
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    integer(jobs, "tradeoff_sweep: jobs")
     if jobs == 1 or len(points) <= 1:
         rows = [_run_point(p, bytes_per_element) for p in points]
     else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError, integer
 from .tensor import Tensor
 
 
@@ -96,8 +96,8 @@ def create_gated(
     dtype=np.float64,
 ) -> GatedBaseConv:
     """Fresh parameters: scaled-normal projections and filter, zero biases."""
-    if expand < 1 or taps < 1:
-        raise ParameterError(f"expand and taps must be >= 1, got {expand} and {taps}")
+    integer(expand, "create_gated: expand")
+    integer(taps, "create_gated: taps")
     rng = rng or np.random.default_rng(0)
     wide = expand * d_model
     def b(width):

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis
 from . import mqar as mq
 from . import theory
-from .errors import BasedLabError, ConfigError
+from .errors import BasedLabError, ConfigError, integer
 from .model import HybridModel, ModelConfig, TrainConfig, at_least, build, from_json, load_checkpoint, save_checkpoint, train_mqar
 
 log = logging.getLogger("basedlab")
@@ -342,10 +342,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         logging.basicConfig(level=_log_level(), stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        if args.seed is not None:
+            integer(args.seed, "--seed", 0, ConfigError)
+        integer(args.jobs, "--jobs", 1, ConfigError)
         config = parse_config(args.config, args.seed)
         return _HANDLERS[args.command][0](args, config)
     except (ConfigError, OSError) as err:  # OSError: a path that cannot be read or written, e.g. missing or a directory

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import numpy as np
 
 
 class BasedLabError(Exception):
@@ -35,3 +37,13 @@ class TrainingDiverged(BasedLabError):
     def __init__(self, step: int, message: str):
         super().__init__(message)
         self.step = step
+
+
+def integer(value, what: str, minimum: int = 1, error: type[BasedLabError] = ParameterError):
+    """`value` when it is an int or a numpy integer, not a bool, and at least
+    `minimum`; otherwise `error` naming `what`. Every size, count and
+    position argument in the package is checked here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        rule = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise error(f"{what} must be {rule}, got {value!r}")
+    return value

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, integer
 from .tensor import Tensor
 
 TAGS = ("TaylorExp2", "PosELU", "ReLU", "Square", "Identity")
@@ -39,9 +39,8 @@ class FeatureMapKind:
     def __post_init__(self):
         if self.tag not in TAGS:
             raise ParameterError(f"unknown feature map tag {self.tag!r}; expected one of {TAGS}")
-        if self.tag == "TaylorExp2":
-            if self.d_prime is None or self.d_prime < 1:
-                raise ParameterError(f"TaylorExp2 requires d_prime >= 1, got {self.d_prime}")
+        if self.d_prime is not None or self.tag == "TaylorExp2":
+            integer(self.d_prime, f"{self.tag}: d_prime")
 
 
 def taylor_exp2(d_prime: int) -> FeatureMapKind:
@@ -78,8 +77,7 @@ def feature_dim(kind: FeatureMapKind) -> int:
 
 def dims(kind: FeatureMapKind, tile: int = 1) -> DimReport:
     """Materialized / unique / padded widths; padding rounds up to `tile`."""
-    if tile < 1:
-        raise ParameterError(f"tile must be >= 1, got {tile}")
+    integer(tile, "dims: tile")
     unique = feature_dim(kind)
     materialized = 1 + kind.d_prime + kind.d_prime * kind.d_prime if kind.tag == "TaylorExp2" else unique
     padded = ((materialized + tile - 1) // tile) * tile

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import feature_maps as fm
 from . import tensor as T
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, integer
 from .tensor import Tensor
 
 
@@ -68,6 +68,8 @@ class LinAttnParams(T.Heads):
         super().__post_init__()
         if not (np.isfinite(self.eps) and self.eps > 0):
             raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
+        if self.kind.d_prime is not None and self.kind.d_prime != self.d_prime:
+            raise ShapeError(f"feature map {self.kind.tag} reads d_prime {self.kind.d_prime}, but q and k are {self.d_prime} wide per head")
         if self.decay is not None and self.decay.gamma.shape != (self.heads,):
             raise ParameterError(f"decay needs one gamma per head, got {self.decay.gamma.shape}")
         w_mix = None if self.decay is None else self.decay.w_mix
@@ -148,8 +150,7 @@ def attention_core(
     n = q.shape[-2]
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"attention_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
-    if isinstance(tile, bool) or not isinstance(tile, (int, np.integer)) or tile < 1:
-        raise ParameterError(f"attention_core: tile must be a positive integer, got {tile!r}")
+    integer(tile, "attention_core: tile")
     g = np.asarray(gamma, dtype=np.float64)
     if g.size > 1 and (q.ndim < 3 or q.shape[-3] != g.size):
         raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {q.shape}")

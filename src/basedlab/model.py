@@ -28,7 +28,7 @@ from . import feature_maps as fm
 from . import linear_attention as la
 from . import sliding_window as sw
 from . import tensor as T
-from .errors import ConfigError, InputError, TrainingDiverged
+from .errors import ConfigError, InputError, TrainingDiverged, integer
 from .mqar import MqarBatch, evaluate
 from .tensor import Tensor
 
@@ -121,11 +121,12 @@ def _fits(value, tp) -> bool:
 
 
 def at_least(config, section: str, minimum: int, names: tuple[str, ...]) -> None:
-    """ConfigError naming section.name for the first of `names` set below `minimum`."""
+    """ConfigError naming section.name for the first of the integer fields
+    `names` that is set but not an integer >= `minimum`."""
     for name in names:
         value = getattr(config, name)
-        if value is not None and value < minimum:
-            raise ConfigError(f"{section}.{name}: must be >= {minimum}, got {value}")
+        if value is not None:
+            integer(value, f"{section}.{name}:", minimum, ConfigError)
 
 
 @dataclass
@@ -176,6 +177,8 @@ class HybridModel:
     def forward(self, tokens: np.ndarray) -> Tensor:
         """Logits for (N,) or (batch, N) token ids."""
         tokens = np.asarray(tokens)
+        if tokens.ndim not in (1, 2):
+            raise InputError(f"forward: expected (N,) or (batch, N) token ids, got shape {tokens.shape}")
         if tokens.size == 0:
             raise InputError("forward: empty token sequence")
         if tokens.dtype.kind not in "iu":
@@ -208,8 +211,7 @@ class HybridModel:
 
     def decode(self, prefix: np.ndarray, n_new: int) -> np.ndarray:
         """Greedy continuation; ties resolve to the lowest token id."""
-        if isinstance(n_new, bool) or not isinstance(n_new, (int, np.integer)) or n_new < 0:
-            raise InputError(f"decode: n_new must be an integer >= 0, got {n_new!r}")
+        integer(n_new, "decode: n_new", 0, InputError)
         state = self.start_decode()
         logits = _step_all(state, prefix, "decode")[-1]
         out = []
@@ -305,9 +307,7 @@ class DecodeState:
     def step(self, token: int) -> np.ndarray:
         model = self.model
         cfg = model.config
-        if isinstance(token, bool) or not isinstance(token, (int, np.integer)):
-            raise InputError(f"decode: token id must be an integer, got {token!r}")
-        if not 0 <= token < cfg.vocab:
+        if integer(token, "decode: token id", 0, InputError) >= cfg.vocab:
             raise InputError(f"decode: token {token} outside [0, {cfg.vocab})")
         x = model.embedding.data[token].copy()
         for layer, cache in zip(model.layers, self.caches):
@@ -343,8 +343,11 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        at_least(self, "train", 0, ("steps", "lr", "min_lr", "eval_every"))
+        at_least(self, "train", 0, ("steps", "eval_every"))
         at_least(self, "train", 1, ("batch_size",))
+        for name in ("lr", "min_lr"):  # floats, so a plain range check
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"train.{name}: must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.warmup < 1:
             raise ConfigError(f"train.warmup: fraction in [0, 1), got {self.warmup}")
         if self.schedule not in ("cosine", "constant"):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, integer
 
 
 @dataclass(frozen=True)
@@ -29,26 +29,22 @@ class MqarConfig:
 
     def __post_init__(self):
         """Range checks; each message starts with the `task.<key>` it names."""
-        for name in ("num_keys", "num_values"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"task.{name}: must be >= 1, got {getattr(self, name)}")
-        lo, hi = self.pair_range
-        if lo < 1 or hi < lo:
-            raise ConfigError(f"task.kv_pairs: range ({lo}, {hi}) is empty or non-positive")
+        for name in ("num_keys", "num_values", "seq_len"):
+            integer(getattr(self, name), f"task.{name}:", 1, ConfigError)
+        integer(self.seed, "task.seed:", 0, ConfigError)
+        lo, hi = (integer(k, "task.kv_pairs:", 1, ConfigError) for k in self.pair_range)
+        if hi < lo:
+            raise ConfigError(f"task.kv_pairs: range ({lo}, {hi}) is empty")
         if hi > self.num_keys:
             raise ConfigError(f"task.kv_pairs: {hi} exceeds num_keys={self.num_keys}; keys are drawn without replacement")
         if hi > self.num_values:
             raise ConfigError(f"task.kv_pairs: {hi} exceeds num_values={self.num_values}; values are drawn without replacement")
         if 3 * hi > self.seq_len:
             raise ConfigError(f"task.seq_len: {self.seq_len} is shorter than the {3 * hi} slots kv_pairs={hi} needs")
-        if self.seed < 0:
-            raise ConfigError(f"task.seed: must be >= 0, got {self.seed}")
 
     @property
     def pair_range(self) -> tuple[int, int]:
-        if isinstance(self.kv_pairs, int):
-            return self.kv_pairs, self.kv_pairs
-        return self.kv_pairs
+        return tuple(self.kv_pairs) if isinstance(self.kv_pairs, (tuple, list)) else (self.kv_pairs,) * 2
 
     @property
     def pad_token(self) -> int:
@@ -104,8 +100,7 @@ def _fill_sequence(cfg: MqarConfig, rng: np.random.Generator, tokens, mask, targ
 
 def generate(cfg: MqarConfig, batch_size: int, rng: np.random.Generator | None = None) -> MqarBatch:
     """Draw a batch; deterministic in (cfg.seed, batch_size) when rng is None."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    integer(batch_size, "generate: batch_size", 1, ConfigError)
     rng = rng or np.random.default_rng(cfg.seed)
     tokens = np.full((batch_size, cfg.seq_len), cfg.pad_token, dtype=np.int64)
     mask = np.zeros((batch_size, cfg.seq_len), dtype=bool)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError, integer
 from .tensor import Tensor
 
 
@@ -33,8 +33,7 @@ class SwaParams(T.Heads):
 
     def __post_init__(self):
         super().__post_init__()
-        if isinstance(self.window, bool) or not isinstance(self.window, (int, np.integer)) or self.window < 1:
-            raise ParameterError(f"window must be a positive integer, got {self.window!r}")
+        integer(self.window, "window")
         if self.wq.shape[1] != self.wv.shape[1]:
             raise ShapeError("q, k, v projections must share output width")
         if self.rotary and self.head_dim % 2:
@@ -89,8 +88,7 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"window_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise ParameterError(f"window_core: window must be a positive integer, got {window!r}")
+    integer(window, "window_core: window")
     n, dtype = q.shape[-2], q.dtype
     c = min(WINDOW_TILE, max(n, 1))
     spans = [(s, min(s + c, n), max(0, s - window + 1)) for s in range(0, n, c)]

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, integer
 
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
 ROTARY_BASE = 10000.0
@@ -281,8 +281,8 @@ def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) 
 
 def init_normal(rng: np.random.Generator, rows: int, cols: int, dtype) -> Tensor:
     """Trainable (rows, cols) weight drawn from N(0, 0.02^2): the one parameter init."""
-    if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (rows, cols)):
-        raise ParameterError(f"weight shape ({rows!r}, {cols!r}) must be two integers >= 0")
+    for name, n in (("rows", rows), ("cols", cols)):
+        integer(n, f"init_normal: weight shape ({rows!r}, {cols!r}) must be two integers; {name}", 0)
     return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
 
 
@@ -364,8 +364,7 @@ class Heads:
     heads: int
 
     def __post_init__(self):
-        if isinstance(self.heads, bool) or not isinstance(self.heads, (int, np.integer)) or self.heads < 1:
-            raise ParameterError(f"heads must be a positive integer, got {self.heads!r}")
+        integer(self.heads, "heads")
         for name, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
             if w.ndim != 2 or w.dtype != self.wq.dtype:
                 raise ShapeError(f"{name} must be 2-D in wq's dtype {self.wq.dtype.name}, got {w.shape} {w.dtype.name}")

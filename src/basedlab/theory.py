@@ -11,12 +11,13 @@ arrays, so the degree audits read the polynomial the code computes.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import EncodingError, InputError, ParameterError
+from .errors import EncodingError, InputError, ParameterError, integer
 
 
 class Polynomial:
@@ -38,7 +39,7 @@ class Polynomial:
 
     @classmethod
     def const(cls, c: int) -> "Polynomial":
-        if not isinstance(c, (int, np.integer)):
+        if not isinstance(c, numbers.Integral):  # any sign, so not the size rule of `errors.integer`
             raise ParameterError(f"Polynomial coefficients must be integers, got {c!r}")
         return cls({(): int(c)})
 
@@ -162,8 +163,7 @@ def mqar_poly_symbolic(d: int) -> list[Polynomial]:
     Variables: ("k", c) key bits, ("v", c) value bits, ("q", c) query bits.
     Each output bit is multilinear of degree 2d + 1.
     """
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    integer(d, "mqar_poly_symbolic: d")
     return list(_recall_gate(_symbols("q", d), _symbols("k", d), _symbols("v", d)))
 
 
@@ -171,8 +171,8 @@ def mqar_poly_symbolic(d: int) -> list[Polynomial]:
 
 
 def _phot_base(p: int, c: int) -> int:
-    if p < 1 or c < 1:
-        raise ParameterError(f"need p >= 1 and c >= 1, got p={p} c={c}")
+    integer(p, "p-hot: p")
+    integer(c, "p-hot: c")
     base = round(c ** (1.0 / p))
     for candidate in (base - 1, base, base + 1):
         if candidate >= 1 and candidate**p == c:
@@ -184,7 +184,7 @@ def phot_encode(t: int, p: int, c: int) -> np.ndarray:
     """Encode token t as p concatenated one-hot blocks of its base-c^(1/p)
     digits, most significant digit first."""
     base = _phot_base(p, c)
-    if not 0 <= t < c:
+    if integer(t, "phot_encode: token", 0) >= c:
         raise ParameterError(f"token {t} outside [0, {c})")
     out = np.zeros(p * base, dtype=np.int64)
     rest = t
@@ -220,8 +220,7 @@ def eq_phot_poly(u1, u2, p: int) -> int:
     Accepts p-hot and almost-p-hot inputs (a block may be all zeros); a block
     with two or more ones is malformed.
     """
-    if p < 1:
-        raise ParameterError(f"need p >= 1, got p={p}")
+    integer(p, "eq_phot_poly: p")
     a = _as_bits(u1, "u1")
     b = _as_bits(u2, "u2")
     if a.shape != b.shape or a.ndim != 1:
@@ -243,8 +242,8 @@ def eq_phot_poly_symbolic(p: int, base: int) -> Polynomial:
     the block index, so block-exclusivity means no monomial reads the same
     side of the same block twice. Degree is exactly 2p.
     """
-    if p < 1 or base < 2:
-        raise ParameterError(f"need p >= 1 and base >= 2, got p={p} base={base}")
+    integer(p, "eq_phot_poly_symbolic: p")
+    integer(base, "eq_phot_poly_symbolic: base", 2)
     return _block_product(_symbols("a", p, base), _symbols("b", p, base))
 
 

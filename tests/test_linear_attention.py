@@ -294,6 +294,8 @@ def test_validation_errors():
         la.LinAttnParams(**weights, heads=2.0)
     with pytest.raises(ParameterError, match="must be two integers"):  # numpy's TypeError from the init draw
         la.create(24, 2.0, 4)
+    with pytest.raises(ShapeError, match="d_prime 8"):  # parallel_forward ran; recurrent and decode hit a broadcast error
+        la.create(8, 2, 4, kind=fm.FeatureMapKind("ReLU", 8))
     with pytest.raises(ShapeError, match="wo"):  # was accepted, and the views returned 25-wide rows
         la.LinAttnParams(**{**weights, "wo": Tensor(np.ones((24, 25)))}, heads=2)
     # three mixing weights for two heads made the decode step raise numpy's broadcast error, and

@@ -90,6 +90,9 @@ def test_forward_shapes_and_input_validation():
         model.forward(np.array([0, 12]))
     with pytest.raises(InputError):
         model.forward(np.array([-1]))
+    for ids in (np.array(1), np.zeros((2, 2, 3), dtype=np.int64)):  # a misleading ShapeError, and accepted
+        with pytest.raises(InputError, match=r"\(N,\) or \(batch, N\)"):
+            model.forward(ids)
     for ids in (np.array([1.5]), np.array([1.0, 2.0]), np.array([True, False])):
         with pytest.raises(InputError, match="integers"):
             model.forward(ids)
