@@ -12,10 +12,11 @@ back down:
 along the sequence. The filter is the layer's only context: a tile's output
 reads the taps - 1 layer-input rows before it, so each tile projects those
 rows and its own through W2 in one matmul, filters them, and runs the chain
-down to W3 one tile wide before the next tile starts. A call of one tile
-(every N <= CONV_TILE) keeps that tile's arrays, read-only, for the
-backward; a call of more tiles keeps only its inputs and output, and the
-backward reruns `_tile` per tile, so memory stays one tile wide. Either way
+down to W3 one tile wide before the next tile starts. A recorded call of one
+tile (every N <= CONV_TILE, outside `T.no_grad()`) keeps that tile's arrays,
+read-only, for the backward; a call of more tiles keeps only its inputs and
+output, and the backward reruns `_tile` per tile, so memory stays one tile
+wide. Either way
 it adds the context rows' gradient into the rows before the tile.
 Decode (`ConvCache`) holds exactly that context, the last taps - 1
 layer-input rows, and runs the same tile function on them plus the new row.
@@ -163,15 +164,16 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     spans = [(s, min(p.taps - 1, s)) for s in range(0, n, c)]
 
     out = np.empty(x.shape, u.dtype)
-    kept = None  # a call of one tile keeps its (pre, gate, silu', act) for the backward
+    keep = len(spans) == 1 and T.recording(u, *weights)
+    kept = None  # a recorded call of one tile keeps its (pre, gate, silu', act) for the backward
     for s, h in spans:
-        tile = _tile(p, x[:, s - h:s + c], h, grad=len(spans) == 1)
+        tile = _tile(p, x[:, s - h:s + c], h, grad=keep)
         _, gate, _, act = tile
-        if len(spans) == 1:
+        if keep:
             kept = tile
             for a in kept:
                 a.flags.writeable = False
-        gated = gate * act if kept else np.multiply(gate, act, out=gate)
+        gated = gate * act if keep else np.multiply(gate, act, out=gate)
         np.matmul(gated, p.w3.data, out=out[:, s:s + c])
     out += p.b3.data
 

@@ -11,9 +11,9 @@ tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
 plus the block S = [s | z] (z as its last column) carried from tile to tile,
 forward and backward. It takes the raw d'-wide q and k: the intra-tile
 scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
-A call of one tile keeps that tile's arrays for the backward; a call of more
-tiles keeps only its inputs and output, and the backward recomputes each
-tile with the forward's own tile code.
+A recorded call of one tile keeps that tile's arrays for the backward; a call
+of more tiles keeps only its inputs and output, and the backward recomputes
+each tile with the forward's own tile code.
 `chunked_forward` is the same core at tiles of `chunk` rows, run without a
 graph and counting the slices each tile reads and writes. `LinAttnState`, the
 decode cache, holds that block, so a cache is exactly the context the core
@@ -143,9 +143,10 @@ def attention_core(
     An optional `counter` dict adds up the sizes of the q, k, v slices each
     tile reads and the y slice it writes (keys q_read, k_read, v_read,
     y_write). The backward walks the tiles in reverse carrying dS. A call of
-    one tile keeps that tile's arrays for the backward; a call of more tiles
-    keeps only its inputs and output, and the backward reruns `sweep`, the
-    forward's own tile loop, so nothing of size N x F is ever stored.
+    one tile that `T.recording` keeps that tile's arrays for the backward; a
+    call of more tiles keeps only its inputs and output, and the backward
+    reruns `sweep`, the forward's own tile loop, so nothing of size N x F is
+    ever stored.
     """
     n = q.shape[-2]
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
@@ -180,13 +181,14 @@ def attention_core(
                 state = _fold(state, fold, fm.phi(kind, kt) * lift, vt)
 
     out, kept = np.empty(v.shape, dtype), []
+    keep = len(spans) == 1 and T.recording(q, k, v)
     for arrays in sweep():
         (s, e), _, _, ndt, vt = arrays
         yt = np.divide(ndt[..., :d], np.maximum(ndt[..., d:], eps), out=out[..., s:e, :])
         if counter is not None:
             for key, a in (("q_read", qd[..., s:e, :]), ("k_read", kd[..., s:e, :]), ("v_read", vt[..., :d]), ("y_write", yt)):
                 counter[key] = counter.get(key, 0) + a.size
-        if len(spans) == 1:
+        if keep:
             kept.append(arrays)
 
     def backward(grad):

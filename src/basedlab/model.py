@@ -6,8 +6,11 @@ Training runs the parallel (autodiff) paths; decoding runs constant-memory
 recurrent paths whose per-layer caches hold exactly the scalar counts the
 analysis module predicts.
 
-Leaf parameter buffers are mutated only by the optimizer between steps;
-every forward builds a fresh graph, so this never invalidates recorded ops.
+Leaf parameter buffers are replaced only by the optimizer between steps, after
+the backward. A forward whose every core holds N in one tile records its
+whole graph; a longer one records none, and its backward recomputes the
+forward with the graph (Chen et al. 2016's recompute, which the cores also
+run per tile), so after it only the logits are held.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .tensor import Tensor
 
 _NORM_EPS = 1e-6
 _DTYPES = {"f64": np.float64, "f32": np.float32}
+# layer kind -> the rows one tile of its core holds
+_TILES = {"L": la.CORE_TILE, "S": sw.WINDOW_TILE, "C": bc.CONV_TILE}
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,19 @@ class HybridModel:
     # -- forward ----------------------------------------------------------------
 
     def forward(self, tokens: np.ndarray) -> Tensor:
-        """Logits for (N,) or (batch, N) token ids."""
+        """Logits for (N,) or (batch, N) token ids.
+
+        When every core runs the N positions in one tile (N <= 64 with an L or
+        S layer, N <= 128 for C layers alone; every train shape) the forward
+        records its whole graph, and each core keeps its tile for the backward.
+        Past that it records none: it returns a tensor of one graph node whose
+        parents are the parameters, and whose backward reruns this forward on
+        a copy of the token ids with the graph recorded and backpropagates the
+        incoming gradient through it. That backward reads the parameters as
+        they are when it runs, so they must not be replaced between forward
+        and backward (`T.matmul`'s backward already reads them then). Under
+        `T.no_grad()` the forward returns a plain tensor with no graph.
+        """
         tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
             raise InputError(f"forward: expected (N,) or (batch, N) token ids, got shape {tokens.shape}")
@@ -185,6 +202,20 @@ class HybridModel:
             raise InputError(f"forward: token ids must be integers, got dtype {tokens.dtype}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab:
             raise InputError(f"forward: token outside [0, {self.config.vocab})")
+        if tokens.shape[-1] <= min(_TILES[layer.kind] for layer in self.layers):
+            return self._logits(tokens)
+        ids = tokens.copy()
+
+        def backward(grad):
+            with T.enable_grad():
+                T.backprop(self._logits(ids), grad)
+
+        with T.no_grad():
+            logits = self._logits(ids)
+        return T.from_op(logits.data, self.parameters(), backward)
+
+    def _logits(self, tokens: np.ndarray) -> Tensor:
+        """The forward's layers on checked token ids, recording the graph as `T.recording` says."""
         x = T.take_rows(self.embedding, tokens)
         for layer in self.layers:
             mixed = self._mix(layer, T.rms_norm(x, layer.norm, _NORM_EPS))

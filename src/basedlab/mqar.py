@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ConfigError, ShapeError, integer
 
 
@@ -32,6 +33,8 @@ class MqarConfig:
         for name in ("num_keys", "num_values", "seq_len"):
             integer(getattr(self, name), f"task.{name}:", 1, ConfigError)
         integer(self.seed, "task.seed:", 0, ConfigError)
+        if isinstance(self.kv_pairs, (tuple, list)) and len(self.kv_pairs) != 2:
+            raise ConfigError(f"task.kv_pairs: expected an integer or a (low, high) pair, got {self.kv_pairs!r}")
         lo, hi = (integer(k, "task.kv_pairs:", 1, ConfigError) for k in self.pair_range)
         if hi < lo:
             raise ConfigError(f"task.kv_pairs: range ({lo}, {hi}) is empty")
@@ -120,7 +123,8 @@ def stream(cfg: MqarConfig, batch_size: int):
 
 def _correct(model, batch: MqarBatch) -> np.ndarray:
     """Greedy hits: True where a query position's argmax is its target."""
-    logits = model.forward(batch.tokens)
+    with T.no_grad():
+        logits = model.forward(batch.tokens)
     pred = np.argmax(logits.data if hasattr(logits, "data") else logits, axis=-1)
     return (pred == batch.targets) & batch.query_mask
 

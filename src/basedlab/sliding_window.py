@@ -83,8 +83,9 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     context it carries in, under `_tile_mask`, through `_attend`.
     The backward walks the same tiles and adds into the slices of dk and dv
     they read, so nothing of size N x N is ever formed. A call of one tile
-    keeps its probabilities for the backward; a call of more tiles keeps
-    only its inputs and output, and the backward reruns `_attend` per tile.
+    that `T.recording` keeps its probabilities for the backward; a call of
+    more tiles keeps only its inputs and output, and the backward reruns
+    `_attend` per tile.
     """
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"window_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
@@ -101,9 +102,10 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
         return _attend(qd[..., s:e, :], kd[..., lo:e, :], vd[..., lo:e, :], mask, scale, out)[0]
 
     out, kept = np.empty(v.shape, dtype), []
+    keep = len(spans) == 1 and T.recording(q, k, v)
     for s, e, lo in spans:
         attn = attend(s, e, lo, out[..., s:e, :])
-        if len(spans) == 1:
+        if keep:
             kept.append(attn)
 
     def backward(grad):

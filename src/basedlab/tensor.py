@@ -4,13 +4,15 @@ Arrays are row-major numpy buffers (float64 by default, float32 on request).
 Every op returns a fresh tensor; tensors are never mutated once created, so
 the recorded graph stays valid. `backward` replays the graph in reverse
 execution order with plain sequential accumulation, which makes gradients
-bit-reproducible across runs. `Heads` is the one shell of the two attention
-layers: their four projections, checks and init, and the head split and
-merge, with and without the graph.
+bit-reproducible across runs. Inside `no_grad()` no op records a graph;
+`recording` is the one test of whether an op records. `Heads` is the one
+shell of the two attention layers: their four projections, checks and init,
+and the head split and merge, with and without the graph.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -24,6 +26,7 @@ from .errors import ParameterError, ShapeError, integer
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
 ROTARY_BASE = 10000.0
 _node_counter = itertools.count()
+_grad_enabled = True  # cleared inside `no_grad()`; `recording` reads it
 
 
 class Tensor:
@@ -77,12 +80,25 @@ class Tensor:
         """Accumulate gradients of this scalar into every reachable leaf."""
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar output, got shape {self.shape}")
-        if not self.requires_grad:
-            return
-        self.grad = np.ones_like(self.data)
-        for node in reversed(Graph.from_output(self).nodes):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        backprop(self, np.ones_like(self.data))
+
+
+def backprop(out: Tensor, grad: np.ndarray) -> None:
+    """Accumulate the gradients of `out`, seeded with `grad` of its shape,
+    into every reachable leaf. The graph's inner nodes start from no
+    gradient, so a second call adds the same gradients again."""
+    if np.shape(grad) != out.shape:
+        raise ShapeError(f"backprop: gradient of shape {np.shape(grad)} for an output of shape {out.shape}")
+    if not out.requires_grad:
+        return
+    nodes = Graph.from_output(out).nodes
+    for node in nodes:
+        if node._backward is not None:
+            node.grad = None
+    out.grad = grad
+    for node in reversed(nodes):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
 
 
 class Graph:
@@ -111,18 +127,46 @@ class Graph:
         return cls(nodes)
 
 
+@contextlib.contextmanager
+def _grad_mode(enabled: bool):
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, enabled
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
+def no_grad():
+    """Context in which no op records a graph; it nests, and restores the
+    mode it found on exit, an exception included."""
+    return _grad_mode(False)
+
+
+def enable_grad():
+    """Context in which ops record a graph again, even inside `no_grad()`."""
+    return _grad_mode(True)
+
+
+def recording(*parents: Tensor) -> bool:
+    """Whether an op on `parents` records a graph: outside `no_grad()`, and
+    when one of them requires grad."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def from_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result, recording the graph edge only when gradients flow.
 
     `backward` receives the upstream gradient and must call `accumulate`
-    on each parent that requires grad. Ops whose parents are all constant
-    produce a plain tensor with no graph attached.
+    on each parent that requires grad. Ops that are not `recording` (inside
+    `no_grad()`, or on constant parents) produce a plain tensor with no
+    graph attached.
     """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._seq = next(_node_counter)
-    if any(p.requires_grad for p in parents):
+    if recording(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

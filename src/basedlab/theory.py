@@ -148,9 +148,11 @@ def mqar_poly(u, i: int, j: int) -> np.ndarray:
     if mat.ndim != 2:
         raise InputError(f"u must be 2-D, got shape {mat.shape}")
     n = mat.shape[0]
-    for name, row in (("i", i), ("j", j), ("j+1", j + 1)):
-        if not 0 <= row < n:
-            raise IndexError(f"row {name}={row} out of range for {n} rows")
+    for name, row in (("i", i), ("j", j)):
+        integer(row, f"mqar_poly: row {name}", 0, InputError)
+    for name, row in (("i", i), ("j+1", j + 1)):  # j < j + 1, so this bounds j too
+        if row >= n:
+            raise InputError(f"mqar_poly: row {name}={row} out of range for {n} rows")
     if i <= j:
         raise ParameterError(f"query row i={i} must follow key row j={j}")
     return _recall_gate(mat[i], mat[j], mat[j + 1])

@@ -120,6 +120,27 @@ def test_cores_of_many_tiles_hold_only_their_output(traced):
     assert held < 3 * 2**20, held / 2**20
 
 
+def test_one_tile_cores_keep_their_tile_only_when_recording(traced):
+    # a recorded call of one tile keeps its arrays for the backward; under
+    # no_grad it holds its output alone, bit-identical to the recorded one,
+    # and the conv also multiplies its gate in place and skips the silu'
+    # rewrite, so its peak is one tile-wide (8, 64, 256) array lower
+    rng = np.random.default_rng(72)
+    conv = random_gated(64, 4, 3, seed=1)
+    for core, inputs in (
+        (lambda q, k, v: la.attention_core(q, k, v, 1e-12, 1.0, fm.taylor_exp2(16)), _core_inputs(rng, la.CORE_TILE, 16)),
+        (lambda q, k, v: sw.window_core(q, k, v, 8), _core_inputs(rng, sw.WINDOW_TILE, 64)),
+        (lambda u: bc.forward_gated(conv, u), [Tensor(rng.normal(size=(8, bc.CONV_TILE // 2, 64)), requires_grad=True)]),
+    ):
+        recorded, peak_recorded, held_recorded = traced(core, *inputs)
+        with T.no_grad():
+            plain, peak, held = traced(core, *inputs)
+        assert np.array_equal(plain.data, recorded.data) and not plain.requires_grad
+        assert held <= plain.data.nbytes + 4096, held
+        assert held_recorded > plain.data.nbytes + 2**16, held_recorded
+    assert peak_recorded - peak > 0.9 * 2**20, (peak_recorded, peak)
+
+
 @pytest.mark.parametrize("n", [la.CORE_TILE, 2 * la.CORE_TILE + 2], ids=["one-tile", "three-tiles"])
 def test_backward_recomputes_tiles_only_past_one(monkeypatch, n):
     # every train shape is one tile: its backward reads the forward's arrays

@@ -80,6 +80,8 @@ SITES = {
     },
     "state_size.bytes_per_element": (lambda x: an.state_size(an.ArchSpec("Based", d=8, d_prime=4), x), ParameterError, 1, 2),
     "tradeoff_sweep.jobs": (lambda x: an.tradeoff_sweep([], jobs=x), ParameterError, 1, 2),
+    "mqar_poly.i": (lambda x: th.mqar_poly(np.zeros((4, 2), int), x, 0), InputError, 0, 2),
+    "mqar_poly.j": (lambda x: th.mqar_poly(np.zeros((4, 2), int), 3, x), InputError, 0, 1),
     "mqar_poly_symbolic.d": (th.mqar_poly_symbolic, ParameterError, 1, 1),
     "phot_encode.p": (lambda x: th.phot_encode(0, x, 4), ParameterError, 1, 2),
     "phot_encode.c": (lambda x: th.phot_encode(0, 2, x), ParameterError, 1, 4),
@@ -122,3 +124,9 @@ def test_integer_returns_its_value_and_names_what_it_checks():
     for bad in (None, "2", np.float64(2.0), np.bool_(True), np.array([2])):
         with pytest.raises(ParameterError, match=r"^heads must be a positive integer, got "):
             integer(bad, "heads")
+
+
+@pytest.mark.parametrize("pairs", [(1, 2, 3), [4], ()])
+def test_kv_pairs_that_are_not_a_pair_raise_a_config_error(pairs):
+    with pytest.raises(ConfigError, match=r"^task\.kv_pairs: expected an integer or a \(low, high\) pair"):
+        mq.MqarConfig(8, 8, 24, pairs)

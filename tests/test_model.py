@@ -237,6 +237,113 @@ def test_patched_entry_points_are_called(monkeypatch):
     assert [key for key, count in calls.items() if count == 0] == []
 
 
+# -- past one tile: no graph in the forward, recompute in the backward ----------
+
+_EXTRAS = dict(use_decay=True, head_mixing=True, include_mlp=True, tie_embeddings=True)
+
+
+def _weighted_loss(logits, seed):
+    """sum(logits * w) for a fixed random w, so every logit's gradient differs."""
+    w = np.random.default_rng(seed).normal(size=logits.shape)
+    return T.sum_all(T.mul(logits, T.Tensor(w, dtype=logits.dtype)))
+
+
+def _grads(model):
+    return [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+
+
+def _zero(model):
+    for p in model.parameters():
+        p.grad = None
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("pattern, n", [("CLCS", 64), ("CLCS", 65), ("CLCS", 200), ("C", 129)])
+def test_forward_past_one_tile_matches_the_recorded_forward_bit_for_bit(pattern, n, dtype):
+    model = md.build(tiny_config(layer_pattern=pattern, dtype=dtype, **_EXTRAS))
+    tokens = np.random.default_rng(n).integers(0, 12, (2, n))
+    logits = model.forward(tokens)
+    nodes = T.Graph.from_output(logits).nodes
+    one_tile = n <= (bc.CONV_TILE if pattern == "C" else la.CORE_TILE)
+    assert (len(nodes) == len(model.parameters()) + 1) is not one_tile
+    _weighted_loss(logits, 1).backward()
+    got = _grads(model)
+    _zero(model)
+    recorded = model._logits(tokens)  # the forward the recompute runs
+    _weighted_loss(recorded, 1).backward()
+    assert np.array_equal(logits.data, recorded.data) and logits.dtype == recorded.dtype
+    for g, want in zip(got, _grads(model)):
+        assert np.array_equal(g, want)
+
+
+def test_grad_check_through_the_recompute():
+    model = md.build(tiny_config(d_model=8, layer_pattern="CLS", **_EXTRAS))
+    tokens = np.random.default_rng(3).integers(0, 12, (1, la.CORE_TILE + 6))
+    mixer = model.layers[1].mixer
+
+    def loss(wq):
+        mixer.wq = wq
+        logits = model.forward(tokens)
+        assert len(T.Graph.from_output(logits).nodes) == len(model.parameters()) + 1
+        return T.cross_entropy_masked(logits, tokens, np.ones(tokens.shape, bool))
+
+    assert T.grad_check(loss, mixer.wq) < 1e-6
+
+
+def test_long_forward_holds_only_its_logits(traced):
+    task = mq.MqarConfig(num_keys=256, num_values=256, seq_len=4096, kv_pairs=256)
+    model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=64, d_prime=16, window=64, layer_pattern="CLCS"))
+    tokens = mq.generate(task, 1).tokens
+    model.forward(tokens)  # fills the cached tables, such as rotary's 2 MB of turns
+    logits, _, held = traced(model.forward, tokens)
+    assert logits.requires_grad
+    assert held <= logits.data.nbytes + 2**20, held / 2**20
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_forward_under_no_grad_records_nothing(n):
+    model = md.build(tiny_config(layer_pattern="CLCS", **_EXTRAS))
+    tokens = np.random.default_rng(n).integers(0, 12, (2, n))
+    with T.no_grad():
+        logits = model.forward(tokens)
+    assert not logits.requires_grad and logits._parents == () and logits._backward is None
+    assert np.array_equal(logits.data, model.forward(tokens).data)
+
+
+@pytest.mark.parametrize("n", [40, 200])
+def test_backward_fills_gradients_inside_no_grad_and_adds_them_again(n):
+    model = md.build(tiny_config(layer_pattern="CLCS", **_EXTRAS))
+    tokens = np.random.default_rng(n).integers(0, 12, (2, n))
+    loss = _weighted_loss(model.forward(tokens), 2)
+    loss.backward()
+    first = _grads(model)
+    _zero(model)
+    with T.no_grad():
+        loss.backward()
+    for g, want in zip(_grads(model), first):
+        assert np.array_equal(g, want)
+    loss.backward()
+    for g, want in zip(_grads(model), first):
+        np.testing.assert_allclose(g, 2 * want, rtol=1e-12, atol=1e-300)
+
+
+def test_evaluation_records_no_graph(monkeypatch):
+    task = make_task()
+    model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=16, d_prime=4, layer_pattern="CLS"))
+    forward, recorded = model.forward, []
+
+    def spy(tokens):
+        logits = forward(tokens)
+        recorded.append(logits.requires_grad)
+        return logits
+
+    monkeypatch.setattr(model, "forward", spy)
+    batch = mq.generate(task, 4)
+    mq.evaluate(model, batch)
+    mq.accuracy_split(model, batch, 2)
+    assert recorded == [False, False]
+
+
 def make_task(seed=0):
     return mq.MqarConfig(num_keys=4, num_values=4, seq_len=12, kv_pairs=2, seed=seed)
 

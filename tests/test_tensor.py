@@ -231,6 +231,48 @@ def test_reuse_accumulates():
     assert np.allclose(x.grad, [4.0])
 
 
+def test_no_grad_nests_and_restores_the_mode_after_an_exception():
+    x = Tensor(np.ones(2), requires_grad=True)
+    assert T.recording(x) and not T.recording(Tensor(np.ones(2)))
+    with T.no_grad():
+        y = T.add(x, x)
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        with T.no_grad():
+            assert not T.recording(x)
+        assert not T.recording(x)
+        with T.enable_grad():
+            assert T.add(x, x).requires_grad
+        assert not T.recording(x)
+    assert T.add(x, x).requires_grad
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            with T.enable_grad():
+                raise RuntimeError
+    assert T.recording(x)
+
+
+def test_backprop_seeds_an_output_of_any_shape():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = T.mul(x, x)
+    T.backprop(y, np.array([3.0, 5.0]))
+    assert np.array_equal(x.grad, [6.0, 20.0])
+    with pytest.raises(ShapeError):
+        T.backprop(y, np.ones(3))
+
+
+def test_second_backward_adds_the_same_gradient_again():
+    # the inner nodes restart from no gradient, so each leaf gets g again, not a multiple growing with depth
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    loss = T.sum_all(T.silu(T.matmul(T.silu(T.matmul(x, w)), w)))
+    loss.backward()
+    first = x.grad.copy(), w.grad.copy()
+    loss.backward()
+    for got, want in zip((x.grad, w.grad), first):
+        np.testing.assert_allclose(got, 2 * want, rtol=1e-13)
+
+
 def test_mismatched_shapes_raise():
     with pytest.raises(ShapeError):
         T.mul(Tensor(np.ones(3)), Tensor(np.ones(4)))

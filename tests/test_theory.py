@@ -80,10 +80,12 @@ def test_mqar_poly_validation():
     u = np.zeros((4, 2), dtype=np.int64)
     with pytest.raises(ParameterError):
         th.mqar_poly(u, 1, 1)  # query must follow key
-    with pytest.raises(IndexError):
+    with pytest.raises(InputError, match="row j\\+1=4 out of range"):
         th.mqar_poly(u, 2, 3)  # value row j+1 = 4 is out of range
-    with pytest.raises(IndexError):
+    with pytest.raises(InputError, match="row i=5 out of range"):
         th.mqar_poly(u, 5, 0)
+    with pytest.raises(InputError, match="must be an integer >= 0"):
+        th.mqar_poly(u, 2.5, 0)
     with pytest.raises(InputError):
         th.mqar_poly(np.array([[0, 2]]), 0, 0)
     with pytest.raises(InputError):
