@@ -406,7 +406,9 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
     loss or gradient norm, naming the step, before the update. Returns
     {"metrics": [...], "final_loss": float} plus "final_accuracy" when an
     eval batch is given; each metrics entry holds the step, lr, loss, the
-    pre-clip global gradient norm and whether it was clipped.
+    pre-clip global gradient norm and whether it was clipped. Each step's
+    graph is dropped right after its backward, so only the parameters'
+    gradients outlive it, and no two steps' graphs are alive at once.
     """
     params = model.parameters()
     m_buf = [np.zeros_like(p.data) for p in params]
@@ -424,6 +426,7 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
         for p in params:
             p.grad = None
         loss.backward()
+        del logits, loss  # the step's graph goes before clipping, Adam and the next forward
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         if not math.isfinite(norm):
@@ -480,7 +483,8 @@ def load_checkpoint(path: str | Path) -> HybridModel:
 
     Raises ConfigError on a file that is not exactly one checkpoint: bad
     magic or format, a config that is not a UTF-8 JSON object, a section cut
-    short, misnamed, misshapen or non-finite, or bytes after the last section.
+    short, misnamed, repeated, misshapen or non-finite, or bytes after the
+    last section.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -511,6 +515,7 @@ def load_checkpoint(path: str | Path) -> HybridModel:
     if len(table) != n_params:
         raise ConfigError(f"{path}: checkpoint has {n_params} sections, model expects {len(table)}")
     dtype = _DTYPES[config.dtype]
+    loaded: set[str] = set()
     for _ in range(n_params):
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode(errors="replace")  # a name that is not UTF-8 matches no section
@@ -519,6 +524,9 @@ def load_checkpoint(path: str | Path) -> HybridModel:
         values = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
         if name not in table:
             raise ConfigError(f"{path}: unexpected parameter section {name!r}")
+        if name in loaded:
+            raise ConfigError(f"{path}: parameter section {name!r} appears twice")
+        loaded.add(name)
         if table[name].shape != tuple(shape):
             raise ConfigError(f"{path}: section {name!r} has shape {tuple(shape)}, model expects {table[name].shape}")
         if not np.isfinite(values).all():

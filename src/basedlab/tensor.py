@@ -84,11 +84,14 @@ class Tensor:
 
 
 def backprop(out: Tensor, grad: np.ndarray) -> None:
-    """Accumulate the gradients of `out`, seeded with `grad` of its shape,
-    into every reachable leaf. The graph's inner nodes start from no
-    gradient, so a second call adds the same gradients again."""
-    if np.shape(grad) != out.shape:
-        raise ShapeError(f"backprop: gradient of shape {np.shape(grad)} for an output of shape {out.shape}")
+    """Accumulate the gradients of `out`, seeded with `grad` (an ndarray of
+    its shape and dtype), into every reachable leaf. Only leaves keep a
+    gradient: each inner node's, the seeded output's included, is freed once
+    its op has passed it on, after every consumer has run. Inner nodes start
+    from no gradient, so a second call adds the same gradients again."""
+    if not isinstance(grad, np.ndarray) or grad.shape != out.shape:
+        raise ShapeError(f"backprop: {type(grad).__name__} seed of shape {np.shape(grad)} for an output of shape {out.shape}")
+    _check_same_dtype(grad, out, "backprop")
     if not out.requires_grad:
         return
     nodes = Graph.from_output(out).nodes
@@ -99,6 +102,7 @@ def backprop(out: Tensor, grad: np.ndarray) -> None:
     for node in reversed(nodes):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 class Graph:

@@ -327,6 +327,44 @@ def test_backward_fills_gradients_inside_no_grad_and_adds_them_again(n):
         np.testing.assert_allclose(g, 2 * want, rtol=1e-12, atol=1e-300)
 
 
+@pytest.mark.parametrize("n", [64, 200])
+def test_backward_leaves_gradients_only_on_the_parameters(n):
+    model = md.build(tiny_config(layer_pattern="CLCS", **_EXTRAS))
+    tokens = np.random.default_rng(n).integers(0, 12, (2, n))
+    loss = _weighted_loss(model.forward(tokens), 3)
+    loss.backward()
+    inner = [node for node in T.Graph.from_output(loss).nodes if node._backward is not None]
+    assert inner and all(node.grad is None for node in inner)
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_train_steps_never_hold_two_graphs(traced):
+    # train_cl's shape (criterion 06's recipe); keeping every inner gradient and
+    # the last step's graph through the next forward peaked at 24.5 MB
+    task = mq.MqarConfig(num_keys=32, num_values=32, seq_len=64, kv_pairs=8)
+    model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=64, heads=1, d_prime=16, window=8, layer_pattern="CL"))
+    tcfg = md.TrainConfig(steps=20, batch_size=8, lr=2e-3)
+    data = mq.stream(task, 8)
+    md.train_mqar(model, data, tcfg)  # warm-up segment: Adam's buffers, cached tables
+    _, peak, _ = traced(md.train_mqar, model, data, tcfg)
+    assert peak < 20 * 2**20, peak / 2**20
+
+
+def test_long_backward_frees_inner_gradients_as_it_replays(traced):
+    # one CLCS forward plus backward at N = 4096; keeping every gradient of the replayed graph peaked at 145 MB
+    model = md.build(md.ModelConfig(vocab=128, d_model=64, d_prime=16, window=64, layer_pattern="CLCS"))
+    tokens = np.random.default_rng(0).integers(0, 128, (1, 4096))
+    with T.no_grad():
+        model.forward(tokens)  # fills the cached tables, such as rotary's 2 MB of turns
+
+    def step():
+        T.sum_all(model.forward(tokens)).backward()
+
+    _, peak, _ = traced(step)
+    assert peak < 100 * 2**20, peak / 2**20
+    assert all(p.grad is not None for p in model.parameters())
+
+
 def test_evaluation_records_no_graph(monkeypatch):
     task = make_task()
     model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=16, d_prime=4, layer_pattern="CLS"))
@@ -494,19 +532,27 @@ def test_checkpoint_round_trip(dtype, tmp_path):
     assert np.array_equal(model.forward(toks).data, loaded.forward(toks).data)
 
 
-def _section_names(raw: bytes) -> list[str]:
-    """The section names of a checkpoint file, in file order."""
+def _sections(raw: bytes) -> tuple[bytes, list[tuple[str, bytes]]]:
+    """A checkpoint file split into its header (through the section count)
+    and its (name, bytes) sections, in file order."""
     off = 16 + struct.unpack_from("<Q", raw, 8)[0]  # past magic, format word and config
     (count,), off = struct.unpack_from("<I", raw, off), off + 4
-    names = []
+    header, sections = raw[:off], []
     for _ in range(count):
+        start = off
         (size,) = struct.unpack_from("<I", raw, off)
-        names.append(raw[off + 4:off + 4 + size].decode())
+        name = raw[off + 4:off + 4 + size].decode()
         off += 4 + size
         (ndim,) = struct.unpack_from("<Q", raw, off)
         off += 8 + 8 * ndim + 8 * math.prod(struct.unpack_from(f"<{ndim}Q", raw, off + 8))
+        sections.append((name, raw[start:off]))
     assert off == len(raw)
-    return names
+    return header, sections
+
+
+def _section_names(raw: bytes) -> list[str]:
+    """The section names of a checkpoint file, in file order."""
+    return [name for name, _ in _sections(raw)[1]]
 
 
 def test_checkpoint_sections_keep_their_order(tmp_path):
@@ -545,6 +591,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
     non_finite = path.read_bytes()
     md.save_checkpoint(path, md.build(tiny_config(heads=1, layer_pattern="CS")))
     odd_head = path.read_bytes().replace(b'"d_model":16', b'"d_model":17')
+    header, sections = _sections(bytes(raw))
+    blobs = dict(sections)
+    # the C layer's b3 (16,) replaced by a second copy of its norm (16,): b3 would keep its fresh init
+    repeated = header + b"".join(blobs["layers.0.norm"] if name == "layers.0.b3" else blob for name, blob in sections)
     for bad in (
         raw[:4] + bytes([99]) + raw[5:],  # unsupported format word
         raw[:-3],  # truncated inside the last section
@@ -557,10 +607,14 @@ def test_checkpoint_rejects_garbage(tmp_path):
         wrong_shape,  # embedding stored as (d_model, vocab)
         non_finite,  # an inf in the head
         odd_head,  # config of a rotary S layer with head dim 17
+        repeated,  # one section twice, another missing
     ):
         path.write_bytes(bytes(bad))
         with pytest.raises(ConfigError):
             md.load_checkpoint(path)
+    path.write_bytes(repeated)
+    with pytest.raises(ConfigError, match="'layers.0.norm' appears twice"):
+        md.load_checkpoint(path)
 
 
 # sha256 of save_checkpoint(build(config)); any change to the init draws shows here

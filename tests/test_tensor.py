@@ -260,6 +260,27 @@ def test_backprop_seeds_an_output_of_any_shape():
         T.backprop(y, np.ones(3))
 
 
+def test_backprop_rejects_a_seed_that_is_not_an_array_of_the_outputs_dtype():
+    for dtype, other in ((np.float64, np.float32), (np.float32, np.float64)):
+        x = Tensor(np.ones((3, 2)), requires_grad=True, dtype=dtype)
+        y = T.mul(x, x)
+        with pytest.raises(ShapeError, match="list"):
+            T.backprop(y, [[1, 1], [1, 1], [1, 1]])
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            T.backprop(y, np.ones((3, 2), dtype=other))
+        assert x.grad is None
+
+
+def test_backprop_leaves_gradients_only_on_leaves():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    loss = T.sum_all(T.silu(T.mul(T.mul(x, w), x)))
+    loss.backward()
+    inner = [node for node in T.Graph.from_output(loss).nodes if node._backward is not None]
+    assert len(inner) == 4 and all(node.grad is None for node in inner)
+    assert x.grad is not None and w.grad is not None
+
+
 def test_second_backward_adds_the_same_gradient_again():
     # the inner nodes restart from no gradient, so each leaf gets g again, not a multiple growing with depth
     rng = np.random.default_rng(5)
