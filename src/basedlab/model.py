@@ -406,9 +406,7 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
     loss or gradient norm, naming the step, before the update. Returns
     {"metrics": [...], "final_loss": float} plus "final_accuracy" when an
     eval batch is given; each metrics entry holds the step, lr, loss, the
-    pre-clip global gradient norm and whether it was clipped. Each step's
-    graph is dropped right after its backward, so only the parameters'
-    gradients outlive it, and no two steps' graphs are alive at once.
+    pre-clip global gradient norm and whether it was clipped.
     """
     params = model.parameters()
     m_buf = [np.zeros_like(p.data) for p in params]
@@ -425,8 +423,10 @@ def train_mqar(model: HybridModel, data, tcfg: TrainConfig, eval_batch: MqarBatc
             raise TrainingDiverged(step, f"non-finite loss at step {step}")
         for p in params:
             p.grad = None
+        # logits and loss keep the step's graph until the next forward has
+        # returned: dropping it here frees the whole step, so malloc hands the
+        # backward's scratch back to the OS and every backward faults it in again
         loss.backward()
-        del logits, loss  # the step's graph goes before clipping, Adam and the next forward
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
         norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         if not math.isfinite(norm):
