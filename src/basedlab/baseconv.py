@@ -19,7 +19,8 @@ output, and the backward reruns `_tile` per tile, so memory stays one tile
 wide. Either way
 it adds the context rows' gradient into the rows before the tile.
 Decode (`ConvCache`) holds exactly that context, the last taps - 1
-layer-input rows, and runs the same tile function on them plus the new row.
+layer-input rows, and runs the same tile function on them plus the new row,
+or on them plus a block of rows, one tile at a time.
 """
 
 from __future__ import annotations
@@ -209,8 +210,9 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
 
 class ConvCache:
     """Decode cache of `forward_gated`: the last taps - 1 layer-input rows,
-    oldest first, in the parameters' dtype (zeros are the causal padding).
-    Each step runs the core's tile on them plus the new row."""
+    oldest first, (..., taps - 1, d_model) in the parameters' dtype (zeros
+    are the causal padding). Each step runs the core's tile on them plus the
+    new row; a block runs it per CONV_TILE rows of the block."""
 
     def __init__(self, params: GatedBaseConv):
         self.params = params
@@ -222,8 +224,29 @@ class ConvCache:
     def step(self, x: np.ndarray) -> np.ndarray:
         """One (d_model,) layer-input row in, one output row out."""
         p = self.params
-        T.check_row(x, p.w1, "ConvCache.step")
+        T.check_row(x, p.w1, self.rows.shape[:-2], "ConvCache.step")
         rows = np.concatenate([self.rows, x[None, :]])
         _, gate, _, act = _tile(p, rows, len(self.rows))
         self.rows = rows[1:]
         return (gate[0] * act[0]) @ p.w3.data + p.b3.data
+
+    def block(self, x: np.ndarray) -> np.ndarray:
+        """Run a (..., c, d_model) block of layer-input rows through the
+        layer: `_tile` per CONV_TILE rows of [carried rows | block], each
+        reading the taps - 1 rows before it. Returns the (..., c, d_model)
+        output rows, bit-identical to `forward_gated`'s when the block starts
+        at a multiple of CONV_TILE; the rows take the block's leading dims."""
+        p = self.params
+        T.check_block(x, p.w1, self.rows.shape[:-2], "ConvCache.block")
+        n, h = x.shape[-2], p.taps - 1
+        lead = x.shape[:-2]
+        rows = np.concatenate([np.broadcast_to(self.rows, lead + self.rows.shape[-2:]), x], axis=-2)
+        rows = rows.reshape((math.prod(lead), h + n, p.d_model))
+        c = min(CONV_TILE, n)
+        out = np.empty((len(rows), n, p.d_model), x.dtype)
+        for s in range(0, n, c):
+            _, gate, _, act = _tile(p, rows[:, s:s + h + c], h)
+            np.matmul(np.multiply(gate, act, out=gate), p.w3.data, out=out[:, s:s + c])
+        out += p.b3.data
+        self.rows = rows[:, n:].reshape(lead + (h, p.d_model)).copy()
+        return out.reshape(x.shape)

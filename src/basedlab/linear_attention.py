@@ -18,9 +18,11 @@ each tile with the forward's own tile code.
 graph and counting the slices each tile reads and writes. `LinAttnState`, the
 decode cache, holds that block, so a cache is exactly the context the core
 carries between tiles; its `step` folds one token in with the core's own
-`_fold` and then reads it. The views agree to roundoff; optional per-head
-decay multiplies the state by gamma each step. Every view uses the Taylor
-map's unique-monomial layout, so the state width D is 1 + d' + d'(d'+1)/2.
+`_fold` and then reads it, and its `block` runs a block of rows through the
+core's own tile loop, `_sweep`, from the block it carries. The views agree
+to roundoff; optional per-head decay multiplies the state by gamma each
+step. Every view uses the Taylor map's unique-monomial layout, so the state
+width D is 1 + d' + d'(d'+1)/2.
 Every view projects and merges its heads through `T.Heads`, the shell it
 shares with the sliding-window layer.
 """
@@ -121,8 +123,50 @@ def _tile_decay(gamma: float | tuple[float, ...], c: int, dtype: np.dtype) -> tu
 def _fold(state, decay, keys: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The [s | z] block S after a tile, decay * S + keys^T [V | 1] (S unscaled
     when `decay` is None), with `keys` the tile's phi(K) lifted by
-    gamma^(c-1-j); written into `out` when given."""
-    return np.add(state if decay is None else decay * state, np.swapaxes(keys, -1, -2) @ v1, out=out)
+    gamma^(c-1-j); written into `out` when given. A one-row tile's product
+    is an outer product, formed by broadcasting: a k = 1 matmul has no sum to
+    reorder, so the two agree bit for bit."""
+    kv = keys[..., 0, :, None] * v1 if keys.shape[-2] == 1 else np.swapaxes(keys, -1, -2) @ v1
+    return np.add(state if decay is None else decay * state, kv, out=out)
+
+
+def _sweep(q: np.ndarray, k: np.ndarray, v: np.ndarray, kind: fm.FeatureMapKind, g: np.ndarray, tile: int, each,
+           state: np.ndarray | None = None, fold_last: bool = False):
+    """The core's tile loop over the second-to-last axis, in tiles of
+    c = min(tile, N) rows, from the carried [s | z] block `state` (None:
+    nothing carried). Each tile takes its exact quadratic form,
+    `fm.tile_scores` (1 + a + a^2/2 of the raw q.k for the Taylor map) under
+    the causal mask, plus carry * (phi(Q) S) of the S it carries in; `each`
+    gets its span, that S, its scores, [num | den] and [V | 1] rows. Then
+    the tile's keys fold into S, S <- gamma^m S + (lift phi(K))^T [V | 1]
+    for m rows, the ones column carrying z; after the last tile only with
+    `fold_last`. `g` is the float64 gamma, one or one per head. Returns the
+    last S."""
+    n, dtype = q.shape[-2], q.dtype
+    c = min(tile, max(n, 1))
+    mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
+    full = (g ** c).astype(dtype)[..., None, None]
+    ones = np.ones(v.shape[:-2] + (c, 1), dtype)
+    for s in range(0, n, c):
+        e = min(s + c, n)
+        m = e - s
+        qt, kt = q[..., s:e, :], k[..., s:e, :]
+        vt = np.concatenate([v[..., s:e, :], ones[..., :m, :]], axis=-1)
+        sc = fm.tile_scores(kind, qt, kt, mask[..., :m, :m])
+        ndt = sc @ vt
+        if state is not None:
+            ndt += carry[..., :m, :] * (fm.phi(kind, qt) @ state)
+        each(((s, e), state, sc, ndt, vt))
+        if e < n or fold_last:  # lift[c - m:] is gamma^(m-1-j), the lift of an m-row tile
+            decay = full if m == c else (g ** m).astype(dtype)[..., None, None]
+            state = _fold(0.0 if state is None else state, decay, fm.phi(kind, kt) * lift[..., c - m:, :], vt)
+    return state
+
+
+def _gammas(gamma) -> np.ndarray:
+    """The float64 decay of a core call: a scalar, or a vector of one per head."""
+    g = np.asarray(gamma, dtype=np.float64)
+    return g.reshape(-1 if g.size > 1 else ())
 
 
 def attention_core(
@@ -133,56 +177,36 @@ def attention_core(
 
     `kind` is phi, applied inside the core (the default Identity takes
     featurized inputs); `gamma` is a scalar or one decay per head (the
-    third-to-last axis). A loop over tiles of c = min(tile, N) positions:
-    each tile takes its exact quadratic form, `fm.tile_scores` (1 + a + a^2/2
-    of the raw q.k for the Taylor map) under the causal mask, plus
-    carry * (phi(Q) S) of the state S it carries in, writes its output rows,
-    then folds its keys into S, S <- gamma^c S + (lift phi(K))^T [V | 1]; the
-    ones column carries z as the last column of S. phi(Q) is formed from the
-    second tile on and phi(K) up to the second-to-last, so never at N <= tile.
-    An optional `counter` dict adds up the sizes of the q, k, v slices each
-    tile reads and the y slice it writes (keys q_read, k_read, v_read,
-    y_write). The backward walks the tiles in reverse carrying dS. A call of
-    one tile that `T.recording` keeps that tile's arrays for the backward; a
-    call of more tiles keeps only its inputs and output, and the backward
-    reruns `sweep`, the forward's own tile loop, so nothing of size N x F is
-    ever stored.
+    third-to-last axis). The forward is `_sweep`, a loop over tiles of
+    c = min(tile, N) positions, each writing its output rows from its
+    [num | den]. phi(Q) is formed from the second tile on and phi(K) up to
+    the second-to-last, so never at N <= tile. An optional `counter` dict
+    adds up the sizes of the q, k, v slices each tile reads and the y slice
+    it writes (keys q_read, k_read, v_read, y_write). The backward walks the
+    tiles in reverse carrying dS. A call of one tile that `T.recording`
+    keeps that tile's arrays for the backward; a call of more tiles keeps
+    only its inputs and output, and the backward reruns `_sweep`, so nothing
+    of size N x F is ever stored.
     """
     n = q.shape[-2]
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"attention_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     integer(tile, "attention_core: tile")
-    g = np.asarray(gamma, dtype=np.float64)
-    if g.size > 1 and (q.ndim < 3 or q.shape[-3] != g.size):
+    g = _gammas(gamma)
+    if g.ndim and (q.ndim < 3 or q.shape[-3] != g.size):
         raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {q.shape}")
-    g = g.reshape(-1 if g.size > 1 else ())
     qd, kd, vd = q.data, k.data, v.data
     for x in (qd, kd):
         fm.check(kind, x)
     d, dtype = v.shape[-1], q.dtype
     c = min(tile, max(n, 1))
-    spans = [(s, min(s + c, n)) for s in range(0, n, c)]
     mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
     fold = (g ** c).astype(dtype)[..., None, None]
-    ones = np.ones(v.shape[:-2] + (c, 1), dtype)
-
-    def sweep():
-        """Per tile in order: its span, the S it carries in, its scores, [num | den] and [V | 1] rows."""
-        state = 0.0
-        for s, e in spans:
-            qt, kt = qd[..., s:e, :], kd[..., s:e, :]
-            vt = np.concatenate([vd[..., s:e, :], ones[..., :e - s, :]], axis=-1)
-            sc = fm.tile_scores(kind, qt, kt, mask[..., :e - s, :e - s])
-            ndt = sc @ vt
-            if s:
-                ndt += carry[..., :e - s, :] * (fm.phi(kind, qt) @ state)
-            yield (s, e), state, sc, ndt, vt
-            if e < n:  # the last tile's fold would go unused
-                state = _fold(state, fold, fm.phi(kind, kt) * lift, vt)
 
     out, kept = np.empty(v.shape, dtype), []
-    keep = len(spans) == 1 and T.recording(q, k, v)
-    for arrays in sweep():
+    keep = 0 < n <= tile and T.recording(q, k, v)
+
+    def emit(arrays):
         (s, e), _, _, ndt, vt = arrays
         yt = np.divide(ndt[..., :d], np.maximum(ndt[..., d:], eps), out=out[..., s:e, :])
         if counter is not None:
@@ -191,10 +215,15 @@ def attention_core(
         if keep:
             kept.append(arrays)
 
+    _sweep(qd, kd, vd, kind, g, tile, emit)
+
     def backward(grad):
+        tiles = kept or []
+        if not tiles:
+            _sweep(qd, kd, vd, kind, g, tile, tiles.append)
         dq, dk, dv = np.empty_like(qd), np.empty_like(kd), np.empty_like(vd)
         dstate = 0.0  # gradient of the state the later tiles read
-        for (s, e), state, sc, ndt, vt in reversed(kept or list(sweep())):
+        for (s, e), state, sc, ndt, vt in reversed(tiles):
             qt, kt, gy = qd[..., s:e, :], kd[..., s:e, :], grad[..., s:e, :]
             num, den = ndt[..., :d], ndt[..., d]
             floored = np.maximum(den, eps)
@@ -234,19 +263,22 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
 
 
 class LinAttnState:
-    """Running state per head, s = [s | z] of shape (heads, D, head_dim + 1)
-    in the parameters' dtype: the KV state with the normalizer z as its last
-    column, the block `attention_core` carries between tiles.
+    """Running state per head, s = [s | z] of shape (..., heads, D,
+    head_dim + 1) in the parameters' dtype: the KV state with the normalizer
+    z as its last column, the block `attention_core` carries between tiles.
+    `t` counts the rows folded in.
 
     It is also the layer's constant-memory decode cache: `step` runs one
     layer-input row through the whole layer, folding it into s in place with
-    `_fold` and then reading s, the core's tile at N = 1 in the other order.
+    `_fold` and then reading s, the core's tile at N = 1 in the other order;
+    `block` runs a block of rows through the core's own `_sweep`.
     """
 
     def __init__(self, params: LinAttnParams):
         self.params = params
         self.s = np.zeros((params.heads, params.feature_width, params.head_dim + 1), params.wq.dtype)
         self.decay = None if params.decay is None else params.decay.gamma.astype(self.s.dtype)[:, None, None]
+        self.t = 0
 
     def scalar_count(self) -> int:
         return self.s.size
@@ -254,12 +286,38 @@ class LinAttnState:
     def step(self, x: np.ndarray) -> np.ndarray:
         """Project one (d_model,) row, advance the state, and return the output row."""
         p = self.params
-        T.check_row(x, p.wq, "LinAttnState.step")
+        T.check_row(x, p.wq, self.s.shape[:-3], "LinAttnState.step")
         q, k, v = p.project_rows(x)
+        phi_q, phi_k = fm.apply_numpy(p.kind, np.stack([q, k]))
         v1 = np.concatenate([v, np.ones((p.heads, 1, 1), v.dtype)], axis=-1)
-        _fold(self.s, self.decay, fm.apply_numpy(p.kind, k), v1, out=self.s)
-        nd = fm.apply_numpy(p.kind, q) @ self.s
+        _fold(self.s, self.decay, phi_k, v1, out=self.s)
+        self.t += 1
+        nd = phi_q @ self.s
         return _combine_heads_numpy(p, x[None], nd[..., :-1] / np.maximum(nd[..., -1:], p.eps))[0]
+
+    def block(self, x: np.ndarray) -> np.ndarray:
+        """Run a (..., c, d_model) block of layer-input rows through the
+        layer: `_sweep` at CORE_TILE rows, started from the carried block
+        and with the last tile's fold done. Returns the (..., c, d_model)
+        output rows, bit-identical to `parallel_forward`'s when the block
+        starts at a multiple of CORE_TILE; the state takes the block's
+        leading dims."""
+        p = self.params
+        T.check_block(x, p.wq, self.s.shape[:-3], "LinAttnState.block")
+        q, k, v = p.project_rows(x)
+        for a in (q, k):
+            fm.check(p.kind, a)
+        d = p.head_dim
+        y = np.empty(v.shape, v.dtype)
+
+        def emit(arrays):
+            (s, e), _, _, ndt, _ = arrays
+            np.divide(ndt[..., :d], np.maximum(ndt[..., d:], p.eps), out=y[..., s:e, :])
+
+        gamma = _gammas(1.0 if p.decay is None else p.decay.gamma)
+        self.s = _sweep(q, k, v, p.kind, gamma, CORE_TILE, emit, self.s if self.t else None, fold_last=True)
+        self.t += x.shape[-2]
+        return _combine_heads_numpy(p, x, y)
 
 
 def _rows(params: LinAttnParams, u: Tensor | np.ndarray, view: str) -> np.ndarray:
@@ -285,10 +343,10 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
 
 
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
-    """per_head_y is (heads, N, head_dim); parallel_forward's head mixing, then `merge_rows`, without the graph."""
+    """per_head_y is (..., heads, N, head_dim); parallel_forward's head mixing, then `merge_rows`, without the graph."""
     if params.decay is not None and params.decay.w_mix is not None:
         weights = T.softmax_np(un @ params.decay.w_mix.data)
-        per_head_y = per_head_y * np.swapaxes(weights, 0, 1)[:, :, None]
+        per_head_y = per_head_y * np.swapaxes(weights, -1, -2)[..., None]
     return params.merge_rows(per_head_y)
 
 

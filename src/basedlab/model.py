@@ -11,6 +11,14 @@ the backward. A forward whose every core holds N in one tile records its
 whole graph; a longer one records none, and its backward recomputes the
 forward with the graph (Chen et al. 2016's recompute, which the cores also
 run per tile), so after it only the logits are held.
+
+A forward that records no graph (under `T.no_grad()`, or the pass of a
+forward past one tile) streams: it walks the sequence in blocks of BLOCK
+rows, each through every layer before the next block starts, and each layer
+carries its context from block to block in its decode cache (`block`). So
+only one block's transients are alive at a time, and the logits equal the
+recorded forward's bit for bit. Decode runs the same layer loop one row at
+a time through each cache's `step`.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ _NORM_EPS = 1e-6
 _DTYPES = {"f64": np.float64, "f32": np.float32}
 # layer kind -> the rows one tile of its core holds
 _TILES = {"L": la.CORE_TILE, "S": sw.WINDOW_TILE, "C": bc.CONV_TILE}
+# rows per block of the streamed forward: a multiple of every tile above, so
+# each core keeps the recorded forward's tile boundaries
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -185,13 +196,15 @@ class HybridModel:
         When every core runs the N positions in one tile (N <= 64 with an L or
         S layer, N <= 128 for C layers alone; every train shape) the forward
         records its whole graph, and each core keeps its tile for the backward.
-        Past that it records none: it returns a tensor of one graph node whose
-        parents are the parameters, and whose backward reruns this forward on
-        a copy of the token ids with the graph recorded and backpropagates the
-        incoming gradient through it. That backward reads the parameters as
-        they are when it runs, so they must not be replaced between forward
-        and backward (`T.matmul`'s backward already reads them then). Under
-        `T.no_grad()` the forward returns a plain tensor with no graph.
+        Past that it records none: it streams (`_stream`) and returns a tensor
+        of one graph node whose parents are the parameters, and whose backward
+        reruns the recorded forward on a copy of the token ids and
+        backpropagates the incoming gradient through it. That backward reads
+        the parameters as they are when it runs, so they must not be replaced
+        between forward and backward (`T.matmul`'s backward already reads them
+        then). Under `T.no_grad()` the forward streams and returns a plain
+        tensor with no graph. Either way the logits equal the recorded
+        forward's bit for bit.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim not in (1, 2):
@@ -202,6 +215,9 @@ class HybridModel:
             raise InputError(f"forward: token ids must be integers, got dtype {tokens.dtype}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab:
             raise InputError(f"forward: token outside [0, {self.config.vocab})")
+        params = self.parameters()
+        if not T.recording(*params):
+            return T.from_op(self._stream(tokens), (), None)
         if tokens.shape[-1] <= min(_TILES[layer.kind] for layer in self.layers):
             return self._logits(tokens)
         ids = tokens.copy()
@@ -210,9 +226,7 @@ class HybridModel:
             with T.enable_grad():
                 T.backprop(self._logits(ids), grad)
 
-        with T.no_grad():
-            logits = self._logits(ids)
-        return T.from_op(logits.data, self.parameters(), backward)
+        return T.from_op(self._stream(ids), params, backward)
 
     def _logits(self, tokens: np.ndarray) -> Tensor:
         """The forward's layers on checked token ids, recording the graph as `T.recording` says."""
@@ -234,6 +248,25 @@ class HybridModel:
         if layer.kind == "S":
             return sw.swa_forward(layer.mixer, h)
         return bc.forward_gated(layer.mixer, h)
+
+    def _stream(self, tokens: np.ndarray) -> np.ndarray:
+        """`_logits`' values on checked token ids, with no graph and one
+        block's transients at a time: blocks of BLOCK rows, each through every
+        layer (`_layers`) before the next, the layers' decode caches carrying
+        the context. Bit-identical to `_logits` because blocks start at
+        multiples of BLOCK, no block has one row (numpy sends a one-row
+        product to gemv, which rounds differently, so a one-row tail joins
+        the block before it), and the head multiplies all N final-norm rows
+        at once, as blocks of that product also round differently."""
+        n = tokens.shape[-1]
+        caches = [_CACHES[layer.kind](layer.mixer) for layer in self.layers]
+        normed = np.empty(tokens.shape + (self.config.d_model,), self.embedding.dtype)
+        starts = list(range(0, n, BLOCK))
+        if n > 1 and n % BLOCK == 1:
+            starts.pop()
+        for s, e in zip(starts, starts[1:] + [n]):
+            normed[..., s:e, :] = _layers(self, self.embedding.data[tokens[..., s:e]], caches, "block")
+        return normed @ np.ascontiguousarray(_head(self))
 
     # -- decode -------------------------------------------------------------------
 
@@ -336,24 +369,37 @@ class DecodeState:
         return sum(c.scalar_count() for c in self.caches)
 
     def step(self, token: int) -> np.ndarray:
+        """The (vocab,) logits after one more token. It runs the streamed
+        forward's layer loop (`_layers`) on one row, through each cache's
+        one-row `step` rather than a one-row `block`: decode is bound by
+        per-call overhead, and `step` skips the block's tile loop and
+        concatenations (the L step folds, then reads, with no tile at all)."""
         model = self.model
-        cfg = model.config
-        if integer(token, "decode: token id", 0, InputError) >= cfg.vocab:
-            raise InputError(f"decode: token {token} outside [0, {cfg.vocab})")
-        x = model.embedding.data[token].copy()
-        for layer, cache in zip(model.layers, self.caches):
-            x = x + cache.step(_rms_row(x, layer.norm.data))
-            if layer.mlp is not None:
-                h = _rms_row(x, layer.mlp_norm.data)
-                inner = T.silu_np(h @ layer.mlp.w_gate.data) * (h @ layer.mlp.w_up.data)
-                x = x + inner @ layer.mlp.w_down.data
-        x = _rms_row(x, model.final_norm.data)
-        head = model.embedding.data.T if model.head is None else model.head.data
-        return x @ head
+        if integer(token, "decode: token id", 0, InputError) >= model.config.vocab:
+            raise InputError(f"decode: token {token} outside [0, {model.config.vocab})")
+        return _layers(model, model.embedding.data[token], self.caches, "step") @ _head(model)
 
 
-def _rms_row(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return x / math.sqrt(float((x * x).mean()) + _NORM_EPS) * w
+def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str) -> np.ndarray:
+    """The final-norm rows of layer-input rows `x` (the embeddings) after
+    every layer, without the graph: each mixer through its cache's `method`
+    ("block" or "step"), each norm, MLP and residual as `_logits` computes
+    it, so bit for bit."""
+    for layer, cache in zip(model.layers, caches):
+        x = x + getattr(cache, method)(_rms(x, layer.norm.data))
+        if layer.mlp is not None:
+            h = _rms(x, layer.mlp_norm.data)
+            x = x + (T.silu_np(h @ layer.mlp.w_gate.data) * (h @ layer.mlp.w_up.data)) @ layer.mlp.w_down.data
+    return _rms(x, model.final_norm.data)
+
+
+def _rms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return T.rms_np(x, _NORM_EPS)[0] * w
+
+
+def _head(model: HybridModel) -> np.ndarray:
+    """The (d_model, vocab) head: the embedding's transpose when tied."""
+    return model.embedding.data.T if model.head is None else model.head.data
 
 
 # -- training -------------------------------------------------------------------

@@ -5,10 +5,11 @@ and max-subtracted softmax. `window_core` computes it as a loop over tiles
 of WINDOW_TILE queries: each tile scores only its own keys plus the w - 1
 before it, the context it carries in, so a forward or backward costs
 O(N (c + w)) time and memory, never N x N. Each tile runs `_attend`, and so
-does a decode step, on the window `WindowCache` holds. Rotary position
-encoding uses absolute positions, so a decode step after cache eviction still
-reproduces the prefill output. Prefill and decode project and merge their
-heads through `T.Heads`, the shell shared with the linear-attention layer.
+do a decode step, on the window `WindowCache` holds, and each tile of that
+cache's `block`. Rotary position encoding uses absolute positions, so a
+decode step after cache eviction still reproduces the prefill output.
+Prefill and decode project and merge their heads through `T.Heads`, the
+shell shared with the linear-attention layer.
 """
 
 from __future__ import annotations
@@ -139,8 +140,9 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
 
 class WindowCache:
     """Shift buffer of the last min(t, w) rotated keys and values per head,
-    oldest first, in the parameters' dtype, like `bc.ConvCache`'s rows: the
-    context `window_core` carries into a tile. `t` is the next position."""
+    oldest first, (..., heads, min(t, w), head_dim) in the parameters' dtype,
+    like `bc.ConvCache`'s rows: the context `window_core` carries into a
+    tile. `t` is the next position."""
 
     def __init__(self, params: SwaParams):
         self.params = params
@@ -155,6 +157,34 @@ class WindowCache:
         """One (d_model,) layer-input row in, one output row out (`decode_step`)."""
         return decode_step(self.params, self, x)[1]
 
+    def block(self, x: np.ndarray) -> np.ndarray:
+        """Run a (..., c, d_model) block of layer-input rows, at positions
+        t..t+c-1, through the layer: `_attend` per WINDOW_TILE queries under
+        `_tile_mask`, over [carried keys | block keys]. Returns the
+        (..., c, d_model) output rows, bit-identical to `swa_forward`'s when
+        the block starts at a multiple of WINDOW_TILE; the buffers take the
+        block's leading dims."""
+        p = self.params
+        T.check_block(x, p.wq, self.k.shape[:-3], "WindowCache.block")
+        n, t, w, dtype = x.shape[-2], self.t, p.window, p.wq.dtype
+        q, k, v = p.project_rows(x)
+        if p.rotary:
+            q, k = T.rotary_from(q, t), T.rotary_from(k, t)
+        lead = x.shape[:-2]
+        keys, vals = (np.concatenate([np.broadcast_to(old, lead + old.shape[-3:]), new], axis=-2) for old, new in ((self.k, k), (self.v, v)))
+        first = t - self.k.shape[-2]  # the position of keys[..., 0, :]
+        y = np.empty(v.shape, dtype)
+        scale = 1.0 / math.sqrt(p.head_dim)
+        c = min(WINDOW_TILE, n)
+        for s in range(t, t + n, c):
+            e, lo = min(s + c, t + n), max(0, s - w + 1)
+            mask = _tile_mask(e - s, s - lo, w, dtype)
+            _attend(q[..., s - t:e - t, :], keys[..., lo - first:e - first, :], vals[..., lo - first:e - first, :], mask, scale, y[..., s - t:e - t, :])
+        held = min(t + n, w)
+        self.k, self.v = (a[..., a.shape[-2] - held:, :].copy() for a in (keys, vals))
+        self.t = t + n
+        return p.merge_rows(y)
+
 
 def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple[WindowCache, np.ndarray]:
     """Append one token's k, v, drop the key that left the window, and
@@ -162,13 +192,14 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
 
     `x_t` is the layer input row (d_model,); returns the cache (mutated in
     place; a cache is single-owner per decode stream) and the output row
-    after the output projection.
+    after the output projection. The cache must be one built for `params`.
     """
-    T.check_row(x_t, params.wq, "decode_step")
+    if cache.params is not params:
+        raise ShapeError("decode_step: the cache was built for another layer's parameters")
+    T.check_row(x_t, params.wq, cache.k.shape[:-3], "decode_step")
     q, k, v = params.project_rows(x_t)
-    if params.rotary:
-        q = T.rotary_np(q, cache.t)
-        k = T.rotary_np(k, cache.t)
+    if params.rotary:  # q and k stacked, so their turns are computed once
+        q, k = T.rotary_np(np.stack([q, k]), cache.t)
     drop = int(cache.k.shape[1] == params.window)
     cache.k = np.concatenate([cache.k[:, drop:], k], axis=1)
     cache.v = np.concatenate([cache.v[:, drop:], v], axis=1)

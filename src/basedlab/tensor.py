@@ -88,11 +88,13 @@ def backprop(out: Tensor, grad: np.ndarray) -> None:
     its shape and dtype), into every reachable leaf. Only leaves keep a
     gradient: each inner node's, the seeded output's included, is freed once
     its op has passed it on, after every consumer has run. Inner nodes start
-    from no gradient, so a second call adds the same gradients again."""
+    from no gradient, so a second call adds the same gradients again; a leaf
+    output takes `grad` as one more contribution, copied, like any leaf."""
     if not isinstance(grad, np.ndarray) or grad.shape != out.shape:
         raise ShapeError(f"backprop: {type(grad).__name__} seed of shape {np.shape(grad)} for an output of shape {out.shape}")
     _check_same_dtype(grad, out, "backprop")
-    if not out.requires_grad:
+    if out._backward is None:
+        accumulate(out, grad)
         return
     nodes = Graph.from_output(out).nodes
     for node in nodes:
@@ -196,10 +198,25 @@ def _check_same_dtype(a: Tensor | np.ndarray, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: mixed dtypes {a.dtype.name} and {b.dtype.name}")
 
 
-def check_row(x: np.ndarray, w: Tensor, where: str) -> None:
-    """ShapeError unless a decode step's input x is one row in the dtype of the input projection w."""
+def check_row(x: np.ndarray, w: Tensor, lead: tuple[int, ...], where: str) -> None:
+    """ShapeError unless a decode step's input x is one row in the dtype of
+    the input projection w, for a cache that holds no batch (its leading
+    dims `lead` are ())."""
     if not isinstance(x, np.ndarray) or x.shape != (w.shape[0],):
         raise ShapeError(f"{where} expects a ({w.shape[0]},) row, got {type(x).__name__} of shape {np.shape(x)}")
+    if lead:
+        raise ShapeError(f"{where}: one row for a cache that holds a batch of leading dims {lead}")
+    _check_same_dtype(x, w, where)
+
+
+def check_block(x: np.ndarray, w: Tensor, lead: tuple[int, ...], where: str) -> None:
+    """ShapeError unless a decode cache's block x is (..., c, d_model) rows,
+    c >= 1, in the dtype of the input projection w, with the leading dims
+    `lead` of a cache that already holds a batch (none when `lead` is ())."""
+    if not isinstance(x, np.ndarray) or x.ndim < 2 or x.shape[-1] != w.shape[0] or not x.shape[-2]:
+        raise ShapeError(f"{where} expects (..., c, {w.shape[0]}) rows with c >= 1, got {type(x).__name__} of shape {np.shape(x)}")
+    if lead and x.shape[:-2] != lead:
+        raise ShapeError(f"{where}: a block of leading dims {x.shape[:-2]} for a cache of {lead}")
     _check_same_dtype(x, w, where)
 
 
@@ -284,6 +301,13 @@ def _turn_table(n: int, d: int, dtype: np.dtype) -> np.ndarray:
     return table
 
 
+def _turn_rows(start: int, end: int, d: int, dtype: np.dtype) -> np.ndarray:
+    """Rows start..end-1 of the cached `_turn_table` of the power of two at
+    or above `end` rows, so all sequence lengths share a few tables (a row
+    does not depend on the table's length)."""
+    return _turn_table(1 << max(end - 1, 0).bit_length(), d, dtype)[start:end]
+
+
 def rotary_np(x: np.ndarray, positions) -> np.ndarray:
     """Rotary position encoding on a plain array: pair m of a width-d row at
     position p, read as x[2m] + i x[2m + 1], times exp(i p ROTARY_BASE^(-2m/d)).
@@ -292,6 +316,22 @@ def rotary_np(x: np.ndarray, positions) -> np.ndarray:
     pairs = _complex_pairs(x, "rotary_np")
     out = pairs * _turns(positions, x.shape[-1], pairs.dtype)
     return out.view(out.real.dtype)
+
+
+def rotary_from(x: np.ndarray, start: int) -> np.ndarray:
+    """`rotary` without the graph, of (..., c, d) rows at positions
+    start..start+c-1 (a window cache's block), through the same cached turns."""
+    pairs = _complex_pairs(x, "rotary_from")
+    return (pairs * _turn_rows(start, start + x.shape[-2], x.shape[-1], pairs.dtype)).view(x.dtype)
+
+
+def rms_np(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """x / r over the trailing axis of a plain array, and r = sqrt(mean(x^2) + eps)
+    (keepdims): `rms_norm`'s kernel, shared with the graph-free forward and
+    decode. A row's r stays a numpy scalar, which decode's per-call overhead
+    favours; the sum over d, then / d, equals `mean` bit for bit."""
+    r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=x.ndim > 1) / x.shape[-1] + eps)
+    return x / r, r
 
 
 def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -449,17 +489,19 @@ class Heads:
         return matmul(merge_heads(y), self.wo)
 
     def project_rows(self, un: np.ndarray) -> list[np.ndarray]:
-        """`project` without the graph or its check: (N, d_model) rows, or one
-        (d_model,) row as N = 1, to (heads, N, width) arrays."""
+        """`project` without the graph or its check: (..., N, d_model) rows, or
+        one (d_model,) row as N = 1, to contiguous (..., heads, N, width)
+        arrays, bit-identical to the graph's."""
         h = self.heads
         if un.ndim == 1:  # a decode step's row: one reshape, as decode is bound by per-call overhead
             return [(un @ w.data).reshape(h, 1, -1) for w in (self.wq, self.wk, self.wv)]
-        return [np.swapaxes((un @ w.data).reshape(len(un), h, w.shape[1] // h), 0, 1) for w in (self.wq, self.wk, self.wv)]
+        return [np.ascontiguousarray(np.swapaxes((un @ w.data).reshape(*un.shape[:-1], h, w.shape[1] // h), -2, -3)) for w in (self.wq, self.wk, self.wv)]
 
     def merge_rows(self, y: np.ndarray) -> np.ndarray:
-        """`merge` without the graph: (heads, N, head_dim) to (N, d_model)."""
-        n = y.shape[1]  # at N = 1 (decode) one reshape merges the heads, no transpose needed
-        return (y.reshape(1, -1) if n == 1 else np.swapaxes(y, 0, 1).reshape(n, self.wo.shape[0])) @ self.wo.data
+        """`merge` without the graph: (..., heads, N, head_dim) to (..., N, d_model)."""
+        if y.ndim == 3 and y.shape[1] == 1:  # a decode step: one reshape merges the heads, no transpose needed
+            return y.reshape(1, -1) @ self.wo.data
+        return np.swapaxes(y, -3, -2).reshape(*y.shape[:-3], y.shape[-2], self.wo.shape[0]) @ self.wo.data
 
 
 def mul_rowscale(x: Tensor, s: Tensor) -> Tensor:
@@ -533,9 +575,7 @@ def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:
     _check_same_dtype(x, w, "rms_norm")
     if w.ndim != 1 or x.shape[-1] != w.shape[0]:
         raise ShapeError(f"rms_norm: weight {w.shape} does not match input {x.shape}")
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    r = np.sqrt(ms + eps)
-    xhat = x.data / r
+    xhat, r = rms_np(x.data, eps)
     def backward(g):
         if x.requires_grad:
             gw = g * w.data
@@ -547,10 +587,11 @@ def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def rotary(x: Tensor) -> Tensor:
-    """`rotary_np` of (..., N, d) rows at positions 0..N-1, through one cached
-    (N, d/2) table of turns; the backward multiplies by their conjugates."""
+    """`rotary_np` of (..., N, d) rows at positions 0..N-1, through the first
+    N rows of a cached table of turns (`_turn_rows`); the backward
+    multiplies by their conjugates."""
     pairs = _complex_pairs(x.data, "rotary")
-    table = _turn_table(x.shape[-2], x.shape[-1], pairs.dtype)
+    table = _turn_rows(0, x.shape[-2], x.shape[-1], pairs.dtype)
     def backward(g):
         accumulate(x, (_complex_pairs(g, "rotary") * table.conj()).view(x.dtype))
     return from_op((pairs * table).view(x.dtype), (x,), backward)

@@ -277,3 +277,20 @@ def test_criterion_11_determinism(tmp_path):
     for out in ("g1", "g2"):
         assert main(["mqar-gen", "--config", str(config), "--out", str(tmp_path / out)]) == 0
     assert (tmp_path / "g1" / "batch_000.txt").read_bytes() == (tmp_path / "g2" / "batch_000.txt").read_bytes()
+
+
+def test_f32_train_artifacts_are_byte_identical(tmp_path):
+    # criterion 11's train config at f32: the same artifacts, byte for byte, on a second run
+    from basedlab.cli import main
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "task": {"num_keys": 4, "num_values": 4, "seq_len": 12, "kv_pairs": 2, "batch_size": 4},
+        "model": {"d_model": 16, "d_prime": 4, "layer_pattern": "CL", "window": 4, "dtype": "f32"},
+        "train": {"steps": 3, "batch_size": 4, "lr": 0.001},
+    }))
+    for out in ("t1", "t2"):
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+    assert json.loads((tmp_path / "t1" / "resolved-config.json").read_text())["model"]["dtype"] == "f32"
+    for name in ("metrics.csv", "report.json", "model.ckpt", "resolved-config.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name

@@ -415,3 +415,18 @@ def test_core_checks_raw_inputs():
     params.wk.data[0, 0] = np.nan
     with pytest.raises(NumericError, match="TaylorExp2: non-finite input"):
         la.parallel_forward(params, Tensor(np.ones((3, 24))))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("decayed", [False, True])
+def test_one_row_fold_equals_the_general_product_bit_for_bit(decayed, dtype):
+    rng = np.random.default_rng(21)
+    state = rng.normal(size=(2, 7, 5)).astype(dtype)
+    keys = rng.normal(size=(2, 1, 7)).astype(dtype)
+    v1 = rng.normal(size=(2, 1, 5)).astype(dtype)
+    decay = rng.uniform(0.5, 1.0, (2, 1, 1)).astype(dtype) if decayed else None
+    want = np.add(state if decay is None else decay * state, np.swapaxes(keys, -1, -2) @ v1)
+    got = la._fold(state, decay, keys, v1)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    la._fold(state, decay, keys, v1, out=state)
+    assert np.array_equal(state, want)

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from basedlab import analysis as an
 from basedlab import baseconv as bc
 from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
@@ -298,6 +299,84 @@ def test_long_forward_holds_only_its_logits(traced):
     logits, _, held = traced(model.forward, tokens)
     assert logits.requires_grad
     assert held <= logits.data.nbytes + 2**20, held / 2**20
+
+
+# -- the streamed forward: blocks of md.BLOCK rows through the decode caches -----
+
+
+def test_block_is_a_multiple_of_every_core_tile():
+    assert all(md.BLOCK % tile == 0 for tile in md._TILES.values())
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("pattern, n", [("CLCS", n) for n in (64, 65, 128, 129, 255, 256, 257, 385, 513, 1000)] + [("C", 129), ("C", 257)])
+def test_streamed_forward_matches_the_recorded_forward_bit_for_bit(pattern, n, dtype):
+    model = md.build(tiny_config(layer_pattern=pattern, dtype=dtype, **_EXTRAS))
+    tokens = np.random.default_rng(n).integers(0, 12, (2, n))
+    with T.no_grad():
+        streamed = model.forward(tokens).data
+    recorded = model._logits(tokens)
+    assert streamed.dtype == recorded.dtype and np.array_equal(streamed, recorded.data)
+    if n in (257, 385):  # and the recompute's gradients are the recorded forward's
+        _weighted_loss(model.forward(tokens), 4).backward()
+        got = _grads(model)
+        _zero(model)
+        _weighted_loss(recorded, 4).backward()
+        for g, want in zip(got, _grads(model)):
+            assert np.array_equal(g, want)
+
+
+def test_streamed_forward_peaks_at_a_few_blocks(traced):
+    # CLCS at N = 4096 with 16 logits a row: running each layer over all N rows at once peaked at 16.0 MB
+    model = md.build(md.ModelConfig(vocab=16, d_model=64, d_prime=16, window=64, layer_pattern="CLCS"))
+    tokens = np.random.default_rng(0).integers(0, 16, (1, 4096))
+    with T.no_grad():
+        model.forward(tokens)  # fills the cached tables, such as rotary's turns
+        _, peak, _ = traced(model.forward, tokens)
+    assert peak < 8 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+@pytest.mark.parametrize("kind", ["L", "S", "C"])
+def test_blocks_then_steps_match_steps_alone(kind, dtype, tol):
+    params, cache_class = _mixer(kind, dtype)
+    if kind == "L":  # with head mixing too
+        params.decay.w_mix = T.init_normal(np.random.default_rng(7), 8, 2, dtype)
+    rows = np.random.default_rng(8).normal(size=(40, 8)).astype(dtype)
+    stepped = cache_class(params)
+    want = np.stack([stepped.step(x) for x in rows])
+    fed = cache_class(params)
+    got = [fed.block(rows[:2]), fed.block(rows[2:3]), fed.block(rows[3:29])] + [fed.step(x)[None] for x in rows[29:]]
+    got = np.concatenate(got)
+    assert got.dtype == dtype and np.abs(got - want).max() < tol
+    assert fed.scalar_count() == stepped.scalar_count()
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_a_batched_block_holds_batch_times_the_model_state(n):
+    model = md.build(tiny_config(layer_pattern="CLSL", window=4, use_decay=True))
+    state = model.start_decode()
+    rows = np.random.default_rng(n).normal(size=(3, n, 16))
+    for cache in state.caches:
+        assert cache.block(rows).shape == rows.shape
+    assert state.scalar_count() == 3 * an.model_state_size(model.config, n)
+
+
+@pytest.mark.parametrize("kind", ["L", "S", "C"])
+def test_decode_caches_reject_a_wrong_block(kind):
+    params, cache_class = _mixer(kind, np.float64)
+    cache = cache_class(params)
+    for rows in (np.ones(8), np.ones((3, 5)), np.ones((0, 8)), [[1.0] * 8]):
+        with pytest.raises(ShapeError, match="rows"):
+            cache.block(rows)
+    with pytest.raises(ShapeError, match="mixed dtypes"):
+        cache.block(np.ones((3, 8), np.float32))
+    cache.block(np.ones((2, 3, 8)))
+    with pytest.raises(ShapeError, match="leading dims"):
+        cache.block(np.ones((4, 3, 8)))
+    with pytest.raises(ShapeError, match="holds a batch"):  # the L step used to fold the row into every stream
+        cache.step(np.ones(8))
+    assert cache.block(np.ones((2, 1, 8))).shape == (2, 1, 8)
 
 
 @pytest.mark.parametrize("n", [40, 200])

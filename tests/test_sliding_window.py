@@ -139,9 +139,20 @@ def test_rotary_table_is_cached_and_read_only():
     T.sum_all(sw.swa_forward(params, u)).backward()
     after = T._turn_table.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)  # q and k
-    table = T._turn_table(37, 4, np.dtype(np.complex128))
+    table = T._turn_table(64, 4, np.dtype(np.complex128))  # N = 37 reads the first 37 rows of the 64-row table
+    assert T._turn_table.cache_info().misses == after.misses
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
+
+
+def test_rotary_lengths_share_one_table_per_power_of_two():
+    # one table per sequence length held up to 32 of them: 16 long forwards and backwards at N = 3000..3015 held 24.6 MB
+    before = T._turn_table.cache_info().misses
+    for n in range(65, 129):
+        x = np.ones((2, n, 6))
+        assert np.array_equal(T.rotary(Tensor(x)).data, T.rotary_np(x, np.arange(n)))
+        assert np.array_equal(T.rotary_from(x[:, 60:], 60), T.rotary_np(x[:, 60:], np.arange(60, n)))
+    assert T._turn_table.cache_info().misses - before <= 1
 
 
 def test_decode_adds_no_rotary_cache_entry():
@@ -252,6 +263,11 @@ def test_validation_errors():
     cache = sw.WindowCache(params)
     with pytest.raises(ShapeError):
         sw.decode_step(params, cache, np.zeros(9))
+    # a cache built for another layer: a 1-head layer's failed inside np.concatenate, and
+    # one of the same shape attended over that layer's keys
+    for other in (random_params(heads=1), random_params(seed=1)):
+        with pytest.raises(ShapeError, match="another layer"):
+            sw.decode_step(params, sw.WindowCache(other), np.zeros(8))
 
 
 @pytest.mark.parametrize("window", [True, 0, -1, 2.5, "4"])

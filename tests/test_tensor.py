@@ -260,6 +260,27 @@ def test_backprop_seeds_an_output_of_any_shape():
         T.backprop(y, np.ones(3))
 
 
+def test_backprop_on_a_leaf_adds_a_copy_of_the_seed():
+    # a leaf output took the seed array itself, so two calls left g, not 2g, and x.grad aliased g
+    g = np.array([1.0, -2.0, 3.0])
+    x = Tensor(np.ones(3), requires_grad=True)
+    T.backprop(x, g)
+    T.backprop(x, g)
+    through = Tensor(np.ones(3), requires_grad=True)
+    y = T.mul(through, Tensor(np.ones(3)))
+    T.backprop(y, g)
+    T.backprop(y, g)
+    assert np.array_equal(x.grad, 2 * g) and np.array_equal(through.grad, 2 * g)
+    assert not np.shares_memory(x.grad, g)
+    fresh = Tensor(np.ones(3), requires_grad=True)
+    T.backprop(fresh, g)
+    g *= 5.0
+    assert np.array_equal(fresh.grad, [1.0, -2.0, 3.0])
+    constant = Tensor(np.ones(3))
+    T.backprop(constant, g)
+    assert constant.grad is None
+
+
 def test_backprop_rejects_a_seed_that_is_not_an_array_of_the_outputs_dtype():
     for dtype, other in ((np.float64, np.float32), (np.float32, np.float64)):
         x = Tensor(np.ones((3, 2)), requires_grad=True, dtype=dtype)
