@@ -16,9 +16,13 @@ A forward that records no graph (under `T.no_grad()`, or the pass of a
 forward past one tile) streams: it walks the sequence in blocks of BLOCK
 rows, each through every layer before the next block starts, and each layer
 carries its context from block to block in its decode cache (`block`). So
-only one block's transients are alive at a time, and the logits equal the
-recorded forward's bit for bit. Decode runs the same layer loop one row at
-a time through each cache's `step`.
+only a few blocks' transients are alive at a time, and the logits equal the
+recorded forward's bit for bit. The blocks run as a two-stage pipeline: the
+calling thread runs the first ceil(L/2) layers, one helper thread the rest
+and the final norm one block behind it, so a second core works while numpy
+and BLAS release the GIL. Each cache is touched by one thread only, in block
+order, so the arithmetic is that of a serial loop. Decode runs the same
+layer loop one row at a time through each cache's `step`, on one thread.
 """
 
 from __future__ import annotations
@@ -250,22 +254,50 @@ class HybridModel:
         return bc.forward_gated(layer.mixer, h)
 
     def _stream(self, tokens: np.ndarray) -> np.ndarray:
-        """`_logits`' values on checked token ids, with no graph and one
-        block's transients at a time: blocks of BLOCK rows, each through every
-        layer (`_layers`) before the next, the layers' decode caches carrying
-        the context. Bit-identical to `_logits` because blocks start at
-        multiples of BLOCK, no block has one row (numpy sends a one-row
-        product to gemv, which rounds differently, so a one-row tail joins
-        the block before it), and the head multiplies all N final-norm rows
-        at once, as blocks of that product also round differently."""
+        """`_logits`' values on checked token ids, with no graph and a few
+        blocks' transients at a time: blocks of BLOCK rows, each through every
+        layer (`_layers`), the layers' decode caches carrying the context.
+
+        The blocks run as a two-stage pipeline on two threads. The calling
+        thread runs block b through the first ceil(L/2) layers while one
+        helper thread runs block b-1 through the rest and the final norm, so
+        the two halves overlap where numpy and BLAS release the GIL. Each
+        cache is touched by one thread only, in block order, so each layer
+        sees the same rows as in a serial loop. The helper is joined before
+        this returns or raises, and an error on either thread surfaces here
+        with its own type (of two, the one a serial loop would meet first).
+
+        Bit-identical to `_logits` because blocks start at multiples of
+        BLOCK, no block has one row (numpy sends a one-row product to gemv,
+        which rounds differently, so a one-row tail joins the block before
+        it), and the head multiplies all N final-norm rows at once, on the
+        calling thread after the last block, as blocks of that product also
+        round differently."""
         n = tokens.shape[-1]
         caches = [_CACHES[layer.kind](layer.mixer) for layer in self.layers]
         normed = np.empty(tokens.shape + (self.config.d_model,), self.embedding.dtype)
         starts = list(range(0, n, BLOCK))
         if n > 1 and n % BLOCK == 1:
             starts.pop()
-        for s, e in zip(starts, starts[1:] + [n]):
-            normed[..., s:e, :] = _layers(self, self.embedding.data[tokens[..., s:e]], caches, "block")
+        half = -(-len(self.layers) // 2)
+        # imported on first use: concurrent.futures loads logging and queue, which
+        # would add 4 ms and a dozen modules to every `import basedlab`
+        from concurrent.futures import ThreadPoolExecutor
+
+        def finish(s: int, e: int, x: np.ndarray) -> None:
+            normed[..., s:e, :] = _layers(self, x, caches, "block", slice(half, None))
+
+        behind = None  # the helper's block, read before the next is handed over
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            try:
+                for s, e in zip(starts, starts[1:] + [n]):
+                    x = _layers(self, self.embedding.data[tokens[..., s:e]], caches, "block", slice(half), norm=False)
+                    if behind is not None:
+                        behind.result()
+                    behind = helper.submit(finish, s, e, x)
+            finally:  # also when this thread raised: block b-1's error comes first, as in a serial loop
+                if behind is not None:
+                    behind.result()
         return normed @ np.ascontiguousarray(_head(self))
 
     # -- decode -------------------------------------------------------------------
@@ -380,17 +412,17 @@ class DecodeState:
         return _layers(model, model.embedding.data[token], self.caches, "step") @ _head(model)
 
 
-def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str) -> np.ndarray:
-    """The final-norm rows of layer-input rows `x` (the embeddings) after
-    every layer, without the graph: each mixer through its cache's `method`
-    ("block" or "step"), each norm, MLP and residual as `_logits` computes
-    it, so bit for bit."""
-    for layer, cache in zip(model.layers, caches):
+def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str, part: slice = slice(None), norm: bool = True) -> np.ndarray:
+    """Rows `x` (the embeddings, or the output of the layers before `part`)
+    after the `part` of the layers, then the final norm if `norm`, without
+    the graph: each mixer through its cache's `method` ("block" or "step"),
+    each norm, MLP and residual as `_logits` computes it, so bit for bit."""
+    for layer, cache in zip(model.layers[part], caches[part]):
         x = x + getattr(cache, method)(_rms(x, layer.norm.data))
         if layer.mlp is not None:
             h = _rms(x, layer.mlp_norm.data)
             x = x + (T.silu_np(h @ layer.mlp.w_gate.data) * (h @ layer.mlp.w_up.data)) @ layer.mlp.w_down.data
-    return _rms(x, model.final_norm.data)
+    return _rms(x, model.final_norm.data) if norm else x
 
 
 def _rms(x: np.ndarray, w: np.ndarray) -> np.ndarray:

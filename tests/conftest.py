@@ -1,4 +1,4 @@
-"""Marks the two acceptance criteria that train real models as `slow`, and
+"""Marks the acceptance tests that train real models as `slow`, and
 gives the memory tests one way to measure a call.
 
 `pytest -m "not slow"` then runs everything else in seconds; plain `pytest`
@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-_SLOW = {"test_criterion_06_mqar_learnability", "test_criterion_07_tradeoff_monotonicity"}
+_SLOW = {"test_criterion_06_mqar_learnability", "test_criterion_06_recipe_holds_at_f32", "test_criterion_07_tradeoff_monotonicity"}
 
 
 def pytest_collection_modifyitems(items):

@@ -142,6 +142,25 @@ def test_criterion_06_mqar_learnability():
     assert time.perf_counter() - start < 600.0
 
 
+def test_criterion_06_recipe_holds_at_f32():
+    # ROADMAP item 3: f32 is the fast path, so criterion 06's recipe must clear the same bars in it
+    task = mq.MqarConfig(num_keys=32, num_values=32, seq_len=64, kv_pairs=8, seed=0)
+    tcfg = md.TrainConfig(steps=2000, batch_size=8, lr=2e-3)
+    eval_batch = mq.generate(task, 256, rng=np.random.default_rng(task.seed + 1))
+
+    based = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=64, heads=1, d_prime=16,
+                                    layer_pattern="CL", seed=0, dtype="f32"))
+    assert based.embedding.dtype == np.float32
+    assert md.train_mqar(based, mq.stream(task, tcfg.batch_size), tcfg, eval_batch)["final_accuracy"] >= 0.95
+
+    windowed = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=64, heads=1, window=8,
+                                       layer_pattern="CS", seed=0, dtype="f32"))
+    md.train_mqar(windowed, mq.stream(task, tcfg.batch_size), tcfg)
+    near, far = mq.accuracy_split(windowed, eval_batch, gap_threshold=8)
+    assert near >= 0.5
+    assert far <= 0.5 * near
+
+
 def test_criterion_07_tradeoff_monotonicity():
     task = mq.MqarConfig(num_keys=64, num_values=64, seq_len=64, kv_pairs=16, seed=0)
     tcfg = md.TrainConfig(steps=2000, batch_size=8, lr=2e-3)

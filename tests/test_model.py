@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from basedlab import model as md
 from basedlab import mqar as mq
 from basedlab import sliding_window as sw
 from basedlab import tensor as T
-from basedlab.errors import ConfigError, InputError, ParameterError, ShapeError, TrainingDiverged
+from basedlab.errors import ConfigError, InputError, NumericError, ParameterError, ShapeError, TrainingDiverged
 
 
 def tiny_config(**kw):
@@ -309,7 +310,8 @@ def test_block_is_a_multiple_of_every_core_tile():
 
 
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
-@pytest.mark.parametrize("pattern, n", [("CLCS", n) for n in (64, 65, 128, 129, 255, 256, 257, 385, 513, 1000)] + [("C", 129), ("C", 257)])
+@pytest.mark.parametrize("pattern, n", [("CLCS", n) for n in (64, 65, 128, 129, 255, 256, 257, 385, 513, 1000)]
+                         + [("C", 129), ("C", 257), ("CLS", 385), ("L", 257), ("S", 257)])
 def test_streamed_forward_matches_the_recorded_forward_bit_for_bit(pattern, n, dtype):
     model = md.build(tiny_config(layer_pattern=pattern, dtype=dtype, **_EXTRAS))
     tokens = np.random.default_rng(n).integers(0, 12, (2, n))
@@ -324,6 +326,18 @@ def test_streamed_forward_matches_the_recorded_forward_bit_for_bit(pattern, n, d
         _weighted_loss(recorded, 4).backward()
         for g, want in zip(got, _grads(model)):
             assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("pattern", ["LC", "CL"])
+def test_streamed_forward_raises_a_typed_error_from_either_half_and_leaves_no_thread(pattern):
+    # the L layer runs on the calling thread under "LC" and on the helper under "CL"
+    model = md.build(tiny_config(layer_pattern=pattern))
+    model.layers[pattern.index("L")].mixer.wq.data[0, 0] = np.nan
+    tokens = np.random.default_rng(0).integers(0, 12, (1, 513))
+    threads = threading.active_count()
+    with T.no_grad(), pytest.raises(NumericError, match="non-finite input"):
+        model.forward(tokens)
+    assert threading.active_count() == threads
 
 
 def test_streamed_forward_peaks_at_a_few_blocks(traced):
