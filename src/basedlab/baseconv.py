@@ -127,17 +127,18 @@ def forward_minimal(params: MinimalBaseConv, u: Tensor) -> Tensor:
 CONV_TILE = 128
 
 
-def _tile(p: GatedBaseConv, rows: np.ndarray, h: int, grad: bool = False):
+def _tile(p: GatedBaseConv, rows: np.ndarray, h: int, grad: bool = False, row: bool = False):
     """Steps 1-4 of the core on one tile: `rows` (..., h + c, d) are the
     tile's c layer-input rows after the h <= taps - 1 rows before them, its
     context. Returns pre = u W2 of all h + c rows, and for the tile's own
     rows gate = u W1 + b1, sig = sigmoid(conv) and the SiLU act = conv * sig
     of conv = filter(pre) + b2. With `grad`, sig is replaced in place by
-    silu'(conv) = sig + act (1 - sig), which is all the backward reads of it."""
+    silu'(conv) = sig + act (1 - sig), which is all the backward reads of it.
+    With `row` (a decode step's taps rows), conv is `T.causal_conv_row_np`'s."""
     gate = rows[..., h:, :] @ p.w1.data
     gate += p.b1.data
     pre = rows @ p.w2.data
-    conv = T.causal_conv_np(p.filt.data, pre)[..., h:, :]
+    conv = T.causal_conv_row_np(p.filt.data, pre) if row else T.causal_conv_np(p.filt.data, pre)[..., h:, :]
     conv += p.b2.data
     sig = T.sigmoid_np(conv)
     conv *= sig
@@ -222,13 +223,14 @@ class ConvCache:
         return self.rows.size
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """One (d_model,) layer-input row in, one output row out."""
+        """One (d_model,) layer-input row in, one output row out: `_tile`
+        filtering only the new row, bit for bit a one-row `block`."""
         p = self.params
         T.check_row(x, p.w1, self.rows.shape[:-2], "ConvCache.step")
         rows = np.concatenate([self.rows, x[None, :]])
-        _, gate, _, act = _tile(p, rows, len(self.rows))
+        _, gate, _, act = _tile(p, rows, len(self.rows), row=True)
         self.rows = rows[1:]
-        return (gate[0] * act[0]) @ p.w3.data + p.b3.data
+        return (gate[0] * act) @ p.w3.data + p.b3.data
 
     def block(self, x: np.ndarray) -> np.ndarray:
         """Run a (..., c, d_model) block of layer-input rows through the

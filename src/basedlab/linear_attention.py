@@ -288,7 +288,7 @@ class LinAttnState:
         p = self.params
         T.check_row(x, p.wq, self.s.shape[:-3], "LinAttnState.step")
         q, k, v = p.project_rows(x)
-        phi_q, phi_k = fm.apply_numpy(p.kind, np.stack([q, k]))
+        phi_q, phi_k = fm.apply_numpy(p.kind, np.concatenate([q, k])).reshape(2, p.heads, 1, -1)  # one call for q and k
         v1 = np.concatenate([v, np.ones((p.heads, 1, 1), v.dtype)], axis=-1)
         _fold(self.s, self.decay, phi_k, v1, out=self.s)
         self.t += 1

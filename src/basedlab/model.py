@@ -22,7 +22,7 @@ calling thread runs the first ceil(L/2) layers, one helper thread the rest
 and the final norm one block behind it, so a second core works while numpy
 and BLAS release the GIL. Each cache is touched by one thread only, in block
 order, so the arithmetic is that of a serial loop. Decode runs the same
-layer loop one row at a time through each cache's `step`, on one thread.
+layer loop on one row through one-row kernels that do only its work.
 """
 
 from __future__ import annotations
@@ -401,15 +401,15 @@ class DecodeState:
         return sum(c.scalar_count() for c in self.caches)
 
     def step(self, token: int) -> np.ndarray:
-        """The (vocab,) logits after one more token. It runs the streamed
-        forward's layer loop (`_layers`) on one row, through each cache's
-        one-row `step` rather than a one-row `block`: decode is bound by
-        per-call overhead, and `step` skips the block's tile loop and
-        concatenations (the L step folds, then reads, with no tile at all)."""
+        """The (vocab,) logits after one more token: `_layers` on one row,
+        its norms through `T.rms_row_np` and each mixer through its cache's
+        one-row `step` (decode is bound by per-call overhead). The C and S
+        steps equal a one-row `block` bit for bit but filter or attend only
+        the new row; the L step folds, then reads, with no tile at all."""
         model = self.model
         if integer(token, "decode: token id", 0, InputError) >= model.config.vocab:
             raise InputError(f"decode: token {token} outside [0, {model.config.vocab})")
-        return _layers(model, model.embedding.data[token], self.caches, "step") @ _head(model)
+        return _layers(model, model.embedding.data[token], self.caches, "step").dot(_head(model))
 
 
 def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str, part: slice = slice(None), norm: bool = True) -> np.ndarray:
@@ -426,7 +426,7 @@ def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str, part: 
 
 
 def _rms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return T.rms_np(x, _NORM_EPS)[0] * w
+    return T.rms_row_np(x, w, _NORM_EPS) if x.ndim == 1 else T.rms_np(x, _NORM_EPS)[0] * w
 
 
 def _head(model: HybridModel) -> np.ndarray:

@@ -65,12 +65,14 @@ def _tile_mask(rows: int, offset: int, window: int, dtype: np.dtype) -> np.ndarr
     return mask
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, scale: float, out: np.ndarray | None = None):
-    """softmax(q k^T * scale + mask) @ v over the last two axes, the output
-    written into `out` when given. Returns the probabilities and the output."""
-    attn = q @ np.swapaxes(k, -1, -2)
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None, scale: float, out: np.ndarray | None = None):
+    """softmax(q k^T * scale + mask) @ v over the last two axes (no mask when
+    None: a decode step's query sees every held key), the output written into
+    `out` when given. Returns the probabilities and the output."""
+    attn = q @ k.mT
     attn *= scale
-    attn += mask
+    if mask is not None:
+        attn += mask
     T.softmax_np(attn, out=attn)
     return attn, np.matmul(attn, v, out=out)
 
@@ -188,21 +190,19 @@ class WindowCache:
 
 def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple[WindowCache, np.ndarray]:
     """Append one token's k, v, drop the key that left the window, and
-    attend over the rest with the core's `_attend`, unmasked.
-
-    `x_t` is the layer input row (d_model,); returns the cache (mutated in
-    place; a cache is single-owner per decode stream) and the output row
-    after the output projection. The cache must be one built for `params`.
-    """
+    attend over the rest with the core's `_attend`, unmasked: bit for bit a
+    one-row `WindowCache.block`. `x_t` is the (d_model,) layer-input row;
+    returns the cache, mutated in place (one owner per decode stream), and the
+    output row. The cache must be one built for `params`."""
     if cache.params is not params:
         raise ShapeError("decode_step: the cache was built for another layer's parameters")
     T.check_row(x_t, params.wq, cache.k.shape[:-3], "decode_step")
     q, k, v = params.project_rows(x_t)
-    if params.rotary:  # q and k stacked, so their turns are computed once
-        q, k = T.rotary_np(np.stack([q, k]), cache.t)
+    if params.rotary:  # q and k joined along the heads, so their turns are computed once
+        q, k = T.rotary_np(np.concatenate([q, k]), cache.t).reshape(2, params.heads, 1, -1)
     drop = int(cache.k.shape[1] == params.window)
     cache.k = np.concatenate([cache.k[:, drop:], k], axis=1)
     cache.v = np.concatenate([cache.v[:, drop:], v], axis=1)
     cache.t += 1
-    _, y = _attend(q, cache.k, cache.v, 0.0, 1.0 / math.sqrt(params.head_dim))
+    _, y = _attend(q, cache.k, cache.v, None, 1.0 / math.sqrt(params.head_dim))
     return cache, params.merge_rows(y)[0]

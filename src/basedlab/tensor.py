@@ -327,11 +327,18 @@ def rotary_from(x: np.ndarray, start: int) -> np.ndarray:
 
 def rms_np(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """x / r over the trailing axis of a plain array, and r = sqrt(mean(x^2) + eps)
-    (keepdims): `rms_norm`'s kernel, shared with the graph-free forward and
-    decode. A row's r stays a numpy scalar, which decode's per-call overhead
-    favours; the sum over d, then / d, equals `mean` bit for bit."""
-    r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=x.ndim > 1) / x.shape[-1] + eps)
+    (keepdims): `rms_norm`'s kernel, shared with the graph-free forward. The
+    sum over d, then / d, equals `mean` bit for bit."""
+    r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
     return x / r, r
+
+
+def rms_row_np(x: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
+    """`rms_np(x, eps)[0] * w` of one (d,) row, bit for bit, in four numpy calls
+    (decode is bound by per-call overhead): r in scalar math, where a float32
+    r is the float64 root rounded once more, i.e. the float32 root."""
+    out = x * x
+    return np.multiply(np.divide(x, math.sqrt(np.add.reduce(out) / x.shape[-1] + eps), out=out), w, out=out)
 
 
 def softmax_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -351,6 +358,12 @@ def causal_conv_np(filt: np.ndarray, x: np.ndarray) -> np.ndarray:
     for t in range(1, min(filt.shape[0], c)):
         out[..., t:, :] += filt[t] * x[..., :c - t, :]
     return out
+
+
+def causal_conv_row_np(filt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The last row of `causal_conv_np(filt, x)` for x of taps rows, bit for
+    bit: a reduction over the first axis adds the taps in the kernel's order."""
+    return np.add.reduce(filt * x[::-1], axis=0)
 
 
 def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,14 +506,14 @@ class Heads:
         one (d_model,) row as N = 1, to contiguous (..., heads, N, width)
         arrays, bit-identical to the graph's."""
         h = self.heads
-        if un.ndim == 1:  # a decode step's row: one reshape, as decode is bound by per-call overhead
-            return [(un @ w.data).reshape(h, 1, -1) for w in (self.wq, self.wk, self.wv)]
+        if un.ndim == 1:  # a decode step's row, bound by per-call overhead: one reshape, and `dot` (the same gemv) skips matmul's set-up
+            return [un.dot(w.data).reshape(h, 1, -1) for w in (self.wq, self.wk, self.wv)]
         return [np.ascontiguousarray(np.swapaxes((un @ w.data).reshape(*un.shape[:-1], h, w.shape[1] // h), -2, -3)) for w in (self.wq, self.wk, self.wv)]
 
     def merge_rows(self, y: np.ndarray) -> np.ndarray:
         """`merge` without the graph: (..., heads, N, head_dim) to (..., N, d_model)."""
         if y.ndim == 3 and y.shape[1] == 1:  # a decode step: one reshape merges the heads, no transpose needed
-            return y.reshape(1, -1) @ self.wo.data
+            return y.reshape(1, -1).dot(self.wo.data)
         return np.swapaxes(y, -3, -2).reshape(*y.shape[:-3], y.shape[-2], self.wo.shape[0]) @ self.wo.data
 
 

@@ -339,3 +339,17 @@ def test_conv_cache_steps_match_the_core():
             assert stepped.dtype == dtype, (taps, dtype)
             assert np.abs(stepped - want).max() <= rel * np.abs(want).max(), (taps, dtype)
             assert cache.scalar_count() == (taps - 1) * params.d_model
+
+
+def test_conv_cache_step_equals_a_one_row_block():
+    # the step filters only its new row (T.causal_conv_row_np), a one-row block all taps rows (T.causal_conv_np)
+    x = np.random.default_rng(29).normal(size=(7, 5))
+    for taps in (1, 2, 4):
+        for dtype in (np.float64, np.float32):
+            params = random_gated(5, 2, taps, seed=30 + taps, dtype=dtype)
+            cache, twin = bc.ConvCache(params), bc.ConvCache(params)
+            for row in x.astype(dtype):
+                twin.rows = cache.rows.copy()
+                got = cache.step(row)
+                assert got.dtype == dtype and np.array_equal(got, twin.block(row[None])[0]), (taps, dtype)
+                assert cache.rows.shape == (taps - 1, 5) and np.array_equal(cache.rows, twin.rows), (taps, dtype)

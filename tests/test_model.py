@@ -147,6 +147,28 @@ def test_f32_decode_stays_f32(pattern, use_decay):
     assert model.decode_logits(np.arange(4)).dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("rotary", [True, False])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("pattern", ["L", "S"])
+def test_decode_past_two_windows_matches_the_streamed_forward(pattern, heads, rotary, dtype):
+    # the one-row steps at one and four heads, t up to 3w + 1: logits as the streamed forward's, state as analysis says
+    config = tiny_config(layer_pattern=pattern, heads=heads, window=3, rotary=rotary, dtype=dtype)
+    model = md.build(config)
+    for p in model.parameters():
+        if p.ndim == 2:
+            p.data *= 10.0  # attention far from uniform, so rotary and the window move the logits
+    tokens = np.random.default_rng(heads).integers(0, 12, size=10)
+    with T.no_grad():
+        want = model.forward(tokens).data
+    state = model.start_decode()
+    for t, token in enumerate(tokens):
+        got = state.step(token)
+        assert state.scalar_count() == an.model_state_size(config, t + 1), t
+        assert got.dtype == want.dtype
+        assert np.abs(got - want[t]).max() <= (1e-9 if dtype == "f64" else 1e-5) * np.abs(want).max(), t
+
+
 @pytest.mark.parametrize("kind", ["L", "S", "C"])
 def test_decode_caches_reject_a_wrong_row(kind):
     model = md.build(tiny_config(d_model=8, layer_pattern=kind))
@@ -326,6 +348,16 @@ def test_streamed_forward_matches_the_recorded_forward_bit_for_bit(pattern, n, d
         _weighted_loss(recorded, 4).backward()
         for g, want in zip(got, _grads(model)):
             assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_streamed_forward_of_one_token_matches_the_recorded_forward(dtype):
+    # a lone (1,) sequence merges its heads through `T.Heads.merge_rows`' one-row path (`dot`), as decode does
+    model = md.build(tiny_config(layer_pattern="CLS", dtype=dtype, **_EXTRAS))
+    for token in range(12):
+        with T.no_grad():
+            streamed = model.forward(np.array([token])).data
+        assert np.array_equal(streamed, model._logits(np.array([token])).data), token
 
 
 @pytest.mark.parametrize("pattern", ["LC", "CL"])

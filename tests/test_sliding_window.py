@@ -190,6 +190,20 @@ def test_decode_matches_prefill():
             assert np.abs(y - prefill[t]).max() < 1e-9
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("rotary", [True, False])
+def test_decode_step_equals_a_one_row_block(rotary, heads, dtype):
+    # the step attends over every held key with no mask; a one-row block under its all-zero tile mask
+    params = sw.create(16, heads, 5, rotary=rotary, rng=np.random.default_rng(heads), dtype=dtype)
+    cache, twin = sw.WindowCache(params), sw.WindowCache(params)
+    for x in np.random.default_rng(14).normal(size=(13, 16)).astype(dtype):
+        twin.k, twin.v, twin.t = cache.k.copy(), cache.v.copy(), cache.t
+        got = cache.step(x)
+        assert got.dtype == dtype and np.array_equal(got, twin.block(x[None])[0]), cache.t
+        assert np.array_equal(cache.k, twin.k) and np.array_equal(cache.v, twin.v)
+
+
 def test_decode_without_rotary_matches_prefill():
     params = random_params(d_model=8, heads=2, window=3, rotary=False, seed=9)
     u = np.random.default_rng(6).normal(size=(10, 8))

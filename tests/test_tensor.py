@@ -70,6 +70,22 @@ def test_causal_conv_rejects_empty_filter():
         T.causal_conv1d(u, Tensor(np.ones((0, 2))))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_row_kernels_equal_their_block_kernels(dtype):
+    # decode's one-row forms, pinned bit for bit to the kernels the forward runs
+    rng = np.random.default_rng(40)
+    x, w = rng.normal(size=(5, 300)).astype(dtype), rng.normal(size=300).astype(dtype)
+    for d in (1, 2, 7, 8, 9, 16, 64, 127, 128, 129, 300):
+        want = T.rms_np(x[:, :d], 1e-6)[0] * w[:d]
+        for row, expected in zip(x[:, :d], want):
+            got = T.rms_row_np(row, w[:d], 1e-6)
+            assert got.dtype == dtype and np.array_equal(got, expected), d
+    for taps in (1, 2, 3, 5):
+        filt, rows = rng.normal(size=(taps, 33)).astype(dtype), rng.normal(size=(taps, 33)).astype(dtype)
+        got = T.causal_conv_row_np(filt, rows)
+        assert got.dtype == dtype and np.array_equal(got, T.causal_conv_np(filt, rows)[-1]), taps
+
+
 def test_rms_norm_oracle():
     x = Tensor(np.array([[3.0, 4.0]]))
     w = Tensor(np.array([1.0, 1.0]))
