@@ -8,19 +8,20 @@ back down:
 
     y = ((u W1 + b1) .* silu(h * (u W2) + b2)) W3 + b3
 
-`forward_gated` computes this as one graph op in tiles of CONV_TILE rows
-along the sequence. The filter is the layer's only context: a tile's output
-reads the taps - 1 layer-input rows before it, so each tile projects those
-rows and its own through W2 in one matmul, filters them, and runs the chain
-down to W3 one tile wide before the next tile starts. A recorded call of one
-tile (every N <= CONV_TILE, outside `T.no_grad()`) keeps that tile's arrays,
-read-only, for the backward; a call of more tiles keeps only its inputs and
-output, and the backward reruns `_tile` per tile, so memory stays one tile
-wide. Either way
-it adds the context rows' gradient into the rows before the tile.
-Decode (`ConvCache`) holds exactly that context, the last taps - 1
-layer-input rows, and runs the same tile function on them plus the new row,
-or on them plus a block of rows, one tile at a time.
+`forward_gated` computes this as one graph op, tile by tile along the
+sequence. The filter is the layer's only context: a tile reads the
+min(taps - 1, rows before it) layer-input rows before it, projects them and
+its own rows through W2 in one matmul, filters them, and runs the chain
+down to W3 before the next tile starts. That loop is `_sweep`, the only
+one: the forward, the backward's recompute and the decode cache
+`ConvCache` all run it. A recorded call of one tile (every N <= CONV_TILE,
+outside `T.no_grad()`) keeps that tile's arrays, read-only, for the
+backward; a call of more tiles keeps only its inputs and output, and the
+backward reruns `_sweep`, one tile alive at a time. Either way it adds the
+context rows' gradient into the rows before the tile. `ConvCache` holds
+the last taps - 1 layer-input rows and counts how many are real, so its
+`block` carries exactly the core's context, and its `step` is a one-row
+block.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def _tile(p: GatedBaseConv, rows: np.ndarray, h: int, grad: bool = False, row: b
     rows gate = u W1 + b1, sig = sigmoid(conv) and the SiLU act = conv * sig
     of conv = filter(pre) + b2. With `grad`, sig is replaced in place by
     silu'(conv) = sig + act (1 - sig), which is all the backward reads of it.
-    With `row` (a decode step's taps rows), conv is `T.causal_conv_row_np`'s."""
+    With `row` (a decode step's h + 1 rows), conv is `T.causal_conv_row_np`'s."""
     gate = rows[..., h:, :] @ p.w1.data
     gate += p.b1.data
     pre = rows @ p.w2.data
@@ -148,11 +149,38 @@ def _tile(p: GatedBaseConv, rows: np.ndarray, h: int, grad: bool = False, row: b
     return pre, gate, sig, conv
 
 
+def _sweep(p: GatedBaseConv, rows: np.ndarray, h0: int, grad: bool = False):
+    """The core's tile loop over the n rows of `rows` (B, h0 + n, d) after
+    the h0 real rows carried in before them: tile [s, e) of
+    c = min(CONV_TILE, n) rows runs `_tile` on its own rows and the
+    h = min(taps - 1, h0 + s) before them. Yields each tile's span, h and
+    arrays when asked for: one tile alive at a time."""
+    n = rows.shape[-2] - h0
+    c = min(CONV_TILE, max(n, 1))
+    for s in range(0, n, c):
+        h = min(p.taps - 1, h0 + s)
+        yield (s, min(s + c, n)), h, _tile(p, rows[:, h0 + s - h:h0 + s + c], h, grad)
+
+
+def _emit(p: GatedBaseConv, tiles, out: np.ndarray, kept: list | None = None) -> np.ndarray:
+    """Write each tile's (gate .* act) W3 into out[:, s:e], then add b3 to
+    all of `out`. With a `kept` list, each tile's arrays go into it,
+    read-only, and the gate is left as it is; else it is overwritten."""
+    for tile in tiles:
+        (s, e), _, (_, gate, _, act) = tile
+        if kept is not None:
+            kept.append(tile)
+            for a in tile[2]:
+                a.flags.writeable = False
+        np.matmul(gate * act if kept is not None else np.multiply(gate, act, out=gate), p.w3.data, out=out[:, s:e])
+    out += p.b3.data
+    return out
+
+
 def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     """((u W1 + b1) .* silu(h * (u W2) + b2)) W3 + b3 over the second-to-last
-    axis, as one graph op in tiles of c = min(CONV_TILE, N) rows; a tile
-    starting at row s also reads the h = min(taps - 1, s) layer-input rows
-    before it (see the module docstring)."""
+    axis, as one graph op whose forward is `_sweep` from no carried rows
+    (see the module docstring)."""
     p = params
     if u.ndim < 2 or u.shape[-1] != p.d_model:
         raise ShapeError(f"input {u.shape} does not match d_model {p.d_model}")
@@ -162,32 +190,18 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
             raise ShapeError(f"forward_gated: mixed dtypes {u.dtype.name} and {w.dtype.name}")
     n, d, wide = u.shape[-2], p.d_model, p.expanded
     x = u.data.reshape((math.prod(u.shape[:-2]), n, d))
-    c = min(CONV_TILE, max(n, 1))
-    spans = [(s, min(p.taps - 1, s)) for s in range(0, n, c)]
-
-    out = np.empty(x.shape, u.dtype)
-    keep = len(spans) == 1 and T.recording(u, *weights)
-    kept = None  # a recorded call of one tile keeps its (pre, gate, silu', act) for the backward
-    for s, h in spans:
-        tile = _tile(p, x[:, s - h:s + c], h, grad=keep)
-        _, gate, _, act = tile
-        if keep:
-            kept = tile
-            for a in kept:
-                a.flags.writeable = False
-        gated = gate * act if keep else np.multiply(gate, act, out=gate)
-        np.matmul(gated, p.w3.data, out=out[:, s:s + c])
-    out += p.b3.data
+    keep = n <= CONV_TILE and T.recording(u, *weights)
+    kept = [] if keep else None  # a recorded call of one tile keeps its (pre, gate, silu', act) for the backward
+    out = _emit(p, _sweep(p, x, 0, grad=keep), np.empty(x.shape, u.dtype), kept)
 
     def backward(grad):
         grad = grad.reshape(x.shape)
         du = np.zeros_like(x)
         dw1, dw2, dw3 = (np.zeros_like(w.data) for w in (p.w1, p.w2, p.w3))
         db1, db2, dfilt = (np.zeros_like(w.data) for w in (p.b1, p.b2, p.filt))
-        for s, h in spans:
-            rows = x[:, s - h:s + c]
-            pre, gate, dsilu, act = kept or _tile(p, rows, h, grad=True)
-            g = grad[:, s:s + c]
+        for (s, e), h, (pre, gate, dsilu, act) in kept or _sweep(p, x, 0, grad=True):
+            rows = x[:, s - h:e]
+            g = grad[:, s:e]
             buf = gate * act
             dw3 += buf.reshape(-1, wide).T @ g.reshape(-1, d)
             dconv = g @ p.w3.data.T  # the gradient of gate * act, turned into dconv in place
@@ -200,8 +214,8 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
             db2 += dconv.reshape(-1, wide).sum(axis=0)
             dw1 += rows[:, h:].reshape(-1, d).T @ dgate.reshape(-1, wide)
             dw2 += rows.reshape(-1, d).T @ dpre.reshape(-1, wide)
-            du[:, s:s + c] += dgate @ p.w1.data.T
-            du[:, s - h:s + c] += dpre @ p.w2.data.T
+            du[:, s:e] += dgate @ p.w1.data.T
+            du[:, s - h:e] += dpre @ p.w2.data.T
         db3 = grad.reshape(-1, d).sum(axis=0)
         for w, dw in zip((u,) + weights, (du.reshape(u.shape), dw1, dw2, dw3, db1, db2, db3, dfilt)):
             T.accumulate(w, dw)
@@ -211,13 +225,15 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
 
 class ConvCache:
     """Decode cache of `forward_gated`: the last taps - 1 layer-input rows,
-    oldest first, (..., taps - 1, d_model) in the parameters' dtype (zeros
-    are the causal padding). Each step runs the core's tile on them plus the
-    new row; a block runs it per CONV_TILE rows of the block."""
+    oldest first, (..., taps - 1, d_model) in the parameters' dtype, zeros
+    before the first row; `t` counts the rows run. The last min(t, taps - 1)
+    rows are real, the context the core carries into a tile: a step runs
+    `_tile` on them plus the new row, a block runs `_sweep` from them."""
 
     def __init__(self, params: GatedBaseConv):
         self.params = params
         self.rows = np.zeros((params.taps - 1, params.d_model), params.w1.dtype)
+        self.t = 0
 
     def scalar_count(self) -> int:
         return self.rows.size
@@ -228,27 +244,25 @@ class ConvCache:
         p = self.params
         T.check_row(x, p.w1, self.rows.shape[:-2], "ConvCache.step")
         rows = np.concatenate([self.rows, x[None, :]])
-        _, gate, _, act = _tile(p, rows, len(self.rows), row=True)
+        h = min(self.t, len(self.rows))
+        _, gate, _, act = _tile(p, rows[-1 - h:], h, row=True)
         self.rows = rows[1:]
+        self.t += 1
         return (gate[0] * act) @ p.w3.data + p.b3.data
 
     def block(self, x: np.ndarray) -> np.ndarray:
         """Run a (..., c, d_model) block of layer-input rows through the
-        layer: `_tile` per CONV_TILE rows of [carried rows | block], each
-        reading the taps - 1 rows before it. Returns the (..., c, d_model)
-        output rows, bit-identical to `forward_gated`'s when the block starts
-        at a multiple of CONV_TILE; the rows take the block's leading dims."""
+        layer: the core's `_sweep` from the real carried rows. Returns the
+        (..., c, d_model) output rows, bit-identical to `forward_gated`'s
+        when the block starts at a multiple of CONV_TILE; the rows take the
+        block's leading dims."""
         p = self.params
         T.check_block(x, p.w1, self.rows.shape[:-2], "ConvCache.block")
-        n, h = x.shape[-2], p.taps - 1
+        n, held, h0 = x.shape[-2], p.taps - 1, min(self.t, p.taps - 1)
         lead = x.shape[:-2]
         rows = np.concatenate([np.broadcast_to(self.rows, lead + self.rows.shape[-2:]), x], axis=-2)
-        rows = rows.reshape((math.prod(lead), h + n, p.d_model))
-        c = min(CONV_TILE, n)
-        out = np.empty((len(rows), n, p.d_model), x.dtype)
-        for s in range(0, n, c):
-            _, gate, _, act = _tile(p, rows[:, s:s + h + c], h)
-            np.matmul(np.multiply(gate, act, out=gate), p.w3.data, out=out[:, s:s + c])
-        out += p.b3.data
-        self.rows = rows[:, n:].reshape(lead + (h, p.d_model)).copy()
+        rows = rows.reshape((math.prod(lead), held + n, p.d_model))
+        out = _emit(p, _sweep(p, rows[:, held - h0:], h0), np.empty((len(rows), n, p.d_model), x.dtype))
+        self.rows = rows[:, n:].reshape(lead + (held, p.d_model)).copy()
+        self.t += n
         return out.reshape(x.shape)

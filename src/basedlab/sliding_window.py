@@ -1,15 +1,16 @@
 """Exact softmax attention restricted to a trailing window of positions.
 
 Position i attends to j in [max(0, i - w + 1), i] with logits q.k / sqrt(d)
-and max-subtracted softmax. `window_core` computes it as a loop over tiles
-of WINDOW_TILE queries: each tile scores only its own keys plus the w - 1
-before it, the context it carries in, so a forward or backward costs
-O(N (c + w)) time and memory, never N x N. Each tile runs `_attend`, and so
-do a decode step, on the window `WindowCache` holds, and each tile of that
-cache's `block`. Rotary position encoding uses absolute positions, so a
-decode step after cache eviction still reproduces the prefill output.
-Prefill and decode project and merge their heads through `T.Heads`, the
-shell shared with the linear-attention layer.
+and max-subtracted softmax. `window_core` computes it tile by tile: each
+tile of WINDOW_TILE queries scores only its own keys plus the w - 1 before
+it, the context it carries in, so a forward or backward costs O(N (c + w))
+time and memory, never N x N. That loop is `_sweep`, the only one: the
+forward, the backward's recompute and `WindowCache.block` all run it, and a
+decode step runs its kernel `_attend` on the window the cache holds.
+Rotary position encoding uses absolute positions, so a decode step after
+cache eviction still reproduces the prefill output. Prefill and decode
+project and merge their heads through `T.Heads`, the shell shared with the
+linear-attention layer.
 """
 
 from __future__ import annotations
@@ -65,61 +66,57 @@ def _tile_mask(rows: int, offset: int, window: int, dtype: np.dtype) -> np.ndarr
     return mask
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None, scale: float, out: np.ndarray | None = None):
-    """softmax(q k^T * scale + mask) @ v over the last two axes (no mask when
-    None: a decode step's query sees every held key), the output written into
-    `out` when given. Returns the probabilities and the output."""
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None, out: np.ndarray | None = None):
+    """softmax(q k^T / sqrt(d) + mask) @ v over the last two axes, d being
+    q's width (no mask when None: a decode step's query sees every held
+    key), the output written into `out` when given. Returns the
+    probabilities and the output."""
     attn = q @ k.mT
-    attn *= scale
+    attn *= 1.0 / math.sqrt(q.shape[-1])
     if mask is not None:
         attn += mask
     T.softmax_np(attn, out=attn)
     return attn, np.matmul(attn, v, out=out)
 
 
+def _sweep(q: np.ndarray, k: np.ndarray, v: np.ndarray, window: int, h0: int = 0, out: np.ndarray | None = None):
+    """The core's tile loop over q's n rows, c = min(WINDOW_TILE, n) queries
+    a tile, after the h0 rows k and v carry in before them: tile [s, e)
+    runs `_attend` on the keys [lo, h0 + e), lo = max(0, h0 + s - w + 1),
+    under `_tile_mask`, into out[..., s:e, :] when given. Yields each tile's
+    span, lo and probabilities when asked for: one tile alive at a time."""
+    n = q.shape[-2]
+    c = min(WINDOW_TILE, max(n, 1))
+    for s in range(0, n, c):
+        e = min(s + c, n)
+        lo = max(0, h0 + s - window + 1)
+        mask = _tile_mask(e - s, h0 + s - lo, window, q.dtype)
+        yield (s, e), lo, _attend(q[..., s:e, :], k[..., lo:h0 + e, :], v[..., lo:h0 + e, :], mask, None if out is None else out[..., s:e, :])[0]
+
+
 def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
     """y_i = sum_j softmax_j(q_i.k_j / sqrt(d)) v_j over i - w < j <= i, along
-    the second-to-last axis.
-
-    A loop over tiles of c = min(WINDOW_TILE, N) queries: tile [s, e) scores
-    the keys [max(0, s - w + 1), e), the last w - 1 rows before it being the
-    context it carries in, under `_tile_mask`, through `_attend`.
-    The backward walks the same tiles and adds into the slices of dk and dv
-    they read, so nothing of size N x N is ever formed. A call of one tile
-    that `T.recording` keeps its probabilities for the backward; a call of
-    more tiles keeps only its inputs and output, and the backward reruns
-    `_attend` per tile.
-    """
+    the second-to-last axis, by `_sweep`. The backward walks the same tiles
+    and adds into the slices of dk and dv they read, so nothing of size
+    N x N is ever formed. A call of one tile that `T.recording` keeps its
+    probabilities for the backward; a call of more tiles keeps only its
+    inputs and output, and the backward reruns `_sweep`."""
     if k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"window_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     integer(window, "window_core: window")
-    n, dtype = q.shape[-2], q.dtype
-    c = min(WINDOW_TILE, max(n, 1))
-    spans = [(s, min(s + c, n), max(0, s - window + 1)) for s in range(0, n, c)]
-    scale = 1.0 / math.sqrt(q.shape[-1])
     qd, kd, vd = q.data, k.data, v.data
-
-    def attend(s, e, lo, out=None):
-        """Tile [s, e)'s probabilities, its output written into `out` when given."""
-        mask = _tile_mask(e - s, s - lo, window, dtype)
-        return _attend(qd[..., s:e, :], kd[..., lo:e, :], vd[..., lo:e, :], mask, scale, out)[0]
-
-    out, kept = np.empty(v.shape, dtype), []
-    keep = len(spans) == 1 and T.recording(q, k, v)
-    for s, e, lo in spans:
-        attn = attend(s, e, lo, out[..., s:e, :])
-        if keep:
-            kept.append(attn)
+    out = np.empty(v.shape, q.dtype)
+    keep = q.shape[-2] <= WINDOW_TILE and T.recording(q, k, v)
+    kept = [tile for tile in _sweep(qd, kd, vd, window, out=out) if keep]
 
     def backward(grad):
         dq, dk, dv = np.empty_like(qd), np.zeros_like(kd), np.zeros_like(vd)
-        for s, e, lo in spans:
-            attn = kept[0] if kept else attend(s, e, lo)
+        for (s, e), lo, attn in kept or _sweep(qd, kd, vd, window):
             g = grad[..., s:e, :]
             dlogits = g @ np.swapaxes(vd[..., lo:e, :], -1, -2)
             dlogits -= (dlogits * attn).sum(axis=-1, keepdims=True)
             dlogits *= attn
-            dlogits *= scale
+            dlogits *= 1.0 / math.sqrt(qd.shape[-1])
             np.matmul(dlogits, kd[..., lo:e, :], out=dq[..., s:e, :])
             dk[..., lo:e, :] += np.swapaxes(dlogits, -1, -2) @ qd[..., s:e, :]
             dv[..., lo:e, :] += np.swapaxes(attn, -1, -2) @ g
@@ -161,28 +158,22 @@ class WindowCache:
 
     def block(self, x: np.ndarray) -> np.ndarray:
         """Run a (..., c, d_model) block of layer-input rows, at positions
-        t..t+c-1, through the layer: `_attend` per WINDOW_TILE queries under
-        `_tile_mask`, over [carried keys | block keys]. Returns the
-        (..., c, d_model) output rows, bit-identical to `swa_forward`'s when
-        the block starts at a multiple of WINDOW_TILE; the buffers take the
-        block's leading dims."""
+        t..t+c-1, through the layer: the core's `_sweep` over [carried keys |
+        block keys]. Returns the (..., c, d_model) output rows, bit-identical
+        to `swa_forward`'s when the block starts at a multiple of
+        WINDOW_TILE; the buffers take the block's leading dims."""
         p = self.params
         T.check_block(x, p.wq, self.k.shape[:-3], "WindowCache.block")
-        n, t, w, dtype = x.shape[-2], self.t, p.window, p.wq.dtype
+        n, t = x.shape[-2], self.t
         q, k, v = p.project_rows(x)
         if p.rotary:
             q, k = T.rotary_from(q, t), T.rotary_from(k, t)
         lead = x.shape[:-2]
         keys, vals = (np.concatenate([np.broadcast_to(old, lead + old.shape[-3:]), new], axis=-2) for old, new in ((self.k, k), (self.v, v)))
-        first = t - self.k.shape[-2]  # the position of keys[..., 0, :]
-        y = np.empty(v.shape, dtype)
-        scale = 1.0 / math.sqrt(p.head_dim)
-        c = min(WINDOW_TILE, n)
-        for s in range(t, t + n, c):
-            e, lo = min(s + c, t + n), max(0, s - w + 1)
-            mask = _tile_mask(e - s, s - lo, w, dtype)
-            _attend(q[..., s - t:e - t, :], keys[..., lo - first:e - first, :], vals[..., lo - first:e - first, :], mask, scale, y[..., s - t:e - t, :])
-        held = min(t + n, w)
+        y = np.empty(v.shape, v.dtype)
+        for _ in _sweep(q, keys, vals, p.window, self.k.shape[-2], y):
+            pass
+        held = min(t + n, p.window)
         self.k, self.v = (a[..., a.shape[-2] - held:, :].copy() for a in (keys, vals))
         self.t = t + n
         return p.merge_rows(y)
@@ -204,5 +195,5 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     cache.k = np.concatenate([cache.k[:, drop:], k], axis=1)
     cache.v = np.concatenate([cache.v[:, drop:], v], axis=1)
     cache.t += 1
-    _, y = _attend(q, cache.k, cache.v, None, 1.0 / math.sqrt(params.head_dim))
+    _, y = _attend(q, cache.k, cache.v, None)
     return cache, params.merge_rows(y)[0]

@@ -224,18 +224,12 @@ def check_block(x: np.ndarray, w: Tensor, lead: tuple[int, ...], where: str) -> 
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a trailing-axis bias vector for `b`."""
     _check_same_dtype(a, b, "add")
-    if a.shape == b.shape:
-        def backward(g):
-            accumulate(a, g)
-            accumulate(b, g)
-    elif b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        def backward(g):
-            accumulate(a, g)
-            accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    def backward(g):
+        accumulate(a, g)
+        accumulate(b, g)
     return from_op(a.data + b.data, (a, b), backward)
 
 
@@ -361,9 +355,10 @@ def causal_conv_np(filt: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def causal_conv_row_np(filt: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The last row of `causal_conv_np(filt, x)` for x of taps rows, bit for
-    bit: a reduction over the first axis adds the taps in the kernel's order."""
-    return np.add.reduce(filt * x[::-1], axis=0)
+    """The last row of `causal_conv_np(filt, x)` for x of at most taps rows,
+    bit for bit: the first len(x) taps, summed by a reduction over the first
+    axis, which adds them in the kernel's order."""
+    return np.add.reduce(filt[:len(x)] * x[::-1], axis=0)
 
 
 def causal_conv_grad_np(filt: np.ndarray, x: np.ndarray, g: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:

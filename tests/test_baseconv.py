@@ -15,11 +15,17 @@ from basedlab.tensor import Tensor, grad_check, sigmoid_np
 NAMES = ("w1", "w2", "w3", "b1", "b2", "b3", "filt")
 
 
+def add_bias(x, b):
+    """x plus the vector b on every row, as a graph: a ones column times b is b on each row, exactly."""
+    ones = Tensor(np.ones(x.shape[:-1] + (1,)), dtype=x.dtype)
+    return T.add(x, T.matmul(ones, T.reshape(b, (1, b.shape[0]))))
+
+
 def composed_gated(params, u):
     """The reference: the gated layer as a graph of matmul, add, conv, SiLU and mul ops."""
-    gate = T.add(T.matmul(u, params.w1), params.b1)
-    conv = T.add(T.causal_conv1d(T.matmul(u, params.w2), params.filt), params.b2)
-    return T.add(T.matmul(T.mul(gate, T.silu(conv)), params.w3), params.b3)
+    gate = add_bias(T.matmul(u, params.w1), params.b1)
+    conv = add_bias(T.causal_conv1d(T.matmul(u, params.w2), params.filt), params.b2)
+    return add_bias(T.matmul(T.mul(gate, T.silu(conv)), params.w3), params.b3)
 
 
 def random_gated(d, expand, taps, seed, dtype=np.float64):
@@ -317,6 +323,16 @@ def test_gated_core_memory_stays_per_tile(traced):
     assert peak < 8 * 2**20, peak  # the composed graph held 68 MB here
 
 
+def test_gated_core_backward_stays_one_tile_wide(traced):
+    # past one tile the backward recomputes one tile at a time; a recompute that
+    # listed every tile before walking them peaked at 40.0 MB here
+    params = bc.create_gated(64, expand=4, taps=3, rng=np.random.default_rng(35))
+    u = Tensor(np.random.default_rng(36).normal(size=(1, 4096, 64)), requires_grad=True)
+    _, peak, _ = traced(lambda: T.sum_all(bc.forward_gated(params, u)).backward())
+    assert u.grad.shape == u.shape
+    assert peak < 16 * 2**20, peak / 2**20
+
+
 def test_gated_core_rejects_mixed_dtypes():
     params = bc.create_gated(4, rng=np.random.default_rng(26))
     u = Tensor(np.zeros((5, 4)))
@@ -342,14 +358,16 @@ def test_conv_cache_steps_match_the_core():
 
 
 def test_conv_cache_step_equals_a_one_row_block():
-    # the step filters only its new row (T.causal_conv_row_np), a one-row block all taps rows (T.causal_conv_np)
-    x = np.random.default_rng(29).normal(size=(7, 5))
-    for taps in (1, 2, 4):
-        for dtype in (np.float64, np.float32):
-            params = random_gated(5, 2, taps, seed=30 + taps, dtype=dtype)
-            cache, twin = bc.ConvCache(params), bc.ConvCache(params)
-            for row in x.astype(dtype):
-                twin.rows = cache.rows.copy()
-                got = cache.step(row)
-                assert got.dtype == dtype and np.array_equal(got, twin.block(row[None])[0]), (taps, dtype)
-                assert cache.rows.shape == (taps - 1, 5) and np.array_equal(cache.rows, twin.rows), (taps, dtype)
+    # the step filters only its new row (T.causal_conv_row_np), a one-row block all its rows (T.causal_conv_np);
+    # both read only the min(t, taps - 1) real rows before it, which d_model 64 tells apart from all taps rows
+    for d in (5, 64):
+        x = np.random.default_rng(29).normal(size=(7, d))
+        for taps in (1, 2, 4):
+            for dtype in (np.float64, np.float32):
+                params = random_gated(d, 2, taps, seed=30 + taps, dtype=dtype)
+                cache, twin = bc.ConvCache(params), bc.ConvCache(params)
+                for row in x.astype(dtype):
+                    twin.rows = cache.rows.copy()
+                    got = cache.step(row)
+                    assert got.dtype == dtype and np.array_equal(got, twin.block(row[None])[0]), (d, taps, dtype)
+                    assert cache.rows.shape == (taps - 1, d) and np.array_equal(cache.rows, twin.rows), (d, taps, dtype)

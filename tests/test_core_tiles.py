@@ -164,3 +164,36 @@ def test_backward_recomputes_tiles_only_past_one(monkeypatch, n):
         assert calls[key] == tiles
         T.sum_all(y).backward()
         assert calls[key] == (1 if tiles == 1 else 2 * tiles), key
+
+
+def _blocks(n, tile):
+    """(start, end) blocks over n rows, 2 and then 1 least multiples of
+    `tile` of at least 2 rows long in turn: each starts at a multiple of the
+    tile and holds at least 2 rows (a one-row product goes to gemv); a
+    one-row tail joins the block before it."""
+    size = tile * -(-2 // tile)
+    starts = list(range(0, n, 3 * size))
+    starts = sorted(starts + [s + 2 * size for s in starts if s + 2 * size < n])
+    if n - starts[-1] < 2:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_cache_blocks_equal_the_recorded_layer_at_small_tiles(monkeypatch, tile):
+    # windows and filters longer than a tile, so the context a block carries in spans tiles
+    monkeypatch.setattr(sw, "WINDOW_TILE", tile)
+    monkeypatch.setattr(bc, "CONV_TILE", tile)
+    rng = np.random.default_rng(80 + tile)
+    for dtype in (np.float64, np.float32):
+        layers = [(sw.create(8, heads, window, rng=rng, dtype=dtype), sw.swa_forward, sw.WindowCache)
+                  for heads in (1, 2) for window in sorted({2, tile + 1, 2 * tile + 1})]
+        layers += [(random_gated(8, 2, taps, seed=taps, dtype=dtype), bc.forward_gated, bc.ConvCache)
+                   for taps in sorted({2, 3, tile + 1, 2 * tile + 1})]
+        for n in (17, 20):
+            x = rng.normal(size=(2, n, 8)).astype(dtype)
+            for params, forward, cache_class in layers:
+                want = forward(params, Tensor(x)).data
+                cache = cache_class(params)
+                got = np.concatenate([cache.block(x[:, s:e]) for s, e in _blocks(n, tile)], axis=1)
+                assert got.dtype == dtype and np.array_equal(got, want), (cache_class.__name__, dtype, n, np.argwhere(got != want)[:3])
