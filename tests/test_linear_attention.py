@@ -6,6 +6,7 @@ import pytest
 from basedlab import analysis as an
 from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
+from basedlab import sliding_window as sw
 from basedlab import tensor as T
 from basedlab.errors import NumericError, ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check
@@ -13,6 +14,78 @@ from basedlab.tensor import Tensor, grad_check
 
 def make_params(d_model=24, heads=2, d_prime=4, seed=0, **kw):
     return la.create(d_model=d_model, heads=heads, d_prime=d_prime, rng=np.random.default_rng(seed), **kw)
+
+
+def split_heads(u, w, heads):
+    """u @ w as (..., heads, N, width) heads, through reshape and transpose ops."""
+    x = T.matmul(u, w)
+    *lead, n, width = x.shape
+    k = len(lead)
+    return T.transpose(T.reshape(x, (*lead, n, heads, width // heads)), (*range(k), k + 1, k, k + 2))
+
+
+def merge_heads(y, wo):
+    """(..., heads, N, width) heads merged into rows and projected by wo, through transpose and reshape ops."""
+    *lead, heads, n, width = y.shape
+    k = len(lead)
+    return T.matmul(T.reshape(T.transpose(y, (*range(k), k + 1, k, k + 2)), (*lead, n, heads * width)), wo)
+
+
+def composed_linear(params, u):
+    """The reference: the L layer as a graph of matmul, reshape, transpose, softmax and mul ops around its core."""
+    q, k, v = (split_heads(u, w, params.heads) for w in (params.wq, params.wk, params.wv))
+    y = la.attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
+    if params.decay is not None and params.decay.w_mix is not None:
+        weights = T.softmax_last(T.matmul(u, params.decay.w_mix))  # (..., N, heads)
+        lead = u.ndim - 2
+        per_row = T.reshape(T.transpose(weights, (*range(lead), lead + 1, lead)), y.shape[:-1] + (1,))
+        y = T.mul(y, T.matmul(per_row, Tensor(np.ones((1, y.shape[-1])), dtype=y.dtype)))  # a ones row spreads each weight exactly
+    return merge_heads(y, params.wo)
+
+
+def layer_grads(forward, params, names, x, weights):
+    """forward(params, u) and the gradients of sum(output * weights) in u and the named weights."""
+    u = Tensor(x, requires_grad=True)
+    tensors = [getattr(params, name) if name != "w_mix" else params.decay.w_mix for name in names]
+    for t in tensors:
+        t.grad = None
+    y = forward(params, u)
+    T.sum_all(T.mul(y, Tensor(weights, dtype=y.dtype))).backward()
+    return [y.data, u.grad] + [t.grad for t in tensors]
+
+
+def assert_matches_composed_layer(forward, composed, params, exact, names, x, weights, rel):
+    """The fused layer in x's dtype against its composed graph on f64 copies of the weights `exact`:
+    the output and the gradients of u and every named weight, each relative to its largest entry,
+    floored at 1e-2 of the largest of them all (at N = 1 the normalizer cancels, so the exact
+    gradients of wq and wk are zero and only roundoff is left)."""
+    got = layer_grads(forward, params, names, x, weights)
+    want = layer_grads(composed, exact, names, x.astype(np.float64), weights)
+    floor = 1e-2 * max(np.abs(w).max(initial=0.0) for w in want)
+    for name, g, w in zip(("y", "u") + names, got, want):
+        assert g.dtype == x.dtype and g.shape == w.shape, name
+        assert np.abs(g - w).max(initial=0.0) <= rel * max(np.abs(w).max(initial=0.0), floor), name
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("n", [1, 6, la.CORE_TILE + 6])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_parallel_forward_matches_the_composed_layer(mixed, batched, n, dtype, rel):
+    rng = np.random.default_rng(n + 2 * batched + 4 * mixed)
+    decay = la.DecayConfig(la.default_decay_gammas(2), w_mix=T.init_normal(rng, 8, 2, np.float64)) if mixed else None
+    params = make_params(d_model=8, heads=2, d_prime=4, seed=25, decay=decay)
+    names = ("wq", "wk", "wv", "wo") + (("w_mix",) if mixed else ())
+    for t in [getattr(params, name) for name in names[:4]] + ([decay.w_mix] if mixed else []):
+        t.data = (rng.normal(size=t.shape) * 0.5).astype(dtype)
+    exact = la.LinAttnParams(
+        **{name: Tensor(getattr(params, name).data.astype(np.float64), requires_grad=True) for name in names[:4]},
+        heads=2, kind=params.kind,
+        decay=None if not mixed else la.DecayConfig(decay.gamma, Tensor(decay.w_mix.data.astype(np.float64), requires_grad=True)),
+    )
+    shape = ((2,) if batched else ()) + (n, 8)
+    x, weights = rng.normal(size=shape).astype(dtype), rng.normal(size=shape)
+    assert_matches_composed_layer(la.parallel_forward, composed_linear, params, exact, names, x, weights, rel)
 
 
 def test_first_token_output_is_value():
@@ -125,6 +198,31 @@ def test_rollout_equals_parallel_per_position():
     yp = la.parallel_forward(params, u).data
     yr = la.recurrent_forward(params, u).data
     assert np.abs(yp - yr).max() < 1e-8
+
+
+@pytest.mark.parametrize("layer", ["L", "S"])
+def test_fused_layers_reject_mixed_dtypes_and_widths(layer):
+    # an input or a weight of the other dtype must raise, not upcast the layer's output
+    rng = np.random.default_rng(26)
+    if layer == "L":
+        w_mix = T.init_normal(rng, 24, 2, np.float64)
+        params, forward = make_params(decay=la.DecayConfig(la.default_decay_gammas(2), w_mix)), la.parallel_forward
+        weights = [params.wq, params.wk, params.wv, params.wo, w_mix]
+    else:
+        params, forward = sw.create(24, 2, 4, rng=rng), sw.swa_forward
+        weights = [params.wq, params.wk, params.wv, params.wo]
+    u = rng.normal(size=(5, 24))
+    with pytest.raises(ShapeError, match="mixed dtypes"):
+        forward(params, Tensor(u, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        forward(params, Tensor(np.ones((5, 7))))
+    for w in weights:
+        saved = w.data
+        w.data = saved.astype(np.float32)
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            forward(params, Tensor(u))
+        w.data = saved
+    assert forward(params, Tensor(u)).dtype == np.float64
 
 
 def test_graph_free_views_reject_mixed_dtypes():

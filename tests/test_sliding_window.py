@@ -10,6 +10,7 @@ from basedlab import sliding_window as sw
 from basedlab import tensor as T
 from basedlab.errors import ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check
+from test_linear_attention import assert_matches_composed_layer, merge_heads, split_heads
 
 
 def dense_window(q, k, v, window):
@@ -18,8 +19,52 @@ def dense_window(q, k, v, window):
     i = np.arange(n)
     visible = (i[None, :] <= i[:, None]) & (i[None, :] > i[:, None] - window)
     const = lambda a: Tensor(np.broadcast_to(a, q.shape[:-2] + (n, n)), dtype=q.dtype)
-    logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), const(1.0 / math.sqrt(q.shape[-1])))
+    lead = k.ndim - 2
+    logits = T.mul(T.matmul(q, T.transpose(k, (*range(lead), lead + 1, lead))), const(1.0 / math.sqrt(q.shape[-1])))
     return T.matmul(T.softmax_last(T.add(logits, const(np.where(visible, 0.0, -1e30)))), v)
+
+
+def composed_window(params, u):
+    """The reference: the S layer, rotary off, as a graph of matmul, reshape and transpose ops around
+    `dense_window`."""
+    q, k, v = (split_heads(u, w, params.heads) for w in (params.wq, params.wk, params.wv))
+    return merge_heads(dense_window(q, k, v, params.window), params.wo)
+
+
+@pytest.mark.parametrize("dtype, rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("n", [1, 6, sw.WINDOW_TILE + 6])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("window", [3, sw.WINDOW_TILE + 2])
+def test_swa_forward_matches_the_composed_layer(window, batched, n, dtype, rel):
+    rng = np.random.default_rng(n + 2 * batched + window)
+    params = random_params(d_model=8, heads=2, window=window, rotary=False, seed=n)
+    names = ("wq", "wk", "wv", "wo")
+    for name in names:
+        t = getattr(params, name)
+        t.data = t.data.astype(dtype) * 20.0  # logits of order one
+    exact = sw.SwaParams(**{name: Tensor(getattr(params, name).data.astype(np.float64), requires_grad=True) for name in names},
+                         heads=2, window=window, rotary=False)
+    shape = ((2,) if batched else ()) + (n, 8)
+    x, weights = rng.normal(size=shape).astype(dtype), rng.normal(size=shape)
+    assert_matches_composed_layer(sw.swa_forward, composed_window, params, exact, names, x, weights, rel)
+
+
+@pytest.mark.parametrize("shape", [(7, 8), (2, 7, 8)])
+def test_forward_gradients_of_every_weight_with_rotary(shape):
+    params = random_params(d_model=8, heads=2, window=3, seed=27)
+    for name in ("wq", "wk", "wv", "wo"):
+        getattr(params, name).data *= 20.0
+    u = Tensor(np.random.default_rng(27).normal(size=shape), requires_grad=True)
+    weights = Tensor(np.random.default_rng(28).normal(size=shape))
+    assert grad_check(lambda t: T.sum_all(T.mul(sw.swa_forward(params, t), weights)), u) < 1e-6
+    for name in ("wq", "wk", "wv", "wo"):
+        fields = {k: getattr(params, k) for k in ("wq", "wk", "wv", "wo")}
+
+        def f(t, name=name, fields=fields):
+            layer = sw.SwaParams(**{**fields, name: t}, window=params.window, heads=params.heads)
+            return T.sum_all(T.mul(sw.swa_forward(layer, u), weights))
+
+        assert grad_check(f, fields[name]) < 1e-6, name
 
 
 def output_and_grads(attend, arrays, window, weights):
