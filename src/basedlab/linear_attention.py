@@ -6,8 +6,8 @@ Per head, with feature map phi and value sequence v:
     s_i = sum_{j<=i} phi(k_j)^T v_j        (D x d KV state)
     z_i = sum_{j<=i} phi(k_j)              (D   normalizer state)
 
-`parallel_forward` runs every head and decay through one core, a loop over
-tiles of CORE_TILE positions: an exact causal quadratic form inside each tile
+`attention_core` runs every head and decay as a loop over tiles of
+CORE_TILE positions: an exact causal quadratic form inside each tile
 plus the block S = [s | z] (z as its last column) carried from tile to tile,
 forward and backward. It takes the raw d'-wide q and k: the intra-tile
 scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
@@ -24,7 +24,10 @@ to roundoff; optional per-head decay multiplies the state by gamma each
 step. Every view uses the Taylor map's unique-monomial layout, so the state
 width D is 1 + d' + d'(d'+1)/2.
 Every view projects and merges its heads through `T.Heads`, the shell it
-shares with the sliding-window layer.
+shares with the sliding-window layer, and mixes them through
+`_combine_heads_numpy`. `parallel_forward`, the layer's graph op, runs the
+rows code of `LinAttnState.block` around the core's graph op and writes the
+backward of the projections and the head mixing by hand.
 """
 
 from __future__ import annotations
@@ -74,9 +77,14 @@ class LinAttnParams(T.Heads):
             raise ShapeError(f"feature map {self.kind.tag} reads d_prime {self.kind.d_prime}, but q and k are {self.d_prime} wide per head")
         if self.decay is not None and self.decay.gamma.shape != (self.heads,):
             raise ParameterError(f"decay needs one gamma per head, got {self.decay.gamma.shape}")
-        w_mix = None if self.decay is None else self.decay.w_mix
+        w_mix = self.w_mix
         if w_mix is not None and (w_mix.shape != (self.d_model, self.heads) or w_mix.dtype != self.wq.dtype):
             raise ShapeError(f"w_mix must be (d_model, heads) = ({self.d_model}, {self.heads}) in wq's dtype, got {w_mix.shape} {w_mix.dtype.name}")
+
+    @property
+    def w_mix(self) -> Tensor | None:
+        """The head-mixing weights, if the layer has them."""
+        return None if self.decay is None else self.decay.w_mix
 
     @property
     def d_prime(self) -> int:
@@ -252,14 +260,32 @@ def attention_core(
 
 
 def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
-    """All positions at once; differentiable. Accepts (..., N, d_model)."""
-    q, k, v = params.project(u)
-    y = attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
-    if params.decay is not None and params.decay.w_mix is not None:
-        # weigh each head's output by softmax(u @ w_mix) before the projection
-        weights = T.softmax_last(T.matmul(u, params.decay.w_mix))
-        y = T.mul_rowscale(y, T.transpose(weights, (*range(u.ndim - 2), u.ndim - 1, u.ndim - 2)))
-    return params.merge(y)
+    """All positions of (..., N, d_model) rows at once, as one graph op: the
+    rows code of `LinAttnState.block` from an empty state, `project_rows`,
+    `attention_core` on leaf q, k, v and `_combine_heads_numpy`. The backward
+    runs the vjps of the merge and of the head mixing, backpropagates the
+    core's node, and ends in `project_rows_vjp`, so u's gradient adds the
+    head-mixing term, then v's, k's and q's."""
+    mix = params.w_mix
+    weights = params.check(u, "parallel_forward", *(() if mix is None else (mix,)))
+    un, grad = u.data, T.recording(u, *weights)
+    q, k, v = (T.leaf(a, grad) for a in params.project_rows(un))
+    core = attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
+
+    def backward(g):
+        y, du = core.data, None
+        if mix is not None:  # y = core * s for the per-row head weights s; then the softmax's vjp
+            probs = _head_weights(params, un)
+            s = np.ascontiguousarray(np.swapaxes(probs, -1, -2))[..., None]
+            gy = params.merge_rows_vjp(y * s, g)
+            gw = np.swapaxes((gy * y).sum(axis=-1), -1, -2)
+            gw = (gw - (gw * probs).sum(axis=-1, keepdims=True)) * probs
+            du, gy = T.linear_vjp(un, mix, gw), gy * s
+        else:
+            gy = params.merge_rows_vjp(y, g)
+        T.accumulate(u, params.project_rows_vjp(un, T.vjp(core, gy, q, k, v), du))
+
+    return T.from_op(_combine_heads_numpy(params, un, core.data), (u,) + weights, backward)
 
 
 class LinAttnState:
@@ -342,10 +368,16 @@ def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
     return Tensor(np.stack(rows) if rows else np.empty((0, params.d_model), un.dtype))
 
 
+def _head_weights(params: LinAttnParams, un: np.ndarray) -> np.ndarray | None:
+    """softmax(un @ w_mix), one weight per row and head, or None for a layer without head mixing."""
+    return None if params.w_mix is None else T.softmax_np(un @ params.w_mix.data)
+
+
 def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.ndarray) -> np.ndarray:
-    """per_head_y is (..., heads, N, head_dim); parallel_forward's head mixing, then `merge_rows`, without the graph."""
-    if params.decay is not None and params.decay.w_mix is not None:
-        weights = T.softmax_np(un @ params.decay.w_mix.data)
+    """per_head_y is (..., heads, N, head_dim): each head's rows weighed by
+    `_head_weights`, then `merge_rows`."""
+    weights = _head_weights(params, un)
+    if weights is not None:
         per_head_y = per_head_y * np.swapaxes(weights, -1, -2)[..., None]
     return params.merge_rows(per_head_y)
 

@@ -1,28 +1,23 @@
 """Hybrid decoder stacks: gated-conv, linear-attention, and window layers.
 
 A model is an embedding, a list of pre-norm residual mixer blocks chosen by a
-pattern string over {C, L, S}, a final RMS norm, and a vocabulary head.
-Training runs the parallel (autodiff) paths; decoding runs constant-memory
-recurrent paths whose per-layer caches hold exactly the scalar counts the
-analysis module predicts.
+pattern string over {C, L, S}, a final RMS norm, and a vocabulary head. Every
+forward runs each block through `_block`, its mixer given as a function of
+the normed rows: the recorded forward as one graph op per block
+(`_record_block`) with the mixer's graph op nested in it, the streamed
+forward (`_stream`) and decode through each layer's constant-memory cache,
+whose size is exactly the scalar count the analysis module predicts.
 
 Leaf parameter buffers are replaced only by the optimizer between steps, after
 the backward. A forward whose every core holds N in one tile records its
-whole graph; a longer one records none, and its backward recomputes the
-forward with the graph (Chen et al. 2016's recompute, which the cores also
-run per tile), so after it only the logits are held.
-
-A forward that records no graph (under `T.no_grad()`, or the pass of a
-forward past one tile) streams: it walks the sequence in blocks of BLOCK
-rows, each through every layer before the next block starts, and each layer
-carries its context from block to block in its decode cache (`block`). So
-only a few blocks' transients are alive at a time, and the logits equal the
-recorded forward's bit for bit. The blocks run as a two-stage pipeline: the
-calling thread runs the first ceil(L/2) layers, one helper thread the rest
-and the final norm one block behind it, so a second core works while numpy
-and BLAS release the GIL. Each cache is touched by one thread only, in block
-order, so the arithmetic is that of a serial loop. Decode runs the same
-layer loop on one row through one-row kernels that do only its work.
+whole graph; a longer one streams, and its backward recomputes the forward
+with the graph (Chen et al. 2016's recompute, which the cores also run per
+tile), so after it only the logits are held. The streamed forward walks the
+sequence in blocks of BLOCK rows through a two-stage pipeline of layers on
+two threads, each layer carrying its context from block to block in its
+decode cache (`block`); its logits equal the recorded forward's bit for bit.
+Decode runs the same layer loop on one row through one-row kernels that do
+only its work.
 """
 
 from __future__ import annotations
@@ -205,7 +200,7 @@ class HybridModel:
         reruns the recorded forward on a copy of the token ids and
         backpropagates the incoming gradient through it. That backward reads
         the parameters as they are when it runs, so they must not be replaced
-        between forward and backward (`T.matmul`'s backward already reads them
+        between forward and backward (every op's backward already reads them
         then). Under `T.no_grad()` the forward streams and returns a plain
         tensor with no graph. Either way the logits equal the recorded
         forward's bit for bit.
@@ -233,25 +228,28 @@ class HybridModel:
         return T.from_op(self._stream(ids), params, backward)
 
     def _logits(self, tokens: np.ndarray) -> Tensor:
-        """The forward's layers on checked token ids, recording the graph as `T.recording` says."""
-        x = T.take_rows(self.embedding, tokens)
-        for layer in self.layers:
-            mixed = self._mix(layer, T.rms_norm(x, layer.norm, _NORM_EPS))
-            x = T.add(x, mixed)
-            if layer.mlp is not None:
-                h = T.rms_norm(x, layer.mlp_norm, _NORM_EPS)
-                inner = T.mul(T.silu(T.matmul(h, layer.mlp.w_gate)), T.matmul(h, layer.mlp.w_up))
-                x = T.add(x, T.matmul(inner, layer.mlp.w_down))
-        x = T.rms_norm(x, self.final_norm, _NORM_EPS)
-        head = T.transpose(self.embedding, (1, 0)) if self.head is None else self.head
-        return T.matmul(x, head)
+        """The forward's layers on checked token ids, one graph op each for
+        the embedding gather, every block and the final norm with the head,
+        recording as `T.recording` says."""
+        table, head = self.embedding, self.head
 
-    def _mix(self, layer: Layer, h: Tensor) -> Tensor:
-        if layer.kind == "L":
-            return la.parallel_forward(layer.mixer, h)
-        if layer.kind == "S":
-            return sw.swa_forward(layer.mixer, h)
-        return bc.forward_gated(layer.mixer, h)
+        def gather_backward(g):
+            acc = np.zeros_like(table.data)
+            np.add.at(acc, tokens.ravel(), g.reshape(-1, table.shape[1]))
+            T.accumulate(table, acc)
+
+        x = T.from_op(table.data[tokens], (table,), gather_backward)
+        for layer in self.layers:
+            x = _record_block(layer, x)
+        kept, w = [], np.ascontiguousarray(_head(self))
+        normed = _rms(x.data, self.final_norm.data, kept)
+
+        def head_backward(g):
+            if head is None:  # tied: the head is the embedding's transpose
+                T.accumulate(table, (normed.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])).T)
+            T.accumulate(x, T.rms_vjp(g @ w.T if head is None else T.linear_vjp(normed, head, g), *kept[0], self.final_norm))
+
+        return T.from_op(normed @ w, (x, self.final_norm, table if head is None else head), head_backward)
 
     def _stream(self, tokens: np.ndarray) -> np.ndarray:
         """`_logits`' values on checked token ids, with no graph and a few
@@ -386,6 +384,8 @@ def build(config: ModelConfig) -> HybridModel:
 
 # layer kind -> decode cache class, built from the layer's parameters alone
 _CACHES = {"L": la.LinAttnState, "S": sw.WindowCache, "C": bc.ConvCache}
+# layer kind -> the mixer's graph op, looked up in its module when called
+_MIXERS = {"L": lambda p, h: la.parallel_forward(p, h), "S": lambda p, h: sw.swa_forward(p, h), "C": lambda p, h: bc.forward_gated(p, h)}
 
 
 class DecodeState:
@@ -415,18 +415,64 @@ class DecodeState:
 def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str, part: slice = slice(None), norm: bool = True) -> np.ndarray:
     """Rows `x` (the embeddings, or the output of the layers before `part`)
     after the `part` of the layers, then the final norm if `norm`, without
-    the graph: each mixer through its cache's `method` ("block" or "step"),
-    each norm, MLP and residual as `_logits` computes it, so bit for bit."""
+    the graph: each block through `_block`, its mixer through its cache's
+    `method` ("block" or "step")."""
     for layer, cache in zip(model.layers[part], caches[part]):
-        x = x + getattr(cache, method)(_rms(x, layer.norm.data))
-        if layer.mlp is not None:
-            h = _rms(x, layer.mlp_norm.data)
-            x = x + (T.silu_np(h @ layer.mlp.w_gate.data) * (h @ layer.mlp.w_up.data)) @ layer.mlp.w_down.data
+        x = _block(layer, x, getattr(cache, method))
     return _rms(x, model.final_norm.data) if norm else x
 
 
-def _rms(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return T.rms_row_np(x, w, _NORM_EPS) if x.ndim == 1 else T.rms_np(x, _NORM_EPS)[0] * w
+def _block(layer: Layer, x: np.ndarray, mix, kept: list | None = None) -> np.ndarray:
+    """One residual block on rows x: x + mix(rms(x)), then, with an MLP,
+    x + (silu(h Wg) .* (h Wu)) Wd of h = rms(x). `mix` maps the normed rows
+    to the mixer's output rows. With a `kept` list, the arrays the block's
+    backward reads go into it."""
+    x = x + mix(_rms(x, layer.norm.data, kept))
+    if layer.mlp is None:
+        return x
+    h = _rms(x, layer.mlp_norm.data, kept)
+    a = h @ layer.mlp.w_gate.data
+    s = T.sigmoid_np(a)
+    act, b = a * s, h @ layer.mlp.w_up.data
+    inner = act * b
+    if kept is not None:
+        kept.append((h, a, s, act, b, inner))
+    return x + inner @ layer.mlp.w_down.data
+
+
+def _record_block(layer: Layer, x: Tensor) -> Tensor:
+    """`_block` on x as one graph op, its mixer's graph op nested in it on
+    a leaf of the normed rows. The backward replays the block's steps in
+    reverse, each as the ops it replaces would, so bit for bit."""
+    weights = tuple(t for _, t in _tensor_fields(layer, ""))
+    kept, nested = [], []
+
+    def mix(rows):
+        nested.append(T.leaf(rows, T.recording(x, *weights)))
+        nested.append(_MIXERS[layer.kind](layer.mixer, nested[0]))
+        return nested[1].data
+
+    def backward(g):
+        if layer.mlp is not None:
+            m, (h, a, s, act, b, inner) = layer.mlp, kept[2]
+            gi = T.linear_vjp(inner, m.w_down, g)
+            gb, ga = gi * act, gi * b * s * (1.0 + a * (1.0 - s))
+            g = g + T.rms_vjp(T.linear_vjp(h, m.w_up, gb) + T.linear_vjp(h, m.w_gate, ga), *kept[1], layer.mlp_norm)
+        (dh,) = T.vjp(nested[1], g, nested[0])
+        T.accumulate(x, g + T.rms_vjp(dh, *kept[0], layer.norm))
+
+    return T.from_op(_block(layer, x.data, mix, kept), (x,) + weights, backward)
+
+
+def _rms(x: np.ndarray, w: np.ndarray, kept: list | None = None) -> np.ndarray:
+    """x / sqrt(mean(x^2) + eps) * w over the trailing axis; a (d,) row
+    through `T.rms_row_np`. With a `kept` list, (x / r, r) go into it."""
+    if x.ndim == 1:
+        return T.rms_row_np(x, w, _NORM_EPS)
+    xhat, r = T.rms_np(x, _NORM_EPS)
+    if kept is not None:
+        kept.append((xhat, r))
+    return xhat * w
 
 
 def _head(model: HybridModel) -> np.ndarray:

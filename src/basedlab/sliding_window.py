@@ -10,7 +10,9 @@ decode step runs its kernel `_attend` on the window the cache holds.
 Rotary position encoding uses absolute positions, so a decode step after
 cache eviction still reproduces the prefill output. Prefill and decode
 project and merge their heads through `T.Heads`, the shell shared with the
-linear-attention layer.
+linear-attention layer. `swa_forward`, the layer's graph op, runs the rows
+code of `WindowCache.block` around the core's graph op, and its backward
+the vjps of the merge, the rotation and the projections.
 """
 
 from __future__ import annotations
@@ -128,13 +130,25 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
 
 
 def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
-    """Windowed causal attention over all positions; differentiable. Accepts
-    (..., N, d_model)."""
-    q, k, v = params.project(u)
-    if params.rotary:
-        q = T.rotary(q)
-        k = T.rotary(k)
-    return params.merge(window_core(q, k, v, params.window))
+    """Windowed causal attention over all positions of (..., N, d_model) rows,
+    as one graph op: the rows code of `WindowCache.block` from an empty cache,
+    `project_rows`, rotary from position 0, `window_core` on leaf q, k, v and
+    `merge_rows`. The backward runs their vjps in reverse, the core's by
+    backpropagating its node."""
+    weights = params.check(u, "swa_forward")
+    q, k, v = params.project_rows(u.data)
+    if params.rotary:  # q and k joined, so one pass reads their turns, forward and backward
+        q, k = T.rotary_from(np.stack((q, k)), 0)
+    q, k, v = (T.leaf(a, T.recording(u, *weights)) for a in (q, k, v))
+    y = window_core(q, k, v, params.window)
+
+    def backward(g):
+        grads = T.vjp(y, params.merge_rows_vjp(y.data, g), q, k, v)
+        if params.rotary:
+            grads[:2] = T.rotary_from_vjp(np.stack(grads[:2]), 0)
+        T.accumulate(u, params.project_rows_vjp(u.data, grads))
+
+    return T.from_op(params.merge_rows(y.data), (u,) + weights, backward)
 
 
 class WindowCache:

@@ -4,10 +4,12 @@ Arrays are row-major numpy buffers (float64 by default, float32 on request).
 Every op returns a fresh tensor; tensors are never mutated once created, so
 the recorded graph stays valid. `backward` replays the graph in reverse
 execution order with plain sequential accumulation, which makes gradients
-bit-reproducible across runs. Inside `no_grad()` no op records a graph;
-`recording` is the one test of whether an op records. `Heads` is the one
-shell of the two attention layers: their four projections, checks and init,
-and the head split and merge, with and without the graph.
+bit-reproducible across runs. Inside `no_grad()` no op records a graph on
+that thread; `recording` is the one test of whether an op records. An op may
+run other ops in its forward on `leaf` inputs and reach their gradients in
+its backward through `vjp`. `Heads` is the one shell of the two attention
+layers: their four projections, checks and init, the head split and merge
+of their rows, and the backward of both.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import contextlib
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +29,13 @@ from .errors import ParameterError, ShapeError, integer
 _FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
 ROTARY_BASE = 10000.0
 _node_counter = itertools.count()
-_grad_enabled = True  # cleared inside `no_grad()`; `recording` reads it
+
+
+class _GradMode(threading.local):
+    enabled = True  # each thread starts recording; cleared inside `no_grad()`, read by `recording`
+
+
+_mode = _GradMode()
 
 
 class Tensor:
@@ -135,17 +144,17 @@ class Graph:
 
 @contextlib.contextmanager
 def _grad_mode(enabled: bool):
-    global _grad_enabled
-    saved, _grad_enabled = _grad_enabled, enabled
+    saved, _mode.enabled = _mode.enabled, enabled
     try:
         yield
     finally:
-        _grad_enabled = saved
+        _mode.enabled = saved
 
 
 def no_grad():
-    """Context in which no op records a graph; it nests, and restores the
-    mode it found on exit, an exception included."""
+    """Context in which no op records a graph. The mode is per thread: other
+    threads keep recording. It nests, and restores the mode it found on
+    exit, an exception included."""
     return _grad_mode(False)
 
 
@@ -155,9 +164,9 @@ def enable_grad():
 
 
 def recording(*parents: Tensor) -> bool:
-    """Whether an op on `parents` records a graph: outside `no_grad()`, and
-    when one of them requires grad."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    """Whether an op on `parents` records a graph: outside `no_grad()` on
+    this thread, and when one of them requires grad."""
+    return _mode.enabled and any(p.requires_grad for p in parents)
 
 
 def from_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -181,6 +190,24 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.
         out._parents = ()
         out._backward = None
     return out
+
+
+def leaf(data: np.ndarray, requires_grad: bool) -> Tensor:
+    """A leaf on `data` itself, not a copy: the input of an op that another
+    op runs in its forward, whose backward takes the gradient off it (`vjp`)."""
+    out = from_op(data, (), None)
+    out.requires_grad = requires_grad
+    return out
+
+
+def vjp(out: Tensor, grad: np.ndarray, *leaves: Tensor) -> list[np.ndarray | None]:
+    """`backprop(out, grad)`, then the gradients of `leaves`, each taken off
+    its leaf (None where none arrived)."""
+    backprop(out, grad)
+    grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return grads
 
 
 def accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -255,11 +282,6 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def silu_np(x: np.ndarray) -> np.ndarray:
-    """x * sigmoid(x) on a plain array (the decode paths' SiLU)."""
-    return x * sigmoid_np(x)
-
-
 def _complex_pairs(x: np.ndarray, where: str) -> np.ndarray:
     """A float array's feature pairs read as the complex numbers
     x[..., 2m] + i x[..., 2m + 1] (a view of x, or of a contiguous copy)."""
@@ -306,25 +328,47 @@ def rotary_np(x: np.ndarray, positions) -> np.ndarray:
     """Rotary position encoding on a plain array: pair m of a width-d row at
     position p, read as x[2m] + i x[2m + 1], times exp(i p ROTARY_BASE^(-2m/d)).
     `positions` broadcasts against the rows x.shape[:-1]; only their turns
-    are computed, and row p is bit-identical to row p of `rotary`."""
+    are computed, and row p is bit-identical to row p of `rotary_from`."""
     pairs = _complex_pairs(x, "rotary_np")
     out = pairs * _turns(positions, x.shape[-1], pairs.dtype)
     return out.view(out.real.dtype)
 
 
 def rotary_from(x: np.ndarray, start: int) -> np.ndarray:
-    """`rotary` without the graph, of (..., c, d) rows at positions
-    start..start+c-1 (a window cache's block), through the same cached turns."""
+    """`rotary_np` of (..., c, d) rows at positions start..start+c-1, through
+    rows of a cached table of turns (`_turn_rows`)."""
     pairs = _complex_pairs(x, "rotary_from")
     return (pairs * _turn_rows(start, start + x.shape[-2], x.shape[-1], pairs.dtype)).view(x.dtype)
 
 
+def rotary_from_vjp(g: np.ndarray, start: int) -> np.ndarray:
+    """The backward of `rotary_from(x, start)`: the pairs of the gradient g
+    times the conjugates of the same turns, the inverse rotation."""
+    pairs = _complex_pairs(g, "rotary_from_vjp")
+    return (pairs * _turn_rows(start, start + g.shape[-2], g.shape[-1], pairs.dtype).conj()).view(g.dtype)
+
+
 def rms_np(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """x / r over the trailing axis of a plain array, and r = sqrt(mean(x^2) + eps)
-    (keepdims): `rms_norm`'s kernel, shared with the graph-free forward. The
-    sum over d, then / d, equals `mean` bit for bit."""
+    (keepdims): the model's RMS norm before its weight. The sum over d, then
+    / d, equals `mean` bit for bit."""
     r = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
     return x / r, r
+
+
+def linear_vjp(x: np.ndarray, w: Tensor, g: np.ndarray) -> np.ndarray:
+    """The backward of x @ w.data, (..., k) rows times a (k, m) weight, for
+    the output gradient g: adds w's gradient and returns x's."""
+    accumulate(w, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
+    return g @ w.data.T
+
+
+def rms_vjp(g: np.ndarray, xhat: np.ndarray, r: np.ndarray, w: Tensor) -> np.ndarray:
+    """The backward of `rms_np(x, eps)[0] * w.data` = (xhat, r)[0] * w for
+    the output gradient g: adds w's gradient and returns x's."""
+    accumulate(w, (g * xhat).reshape(-1, w.shape[0]).sum(axis=0))
+    gw = g * w.data
+    return (gw - xhat * (gw * xhat).mean(axis=-1, keepdims=True)) / r
 
 
 def rms_row_np(x: np.ndarray, w: np.ndarray, eps: float) -> np.ndarray:
@@ -401,11 +445,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims disagree for {a.shape} and {b.shape}")
     if b.ndim == 2:
-        k, m = b.shape
-        def backward(g):
-            accumulate(a, g @ b.data.T)
-            accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, m))
-        return from_op(a.data @ b.data, (a, b), backward)
+        return from_op(a.data @ b.data, (a, b), lambda g: accumulate(a, linear_vjp(a.data, b, g)))
     if a.shape[:-2] == b.shape[:-2]:
         def backward(g):
             accumulate(a, g @ np.swapaxes(b.data, -1, -2))
@@ -432,26 +472,13 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return from_op(np.ascontiguousarray(a.data.transpose(axes)), (a,), backward)
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., N, heads * w) -> (..., heads, N, w), the attention layers' head layout."""
-    *lead, n, width = x.shape
-    k = len(lead)
-    return transpose(reshape(x, (*lead, n, heads, width // heads)), (*range(k), k + 1, k, k + 2))
-
-
-def merge_heads(y: Tensor) -> Tensor:
-    """(..., heads, N, w) -> (..., N, heads * w), the inverse of `split_heads`."""
-    *lead, heads, n, width = y.shape
-    k = len(lead)
-    return reshape(transpose(y, (*range(k), k + 1, k, k + 2)), (*lead, n, heads * width))
-
-
 @dataclass
 class Heads:
     """The shell of an attention layer: wq, wk, wv project d_model-wide rows
-    to per-head queries, keys and values in the `split_heads` layout, and wo
-    maps the merged heads back to d_model. The L and S layers extend it with
-    the settings of their cores."""
+    to per-head queries, keys and values in the (..., heads, N, width)
+    layout, and wo maps the merged heads back to d_model. The L and S layers
+    extend it with the settings of their cores; each layer's graph op runs
+    `project_rows` and `merge_rows` forward and their vjps backward."""
 
     wq: Tensor
     wk: Tensor
@@ -486,55 +513,48 @@ class Heads:
     def head_dim(self) -> int:
         return self.wv.shape[1] // self.heads
 
-    def project(self, u: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """(..., N, d_model) rows to (..., heads, N, width) queries, keys and values."""
-        if u.shape[-1] != self.d_model:
-            raise ShapeError(f"input width {u.shape[-1]} does not match d_model {self.d_model}")
-        return tuple(split_heads(matmul(u, w), self.heads) for w in (self.wq, self.wk, self.wv))
-
-    def merge(self, y: Tensor) -> Tensor:
-        """(..., heads, N, head_dim) outputs to (..., N, d_model) rows through wo."""
-        return matmul(merge_heads(y), self.wo)
+    def check(self, u: Tensor, where: str, *extra: Tensor) -> tuple[Tensor, ...]:
+        """The weights wq, wk, wv, wo and then `extra`, after a ShapeError
+        unless u is (..., N, d_model) rows in the dtype of each of them."""
+        weights = (self.wq, self.wk, self.wv, self.wo, *extra)
+        if u.ndim < 2 or u.shape[-1] != self.d_model:
+            raise ShapeError(f"{where}: input {u.shape} does not match d_model {self.d_model}")
+        for w in weights:
+            _check_same_dtype(u, w, where)
+        return weights
 
     def project_rows(self, un: np.ndarray) -> list[np.ndarray]:
-        """`project` without the graph or its check: (..., N, d_model) rows, or
-        one (d_model,) row as N = 1, to contiguous (..., heads, N, width)
-        arrays, bit-identical to the graph's."""
+        """(..., N, d_model) rows, or one (d_model,) row as N = 1, to contiguous
+        (..., heads, N, width) queries, keys and values."""
         h = self.heads
         if un.ndim == 1:  # a decode step's row, bound by per-call overhead: one reshape, and `dot` (the same gemv) skips matmul's set-up
             return [un.dot(w.data).reshape(h, 1, -1) for w in (self.wq, self.wk, self.wv)]
         return [np.ascontiguousarray(np.swapaxes((un @ w.data).reshape(*un.shape[:-1], h, w.shape[1] // h), -2, -3)) for w in (self.wq, self.wk, self.wv)]
 
     def merge_rows(self, y: np.ndarray) -> np.ndarray:
-        """`merge` without the graph: (..., heads, N, head_dim) to (..., N, d_model)."""
+        """(..., heads, N, head_dim) outputs to (..., N, d_model) rows through wo."""
         if y.ndim == 3 and y.shape[1] == 1:  # a decode step: one reshape merges the heads, no transpose needed
             return y.reshape(1, -1).dot(self.wo.data)
-        return np.swapaxes(y, -3, -2).reshape(*y.shape[:-3], y.shape[-2], self.wo.shape[0]) @ self.wo.data
+        return self._merged(y) @ self.wo.data
 
+    def _merged(self, y: np.ndarray) -> np.ndarray:
+        return np.swapaxes(y, -3, -2).reshape(*y.shape[:-3], y.shape[-2], self.wo.shape[0])
 
-def mul_rowscale(x: Tensor, s: Tensor) -> Tensor:
-    """Scale trailing-axis rows of `x` by matching scalars `s`."""
-    _check_same_dtype(x, s, "mul_rowscale")
-    if s.shape != x.shape[:-1]:
-        raise ShapeError(f"mul_rowscale: scale {s.shape} does not match rows of {x.shape}")
-    def backward(g):
-        accumulate(x, g * s.data[..., None])
-        accumulate(s, (g * x.data).sum(axis=-1))
-    return from_op(x.data * s.data[..., None], (x, s), backward)
+    def project_rows_vjp(self, un: np.ndarray, grads, du: np.ndarray | None = None) -> np.ndarray:
+        """The backward of `project_rows(un)` for (..., N, d_model) rows: adds
+        the gradients of wq, wk and wv for those of the queries, keys and
+        values `grads`, and returns un's. Its terms are added after `du` (an
+        earlier one, if any) in the order v, k, q."""
+        for w, g in zip((self.wv, self.wk, self.wq), reversed(grads)):
+            term = linear_vjp(un, w, np.swapaxes(g, -3, -2).reshape(*un.shape[:-1], w.shape[1]))
+            du = term if du is None else du + term
+        return du
 
-
-def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of a 2-D table; gradient scatter-adds by row id."""
-    if table.ndim != 2:
-        raise ShapeError(f"take_rows: table must be 2-D, got {table.shape}")
-    ids = np.asarray(ids)
-    d = table.shape[1]
-    def backward(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, ids.ravel(), g.reshape(-1, d))
-            accumulate(table, acc)
-    return from_op(table.data[ids], (table,), backward)
+    def merge_rows_vjp(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The backward of `merge_rows(y)` for the output gradient g: adds wo's
+        gradient and returns y's, (..., heads, N, head_dim)."""
+        gm = linear_vjp(self._merged(y), self.wo, g)
+        return np.swapaxes(gm.reshape(*gm.shape[:-1], self.heads, self.head_dim), -3, -2)
 
 
 # -- reductions -----------------------------------------------------------------
@@ -576,33 +596,6 @@ def causal_conv1d(u: Tensor, f: Tensor) -> Tensor:
         accumulate(u, dx.reshape(u.shape))
         accumulate(f, df)
     return from_op(causal_conv_np(f.data, x).reshape(u.shape), (u, f), backward)
-
-
-def rms_norm(x: Tensor, w: Tensor, eps: float = 1e-6) -> Tensor:
-    """Root-mean-square normalization over the trailing axis, scaled by w."""
-    _check_same_dtype(x, w, "rms_norm")
-    if w.ndim != 1 or x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"rms_norm: weight {w.shape} does not match input {x.shape}")
-    xhat, r = rms_np(x.data, eps)
-    def backward(g):
-        if x.requires_grad:
-            gw = g * w.data
-            inner = (gw * xhat).mean(axis=-1, keepdims=True)
-            accumulate(x, (gw - xhat * inner) / r)
-        if w.requires_grad:
-            accumulate(w, (g * xhat).reshape(-1, w.shape[0]).sum(axis=0))
-    return from_op(xhat * w.data, (x, w), backward)
-
-
-def rotary(x: Tensor) -> Tensor:
-    """`rotary_np` of (..., N, d) rows at positions 0..N-1, through the first
-    N rows of a cached table of turns (`_turn_rows`); the backward
-    multiplies by their conjugates."""
-    pairs = _complex_pairs(x.data, "rotary")
-    table = _turn_rows(0, x.shape[-2], x.shape[-1], pairs.dtype)
-    def backward(g):
-        accumulate(x, (_complex_pairs(g, "rotary") * table.conj()).view(x.dtype))
-    return from_op((pairs * table).view(x.dtype), (x,), backward)
 
 
 def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:

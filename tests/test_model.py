@@ -300,6 +300,32 @@ def test_forward_past_one_tile_matches_the_recorded_forward_bit_for_bit(pattern,
         assert np.array_equal(g, want)
 
 
+@pytest.mark.parametrize("pattern, extras", [("CL", {}), ("CS", {}), ("CLCS", _EXTRAS)], ids=["CL", "CS", "CLCS-extras"])
+def test_a_recorded_train_batch_records_one_op_per_block(pattern, extras):
+    # the embedding gather, one op per residual block, the final norm and head, and the loss
+    task = mq.MqarConfig(num_keys=32, num_values=32, seq_len=64, kv_pairs=8)
+    model = md.build(md.ModelConfig(vocab=task.vocab_size, d_model=64, d_prime=16, window=8, layer_pattern=pattern, **extras))
+    batch = mq.generate(task, 8)
+    loss = T.cross_entropy_masked(model.forward(batch.tokens), batch.targets, batch.query_mask)
+    ops = [node for node in T.Graph.from_output(loss).nodes if node._backward is not None]
+    assert len(ops) == len(model.layers) + 3
+
+
+def test_embedding_gather_accumulates_repeated_ids():
+    # a row gathered twice takes both positions' gradients, a row never gathered none
+    model = md.build(tiny_config(vocab=4, d_model=4, heads=1, d_prime=2, layer_pattern="C"))
+    tokens = np.array([1, 1, 2])
+
+    def loss(table):
+        model.embedding = table
+        return _weighted_loss(model.forward(tokens), 4)
+
+    table = model.embedding
+    loss(table).backward()
+    assert np.array_equal(table.grad[[0, 3]], np.zeros((2, 4))) and np.abs(table.grad[1]).min() > 0
+    assert T.grad_check(loss, table) < 1e-6
+
+
 def test_grad_check_through_the_recompute():
     model = md.build(tiny_config(d_model=8, layer_pattern="CLS", **_EXTRAS))
     tokens = np.random.default_rng(3).integers(0, 12, (1, la.CORE_TILE + 6))

@@ -171,7 +171,7 @@ def test_decode_rotary_row_equals_table_row():
     rng = np.random.default_rng(11)
     for dtype in (np.float64, np.float32):
         x = rng.normal(size=(2, 300, 32)).astype(dtype)  # (heads, N, head dim)
-        table = T.rotary(Tensor(x)).data
+        table = T.rotary_from(x, 0)
         for t in range(300):
             assert np.array_equal(T.rotary_np(x[:, t], t), table[:, t]), (dtype, t)
 
@@ -195,7 +195,7 @@ def test_rotary_lengths_share_one_table_per_power_of_two():
     before = T._turn_table.cache_info().misses
     for n in range(65, 129):
         x = np.ones((2, n, 6))
-        assert np.array_equal(T.rotary(Tensor(x)).data, T.rotary_np(x, np.arange(n)))
+        assert np.array_equal(T.rotary_from(x, 0), T.rotary_np(x, np.arange(n)))
         assert np.array_equal(T.rotary_from(x[:, 60:], 60), T.rotary_np(x[:, 60:], np.arange(60, n)))
     assert T._turn_table.cache_info().misses - before <= 1
 

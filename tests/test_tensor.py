@@ -1,5 +1,6 @@
 """Reverse-mode core: op oracles, gradient audits, and graph behavior."""
 
+import threading
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from basedlab import feature_maps as fm
 from basedlab import tensor as T
 from basedlab.errors import ParameterError, ShapeError
 from basedlab.tensor import Tensor, grad_check
+from test_linear_attention import merge_heads, split_heads
 
 
 def test_matmul_value():
@@ -80,24 +82,24 @@ def test_row_kernels_equal_their_block_kernels(dtype):
 
 
 def test_rms_norm_oracle():
-    x = Tensor(np.array([[3.0, 4.0]]))
-    w = Tensor(np.array([1.0, 1.0]))
+    x = np.array([[3.0, 4.0]])
     r = np.sqrt((9.0 + 16.0) / 2.0 + 1e-6)
-    assert np.allclose(T.rms_norm(x, w).data, [[3.0 / r, 4.0 / r]])
+    xhat, got_r = T.rms_np(x, 1e-6)
+    assert np.allclose(xhat, [[3.0 / r, 4.0 / r]]) and np.allclose(got_r, [[r]])
+    assert np.array_equal(T.rms_row_np(x[0], np.ones(2), 1e-6), xhat[0])
 
 
 def test_rotary_position_zero_is_identity():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=(1, 4)))
-    out = T.rotary(x)
-    assert np.array_equal(out.data, x.data)
+    x = rng.normal(size=(1, 4))
+    assert np.array_equal(T.rotary_from(x, 0), x)
 
 
 def test_rotary_preserves_norm():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(6, 8)))
-    out = T.rotary(x)
-    assert np.allclose(np.linalg.norm(out.data, axis=-1), np.linalg.norm(x.data, axis=-1))
+    x = rng.normal(size=(6, 8))
+    for start in (0, 1000):
+        assert np.allclose(np.linalg.norm(T.rotary_from(x, start), axis=-1), np.linalg.norm(x, axis=-1))
 
 
 def _rotary_reference(x, positions, base=10000.0):
@@ -116,7 +118,7 @@ def test_rotary_pair_formula():
     positions = np.array([0, 1, 4095, 10**5])
     for dtype, tol in ((np.float64, 1e-15), (np.float32, 1e-6)):
         x = rng.normal(size=(2, 4096, 8)).astype(dtype)
-        table = T.rotary(Tensor(x)).data  # positions 0..4095 through the cached table
+        table = T.rotary_from(x, 0)  # positions 0..4095 through the cached table
         rows = T.rotary_np(x[:, :4], positions)  # the given positions only
         assert table.dtype == dtype and rows.dtype == dtype
         for got, want, scale in ((table, _rotary_reference(x, np.arange(4096)), x),
@@ -126,14 +128,14 @@ def test_rotary_pair_formula():
 
 
 def test_rotary_inverse_undoes_forward():
-    # the backward is the inverse rotation: the gradient of sum(rotary(x) * rotary(x)) is 2 x
+    # the backward is the inverse rotation: the vjp of rotary_from(x, start) at rotary_from(x, start) is x
     rng = np.random.default_rng(6)
     for dtype, tol in ((np.float64, 1e-15), (np.float32, 1e-6)):
-        x = Tensor(rng.normal(size=(3, 50, 6)), requires_grad=True, dtype=dtype)
-        out = T.rotary(x)
-        T.sum_all(T.mul(out, Tensor(out.data))).backward()
-        assert x.grad.dtype == dtype
-        assert np.abs(x.grad - x.data).max() <= tol * np.abs(x.data).max()
+        x = rng.normal(size=(3, 50, 6)).astype(dtype)
+        for start in (0, 70):
+            back = T.rotary_from_vjp(T.rotary_from(x, start), start)
+            assert back.dtype == dtype
+            assert np.abs(back - x).max() <= tol * np.abs(x).max()
 
 
 def test_rotary_reads_non_contiguous_input():
@@ -149,8 +151,9 @@ def test_rotary_rejects_odd_width():
         T.rotary_np(np.ones((2, 3)), np.arange(2))
     with pytest.raises(ShapeError):
         T.rotary_np(np.float64(1.0), 0)
-    with pytest.raises(ShapeError):
-        T.rotary(Tensor(np.ones((2, 3))))
+    for rotate in (T.rotary_from, T.rotary_from_vjp):
+        with pytest.raises(ShapeError):
+            rotate(np.ones((2, 3)), 0)
 
 
 def test_cross_entropy_masked_oracle():
@@ -169,23 +172,6 @@ def test_cross_entropy_rejects_bad_targets():
         T.cross_entropy_masked(logits, np.array([0, 0]), np.array([False, False]))
 
 
-def test_take_rows_accumulates_repeated_ids():
-    table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    out = T.take_rows(table, np.array([1, 1, 2]))
-    T.sum_all(out).backward()
-    assert np.array_equal(table.grad, [[0.0, 0.0], [2.0, 2.0], [1.0, 1.0]])
-
-
-def test_split_merge_heads_and_rowscale():
-    x = Tensor(np.arange(48.0).reshape(2, 1, 4, 6))
-    heads = T.split_heads(x, 3)
-    assert np.array_equal(heads.data, x.data.reshape(2, 1, 4, 3, 2).transpose(0, 1, 3, 2, 4))
-    assert np.array_equal(T.merge_heads(heads).data, x.data)
-    s = Tensor(np.array([[2.0, 3.0, 4.0]] * 2), requires_grad=True)
-    scaled = T.mul_rowscale(Tensor(np.ones((2, 3, 4))), s)
-    assert np.array_equal(scaled.data[0, 1], np.full(4, 3.0))
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("n", [0, 1, 7])
@@ -196,15 +182,47 @@ def test_heads_rows_match_graph(dtype, heads, n):
     shell = T.Heads.draw(rng, d, 3 * heads, dtype, heads=heads)
     un = rng.normal(size=(n, d)).astype(dtype)
     rows = shell.project_rows(un)
-    for a, t in zip(rows, shell.project(Tensor(un))):
+    graph = [split_heads(Tensor(un), w, heads) for w in (shell.wq, shell.wk, shell.wv)]
+    for a, t in zip(rows, graph):
         assert a.dtype == dtype and a.shape == t.shape and np.array_equal(a, t.data)
     if n:  # a decode step's single row is the N = 1 case
-        for a, t in zip(shell.project_rows(un[0]), shell.project(Tensor(un[:1]))):
+        for a, w in zip(shell.project_rows(un[0]), (shell.wq, shell.wk, shell.wv)):
+            t = split_heads(Tensor(un[:1]), w, heads)
             assert a.shape == t.shape and np.array_equal(a, t.data)
     y = rng.normal(size=(heads, n, shell.head_dim)).astype(dtype)
     merged = shell.merge_rows(y)
     assert merged.dtype == dtype and merged.shape == (n, d)
-    assert np.array_equal(merged, T.matmul(T.merge_heads(Tensor(y)), shell.wo).data)
+    assert np.array_equal(merged, merge_heads(Tensor(y), shell.wo).data)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_heads_vjps_match_the_graph(lead, dtype):
+    # the backward of project_rows and merge_rows against the gradients of the same graph ops
+    rng = np.random.default_rng(len(lead))
+    shell = T.Heads.draw(rng, 8, 6, dtype, heads=2)
+    un = rng.normal(size=lead + (5, 8)).astype(dtype)
+    grads = [rng.normal(size=a.shape).astype(dtype) for a in shell.project_rows(un)]
+    y = rng.normal(size=lead + (2, 5, 4)).astype(dtype)
+    g = rng.normal(size=lead + (5, 8)).astype(dtype)
+
+    def graph_grads():
+        u, yt = Tensor(un, requires_grad=True), Tensor(y, requires_grad=True)
+        terms = [T.sum_all(T.mul(split_heads(u, w, 2), Tensor(gw))) for w, gw in zip((shell.wq, shell.wk, shell.wv), grads)]
+        terms.append(T.sum_all(T.mul(merge_heads(yt, shell.wo), Tensor(g))))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = T.add(loss, term)
+        loss.backward()
+        return [u.grad, yt.grad] + [w.grad for w in (shell.wq, shell.wk, shell.wv, shell.wo)]
+
+    want = graph_grads()
+    for w in (shell.wq, shell.wk, shell.wv, shell.wo):
+        w.grad = None
+    got = [shell.project_rows_vjp(un, grads), shell.merge_rows_vjp(y, g)] + [w.grad for w in (shell.wq, shell.wk, shell.wv, shell.wo)]
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert np.allclose(a, b, rtol=1e-5 if dtype == np.float32 else 1e-12, atol=0)
 
 
 def test_heads_validation():
@@ -224,7 +242,7 @@ def test_heads_validation():
     with pytest.raises(ShapeError, match="divide evenly"):
         T.Heads(**good, heads=4)  # q and k 6 wide
     with pytest.raises(ShapeError, match="does not match d_model"):
-        T.Heads(**good, heads=2).project(w(3, 5))
+        T.Heads(**good, heads=2).check(w(3, 5), "check")
 
 
 def test_backward_requires_scalar():
@@ -258,6 +276,26 @@ def test_no_grad_nests_and_restores_the_mode_after_an_exception():
             with T.enable_grad():
                 raise RuntimeError
     assert T.recording(x)
+
+
+def test_grad_mode_is_per_thread():
+    # a no_grad() held on one thread leaves every other thread recording
+    x = Tensor(np.ones(2), requires_grad=True)
+    held, seen = threading.Event(), []
+
+    def other():
+        held.wait()
+        seen.append((T.recording(x), T.add(x, x).requires_grad))
+        with T.no_grad():
+            seen.append(T.recording(x))
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    with T.no_grad():
+        held.set()
+        thread.join()
+        assert not T.recording(x)
+    assert seen == [(True, True), False] and T.recording(x)
 
 
 def test_backprop_seeds_an_output_of_any_shape():
@@ -339,6 +377,17 @@ def test_float32_ops_stay_float32():
     assert y.data.dtype == np.float32
 
 
+def rms_norm(x, w):
+    # the model's RMS norm, `T.rms_np` times w, as a graph op whose backward is `T.rms_vjp`
+    xhat, r = T.rms_np(x.data, 1e-6)
+    return T.from_op(xhat * w.data, (x, w), lambda g: T.accumulate(x, T.rms_vjp(g, xhat, r, w)))
+
+
+def rotary(x, start):
+    # `T.rotary_from` as a graph op whose backward is `T.rotary_from_vjp`
+    return T.from_op(T.rotary_from(x.data, start), (x,), lambda g: T.accumulate(x, T.rotary_from_vjp(g, start)))
+
+
 def feature_map_case(tag):
     kind = fm.FeatureMapKind(tag, 4)
     return lambda t: T.sum_all(T.mul(fm.apply(kind, t), Tensor(np.arange(1.0, 13.0).reshape(3, 4))))
@@ -355,10 +404,9 @@ GRAD_CASES = {
     "identity": feature_map_case("Identity"),
     "softmax": lambda t: T.sum_all(T.mul(T.softmax_last(t), Tensor(np.arange(12.0).reshape(3, 4)))),
     "reshape_transpose": lambda t: T.sum_all(T.mul(T.transpose(T.reshape(t, (4, 3)), (1, 0)), Tensor(np.arange(12.0).reshape(3, 4)))),
-    "rms_norm": lambda t: T.sum_all(T.rms_norm(t, Tensor(np.arange(1.0, 5.0)))),
-    "rotary": lambda t: T.sum_all(T.mul(T.rotary(t), Tensor(np.arange(12.0).reshape(3, 4)))),
+    "rms_norm": lambda t: T.sum_all(T.mul(rms_norm(t, Tensor(np.arange(1.0, 5.0))), Tensor(np.arange(12.0).reshape(3, 4)))),
+    "rotary": lambda t: T.sum_all(T.mul(rotary(t, 3), Tensor(np.arange(12.0).reshape(3, 4)))),
     "conv": lambda t: T.sum_all(T.causal_conv1d(t, Tensor(np.array([[1.0, -0.5, 0.2, 0.9], [0.3, 0.7, -1.1, 0.4]])))),
-    "rowscale": lambda t: T.sum_all(T.mul_rowscale(t, Tensor(np.array([0.5, -1.5, 2.5])))),
 }
 
 
