@@ -8,17 +8,10 @@ synthetic recall data, closed-form state/IO accounting, and exhaustive
 Boolean-circuit checks of the recall constructions.
 """
 
+import types as _types
+
 from .analysis import ArchSpec, io_cost_decode, io_cost_prefill, model_state_size, state_size, tiled_reference_run, tradeoff_sweep
-from .errors import (
-    BasedLabError,
-    ConfigError,
-    EncodingError,
-    InputError,
-    NumericError,
-    ParameterError,
-    ShapeError,
-    TrainingDiverged,
-)
+from .errors import BasedLabError, ConfigError, EncodingError, InputError, NumericError, ParameterError, ShapeError, TrainingDiverged
 from .feature_maps import FeatureMapKind, dims, taylor_exp2, unique_dim
 from .linear_attention import DecayConfig, LinAttnParams, chunked_forward, default_decay_gammas, parallel_forward, recurrent_forward
 from .model import DecodeState, HybridModel, ModelConfig, TrainConfig, build, load_checkpoint, save_checkpoint, train_mqar
@@ -29,55 +22,5 @@ from .theory import Polynomial, eq_phot_poly, exact_attention_mqar, mqar_poly, p
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArchSpec",
-    "BasedLabError",
-    "ConfigError",
-    "DecayConfig",
-    "DecodeState",
-    "EncodingError",
-    "FeatureMapKind",
-    "HybridModel",
-    "InputError",
-    "LinAttnParams",
-    "ModelConfig",
-    "MqarBatch",
-    "MqarConfig",
-    "NumericError",
-    "ParameterError",
-    "Polynomial",
-    "ShapeError",
-    "SwaParams",
-    "Tensor",
-    "TrainConfig",
-    "TrainingDiverged",
-    "WindowCache",
-    "build",
-    "chunked_forward",
-    "default_decay_gammas",
-    "dims",
-    "eq_phot_poly",
-    "evaluate",
-    "exact_attention_mqar",
-    "generate",
-    "grad_check",
-    "io_cost_decode",
-    "io_cost_prefill",
-    "load_checkpoint",
-    "model_state_size",
-    "mqar_poly",
-    "parallel_forward",
-    "phot_decode",
-    "phot_encode",
-    "recurrent_forward",
-    "run_all_checks",
-    "save_checkpoint",
-    "state_size",
-    "swa_forward",
-    "taylor_exp2",
-    "tiled_reference_run",
-    "tradeoff_sweep",
-    "train_mqar",
-    "unique_dim",
-    "__version__",
-]
+# the public names are the ones imported above, so each is listed once
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _types.ModuleType)) + ["__version__"]

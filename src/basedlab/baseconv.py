@@ -182,12 +182,8 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     axis, as one graph op whose forward is `_sweep` from no carried rows
     (see the module docstring)."""
     p = params
-    if u.ndim < 2 or u.shape[-1] != p.d_model:
-        raise ShapeError(f"input {u.shape} does not match d_model {p.d_model}")
     weights = (p.w1, p.w2, p.w3, p.b1, p.b2, p.b3, p.filt)
-    for w in weights:
-        if w.dtype != u.dtype:
-            raise ShapeError(f"forward_gated: mixed dtypes {u.dtype.name} and {w.dtype.name}")
+    T.check_rows(u, weights, "forward_gated")
     n, d, wide = u.shape[-2], p.d_model, p.expanded
     x = u.data.reshape((math.prod(u.shape[:-2]), n, d))
     keep = n <= CONV_TILE and T.recording(u, *weights)

@@ -6,28 +6,21 @@ Per head, with feature map phi and value sequence v:
     s_i = sum_{j<=i} phi(k_j)^T v_j        (D x d KV state)
     z_i = sum_{j<=i} phi(k_j)              (D   normalizer state)
 
-`attention_core` runs every head and decay as a loop over tiles of
-CORE_TILE positions: an exact causal quadratic form inside each tile
-plus the block S = [s | z] (z as its last column) carried from tile to tile,
-forward and backward. It takes the raw d'-wide q and k: the intra-tile
-scores come from `fm.tile_scores`, and phi is formed per tile, only for S.
-A recorded call of one tile keeps that tile's arrays for the backward; a call
-of more tiles keeps only its inputs and output, and the backward recomputes
-each tile with the forward's own tile code.
-`chunked_forward` is the same core at tiles of `chunk` rows, run without a
-graph and counting the slices each tile reads and writes. `LinAttnState`, the
-decode cache, holds that block, so a cache is exactly the context the core
-carries between tiles; its `step` folds one token in with the core's own
-`_fold` and then reads it, and its `block` runs a block of rows through the
-core's own tile loop, `_sweep`, from the block it carries. The views agree
-to roundoff; optional per-head decay multiplies the state by gamma each
-step. Every view uses the Taylor map's unique-monomial layout, so the state
-width D is 1 + d' + d'(d'+1)/2.
-Every view projects and merges its heads through `T.Heads`, the shell it
-shares with the sliding-window layer, and mixes them through
-`_combine_heads_numpy`. `parallel_forward`, the layer's graph op, runs the
-rows code of `LinAttnState.block` around the core's graph op and writes the
-backward of the projections and the head mixing by hand.
+`attention_core` runs every head and decay as one loop over tiles of
+CORE_TILE positions, `_sweep`: an exact causal quadratic form inside each
+tile plus the block S = [s | z] (z as its last column) carried from tile to
+tile, forward and backward. It takes the raw d'-wide q and k: the
+intra-tile scores come from `fm.tile_scores`, and phi is formed per tile,
+only for S. The three views are `parallel_forward`, the layer's graph op;
+`chunked_forward`, the same core at tiles of `chunk` rows, run without a
+graph and counting the slices each tile reads and writes; and
+`recurrent_forward`, a rollout through the decode cache `LinAttnState`,
+which holds S: its `step` folds one token in with the core's `_fold` and
+then reads it, and its `block` runs `_sweep` from the S it carries. They
+agree to roundoff; optional per-head decay multiplies the state by gamma
+each step. Every view uses the Taylor map's unique-monomial layout, so the
+state width D is 1 + d' + d'(d'+1)/2, and runs the same rows code around
+the core: `T.Heads`' projections and merge, and `_combine_heads_numpy`.
 """
 
 from __future__ import annotations
@@ -82,8 +75,7 @@ class LinAttnParams(T.Heads):
             raise ShapeError(f"w_mix must be (d_model, heads) = ({self.d_model}, {self.heads}) in wq's dtype, got {w_mix.shape} {w_mix.dtype.name}")
 
     @property
-    def w_mix(self) -> Tensor | None:
-        """The head-mixing weights, if the layer has them."""
+    def w_mix(self) -> Tensor | None:  # the head-mixing weights, if any
         return None if self.decay is None else self.decay.w_mix
 
     @property
@@ -260,12 +252,10 @@ def attention_core(
 
 
 def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
-    """All positions of (..., N, d_model) rows at once, as one graph op: the
-    rows code of `LinAttnState.block` from an empty state, `project_rows`,
-    `attention_core` on leaf q, k, v and `_combine_heads_numpy`. The backward
-    runs the vjps of the merge and of the head mixing, backpropagates the
-    core's node, and ends in `project_rows_vjp`, so u's gradient adds the
-    head-mixing term, then v's, k's and q's."""
+    """All positions of (..., N, d_model) rows as one graph op over
+    `LinAttnState.block`'s rows code: `project_rows`, `attention_core` on
+    leaf q, k, v, then `_combine_heads_numpy`. The backward adds u's
+    gradient terms in the order head mixing, v, k, q."""
     mix = params.w_mix
     weights = params.check(u, "parallel_forward", *(() if mix is None else (mix,)))
     un, grad = u.data, T.recording(u, *weights)
@@ -274,31 +264,25 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
 
     def backward(g):
         y, du = core.data, None
-        if mix is not None:  # y = core * s for the per-row head weights s; then the softmax's vjp
+        if mix is None:
+            gy = params.merge_rows_vjp(y, g)
+        else:  # the merged rows are y * s for the head weights s = softmax(un @ w_mix), probs
             probs = _head_weights(params, un)
             s = np.ascontiguousarray(np.swapaxes(probs, -1, -2))[..., None]
             gy = params.merge_rows_vjp(y * s, g)
             gw = np.swapaxes((gy * y).sum(axis=-1), -1, -2)
-            gw = (gw - (gw * probs).sum(axis=-1, keepdims=True)) * probs
-            du, gy = T.linear_vjp(un, mix, gw), gy * s
-        else:
-            gy = params.merge_rows_vjp(y, g)
+            du, gy = T.linear_vjp(un, mix, (gw - (gw * probs).sum(axis=-1, keepdims=True)) * probs), gy * s
         T.accumulate(u, params.project_rows_vjp(un, T.vjp(core, gy, q, k, v), du))
 
     return T.from_op(_combine_heads_numpy(params, un, core.data), (u,) + weights, backward)
 
 
 class LinAttnState:
-    """Running state per head, s = [s | z] of shape (..., heads, D,
-    head_dim + 1) in the parameters' dtype: the KV state with the normalizer
-    z as its last column, the block `attention_core` carries between tiles.
-    `t` counts the rows folded in.
-
-    It is also the layer's constant-memory decode cache: `step` runs one
-    layer-input row through the whole layer, folding it into s in place with
-    `_fold` and then reading s, the core's tile at N = 1 in the other order;
-    `block` runs a block of rows through the core's own `_sweep`.
-    """
+    """The layer's constant-memory decode cache: per head, s = [s | z] of
+    shape (..., heads, D, head_dim + 1) in the parameters' dtype, the KV
+    state with the normalizer z as its last column, the block
+    `attention_core` carries between tiles. `t` counts the rows folded in.
+    `step` is the core's tile at N = 1 in the other order: fold, then read."""
 
     def __init__(self, params: LinAttnParams):
         self.params = params
@@ -357,11 +341,9 @@ def _rows(params: LinAttnParams, u: Tensor | np.ndarray, view: str) -> np.ndarra
 
 
 def recurrent_forward(params: LinAttnParams, u: Tensor | np.ndarray) -> Tensor:
-    """Token-by-token rollout of the full layer through the decode step.
-
-    Graph-free like chunked_forward; equality with the parallel view is the
-    point, not trainability.
-    """
+    """Token-by-token rollout of the full layer through the decode step,
+    graph-free like chunked_forward: equality with the parallel view is the
+    point, not trainability."""
     un = _rows(params, u, "recurrent_forward")
     state = LinAttnState(params)
     rows = [state.step(row) for row in un]
@@ -382,14 +364,11 @@ def _combine_heads_numpy(params: LinAttnParams, un: np.ndarray, per_head_y: np.n
     return params.merge_rows(per_head_y)
 
 
-def chunked_forward(
-    params: LinAttnParams, u: Tensor | np.ndarray, chunk: int = 16, counter: dict | None = None
-) -> Tensor:
-    """`attention_core` at tiles of `chunk` rows, run without a graph: the
-    returned tensor carries no gradients, train through parallel_forward.
+def chunked_forward(params: LinAttnParams, u: Tensor | np.ndarray, chunk: int = 16, counter: dict | None = None) -> Tensor:
+    """`parallel_forward`'s rows code with `attention_core` at tiles of
+    `chunk` rows, run without a graph (train through `parallel_forward`).
     The optional `counter` dict takes the core's transfer totals, the sizes
-    of the q, k, v slices each tile reads and of the y slice it writes.
-    """
+    of the q, k, v slices each tile reads and of the y slice it writes."""
     un = _rows(params, u, "chunked_forward")
     q, k, v = (Tensor(a) for a in params.project_rows(un))
     gamma = 1.0 if params.decay is None else params.decay.gamma

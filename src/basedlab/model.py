@@ -12,12 +12,9 @@ Leaf parameter buffers are replaced only by the optimizer between steps, after
 the backward. A forward whose every core holds N in one tile records its
 whole graph; a longer one streams, and its backward recomputes the forward
 with the graph (Chen et al. 2016's recompute, which the cores also run per
-tile), so after it only the logits are held. The streamed forward walks the
-sequence in blocks of BLOCK rows through a two-stage pipeline of layers on
-two threads, each layer carrying its context from block to block in its
-decode cache (`block`); its logits equal the recorded forward's bit for bit.
-Decode runs the same layer loop on one row through one-row kernels that do
-only its work.
+tile), so after it only the logits are held. Decode runs the streamed
+forward's layer loop on one row through one-row kernels that do only its
+work.
 """
 
 from __future__ import annotations
@@ -194,15 +191,13 @@ class HybridModel:
 
         When every core runs the N positions in one tile (N <= 64 with an L or
         S layer, N <= 128 for C layers alone; every train shape) the forward
-        records its whole graph, and each core keeps its tile for the backward.
-        Past that it records none: it streams (`_stream`) and returns a tensor
-        of one graph node whose parents are the parameters, and whose backward
-        reruns the recorded forward on a copy of the token ids and
-        backpropagates the incoming gradient through it. That backward reads
-        the parameters as they are when it runs, so they must not be replaced
-        between forward and backward (every op's backward already reads them
-        then). Under `T.no_grad()` the forward streams and returns a plain
-        tensor with no graph. Either way the logits equal the recorded
+        records its whole graph (`_logits`), and each core keeps its tile for
+        the backward. Past that it streams (`_stream`) and returns one graph
+        node over the parameters whose backward reruns `_logits` on a copy of
+        the token ids. That backward reads the parameters as they are when it
+        runs, as every op's backward does, so they must not be replaced
+        between forward and backward. Under `T.no_grad()` the forward streams
+        and returns a plain tensor. Either way the logits equal the recorded
         forward's bit for bit.
         """
         tokens = np.asarray(tokens)
@@ -414,9 +409,8 @@ class DecodeState:
 
 def _layers(model: HybridModel, x: np.ndarray, caches: list, method: str, part: slice = slice(None), norm: bool = True) -> np.ndarray:
     """Rows `x` (the embeddings, or the output of the layers before `part`)
-    after the `part` of the layers, then the final norm if `norm`, without
-    the graph: each block through `_block`, its mixer through its cache's
-    `method` ("block" or "step")."""
+    after the `part` of the layers, each through `_block` with its cache's
+    `method` ("block" or "step") as the mixer, then the final norm if `norm`."""
     for layer, cache in zip(model.layers[part], caches[part]):
         x = _block(layer, x, getattr(cache, method))
     return _rms(x, model.final_norm.data) if norm else x

@@ -8,11 +8,10 @@ time and memory, never N x N. That loop is `_sweep`, the only one: the
 forward, the backward's recompute and `WindowCache.block` all run it, and a
 decode step runs its kernel `_attend` on the window the cache holds.
 Rotary position encoding uses absolute positions, so a decode step after
-cache eviction still reproduces the prefill output. Prefill and decode
-project and merge their heads through `T.Heads`, the shell shared with the
-linear-attention layer. `swa_forward`, the layer's graph op, runs the rows
-code of `WindowCache.block` around the core's graph op, and its backward
-the vjps of the merge, the rotation and the projections.
+cache eviction still reproduces the prefill output. `swa_forward`, the
+layer's graph op, and the cache run the same rows code around the core:
+`T.Heads`' projections and merge, the shell shared with the
+linear-attention layer, and rotary through `T.rotary_from`.
 """
 
 from __future__ import annotations
@@ -130,11 +129,9 @@ def window_core(q: Tensor, k: Tensor, v: Tensor, window: int) -> Tensor:
 
 
 def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
-    """Windowed causal attention over all positions of (..., N, d_model) rows,
-    as one graph op: the rows code of `WindowCache.block` from an empty cache,
-    `project_rows`, rotary from position 0, `window_core` on leaf q, k, v and
-    `merge_rows`. The backward runs their vjps in reverse, the core's by
-    backpropagating its node."""
+    """Windowed causal attention over all positions of (..., N, d_model)
+    rows as one graph op over `WindowCache.block`'s rows code: `project_rows`,
+    rotary from position 0, `window_core` on leaf q, k, v, `merge_rows`."""
     weights = params.check(u, "swa_forward")
     q, k, v = params.project_rows(u.data)
     if params.rotary:  # q and k joined, so one pass reads their turns, forward and backward

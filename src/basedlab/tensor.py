@@ -170,13 +170,9 @@ def recording(*parents: Tensor) -> bool:
 
 
 def from_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap an op result, recording the graph edge only when gradients flow.
-
-    `backward` receives the upstream gradient and must call `accumulate`
-    on each parent that requires grad. Ops that are not `recording` (inside
-    `no_grad()`, or on constant parents) produce a plain tensor with no
-    graph attached.
-    """
+    """Wrap an op result, recording the graph edge only when the op is
+    `recording`; else a plain tensor. `backward` receives the upstream
+    gradient and must `accumulate` into each parent that requires grad."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -223,6 +219,15 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
 def _check_same_dtype(a: Tensor | np.ndarray, b: Tensor, op: str) -> None:
     if a.dtype != b.dtype:
         raise ShapeError(f"{op}: mixed dtypes {a.dtype.name} and {b.dtype.name}")
+
+
+def check_rows(u: Tensor, weights: Sequence[Tensor], where: str) -> None:
+    """ShapeError unless a layer's input u is (..., N, d) rows, d the rows of
+    its first weight, in the dtype of each of its `weights`."""
+    if u.ndim < 2 or u.shape[-1] != weights[0].shape[0]:
+        raise ShapeError(f"{where}: input {u.shape} does not match d_model {weights[0].shape[0]}")
+    for w in weights:
+        _check_same_dtype(u, w, where)
 
 
 def check_row(x: np.ndarray, w: Tensor, lead: tuple[int, ...], where: str) -> None:
@@ -514,13 +519,9 @@ class Heads:
         return self.wv.shape[1] // self.heads
 
     def check(self, u: Tensor, where: str, *extra: Tensor) -> tuple[Tensor, ...]:
-        """The weights wq, wk, wv, wo and then `extra`, after a ShapeError
-        unless u is (..., N, d_model) rows in the dtype of each of them."""
+        """The weights wq, wk, wv, wo and then `extra`, after `check_rows`."""
         weights = (self.wq, self.wk, self.wv, self.wo, *extra)
-        if u.ndim < 2 or u.shape[-1] != self.d_model:
-            raise ShapeError(f"{where}: input {u.shape} does not match d_model {self.d_model}")
-        for w in weights:
-            _check_same_dtype(u, w, where)
+        check_rows(u, weights, where)
         return weights
 
     def project_rows(self, un: np.ndarray) -> list[np.ndarray]:
