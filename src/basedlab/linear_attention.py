@@ -266,7 +266,7 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
         y, du = core.data, None
         if mix is None:
             gy = params.merge_rows_vjp(y, g)
-        else:  # the merged rows are y * s for the head weights s = softmax(un @ w_mix), probs
+        else:  # merge_rows ran on y * s, s = probs = softmax(un @ w_mix) as a column per head
             probs = _head_weights(params, un)
             s = np.ascontiguousarray(np.swapaxes(probs, -1, -2))[..., None]
             gy = params.merge_rows_vjp(y * s, g)

@@ -437,7 +437,7 @@ def _block(layer: Layer, x: np.ndarray, mix, kept: list | None = None) -> np.nda
 def _record_block(layer: Layer, x: Tensor) -> Tensor:
     """`_block` on x as one graph op, its mixer's graph op nested in it on
     a leaf of the normed rows. The backward replays the block's steps in
-    reverse, each as the ops it replaces would, so bit for bit."""
+    reverse, adding each residual's gradient before its norm's."""
     weights = tuple(t for _, t in _tensor_fields(layer, ""))
     kept, nested = [], []
 

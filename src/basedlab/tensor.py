@@ -369,7 +369,7 @@ def linear_vjp(x: np.ndarray, w: Tensor, g: np.ndarray) -> np.ndarray:
 
 
 def rms_vjp(g: np.ndarray, xhat: np.ndarray, r: np.ndarray, w: Tensor) -> np.ndarray:
-    """The backward of `rms_np(x, eps)[0] * w.data` = (xhat, r)[0] * w for
+    """The backward of xhat * w.data, for (xhat, r) = `rms_np(x, eps)` and
     the output gradient g: adds w's gradient and returns x's."""
     accumulate(w, (g * xhat).reshape(-1, w.shape[0]).sum(axis=0))
     gw = g * w.data
