@@ -128,7 +128,7 @@ def test_rotary_pair_formula():
 
 
 def test_rotary_inverse_undoes_forward():
-    # the backward is the inverse rotation: the vjp of rotary_from(x, start) at rotary_from(x, start) is x
+    # the backward is the inverse rotation: rotary_from_vjp(., start) turns rotary_from(x, start) back into x
     rng = np.random.default_rng(6)
     for dtype, tol in ((np.float64, 1e-15), (np.float32, 1e-6)):
         x = rng.normal(size=(3, 50, 6)).astype(dtype)
