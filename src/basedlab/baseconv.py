@@ -70,6 +70,9 @@ class GatedBaseConv:
     def __post_init__(self):
         if self.w1.ndim != 2:
             raise ShapeError(f"w1 must be 2-D, got {self.w1.shape}")
+        for name, w in T.tensors(self):
+            if w.dtype != self.w1.dtype:
+                raise ShapeError(f"{name} must be in w1's dtype {self.w1.dtype.name}, got {w.dtype.name}")
         d, wide = self.w1.shape
         if self.w2.shape != (d, wide) or self.w3.shape != (wide, d):
             raise ShapeError(f"w1 {self.w1.shape}, w2 {self.w2.shape}, w3 {self.w3.shape} disagree")
@@ -182,8 +185,7 @@ def forward_gated(params: GatedBaseConv, u: Tensor) -> Tensor:
     axis, as one graph op whose forward is `_sweep` from no carried rows
     (see the module docstring)."""
     p = params
-    weights = (p.w1, p.w2, p.w3, p.b1, p.b2, p.b3, p.filt)
-    T.check_rows(u, weights, "forward_gated")
+    weights = T.check_rows(u, p, "forward_gated")  # in field order, w1 to filt, as the backward's gradients
     n, d, wide = u.shape[-2], p.d_model, p.expanded
     x = u.data.reshape((math.prod(u.shape[:-2]), n, d))
     keep = n <= CONV_TILE and T.recording(u, *weights)
@@ -227,7 +229,7 @@ class ConvCache:
     `_tile` on them plus the new row, a block runs `_sweep` from them."""
 
     def __init__(self, params: GatedBaseConv):
-        self.params = params
+        self.params, self.tensors = params, T.tensors(params)
         self.rows = np.zeros((params.taps - 1, params.d_model), params.w1.dtype)
         self.t = 0
 
@@ -238,7 +240,7 @@ class ConvCache:
         """One (d_model,) layer-input row in, one output row out: `_tile`
         filtering only the new row, bit for bit a one-row `block`."""
         p = self.params
-        T.check_row(x, p.w1, self.rows.shape[:-2], "ConvCache.step")
+        T.check_row(x, self.tensors, self.rows.shape[:-2], "ConvCache.step")
         rows = np.concatenate([self.rows, x[None, :]])
         h = min(self.t, len(self.rows))
         _, gate, _, act = _tile(p, rows[-1 - h:], h, row=True)
@@ -253,7 +255,7 @@ class ConvCache:
         when the block starts at a multiple of CONV_TILE; the rows take the
         block's leading dims."""
         p = self.params
-        T.check_block(x, p.w1, self.rows.shape[:-2], "ConvCache.block")
+        T.check_block(x, self.tensors, self.rows.shape[:-2], "ConvCache.block")
         n, held, h0 = x.shape[-2], p.taps - 1, min(self.t, p.taps - 1)
         lead = x.shape[:-2]
         rows = np.concatenate([np.broadcast_to(self.rows, lead + self.rows.shape[-2:]), x], axis=-2)

@@ -2,7 +2,7 @@
 
 Per head, with feature map phi and value sequence v:
 
-    y_i = phi(q_i) . s_i / max(phi(q_i) . z_i, eps)
+    y_i = phi(q_i) . s_i / max(phi(q_i) . z_i, EPS)
     s_i = sum_{j<=i} phi(k_j)^T v_j        (D x d KV state)
     z_i = sum_{j<=i} phi(k_j)              (D   normalizer state)
 
@@ -16,9 +16,9 @@ only for S. The three views are `parallel_forward`, the layer's graph op;
 graph and counting the slices each tile reads and writes; and
 `recurrent_forward`, a rollout through the decode cache `LinAttnState`,
 which holds S: its `step` folds one token in with the core's `_fold` and
-then reads it, and its `block` runs `_sweep` from the S it carries. They
-agree to roundoff; optional per-head decay multiplies the state by gamma
-each step. Every view uses the Taylor map's unique-monomial layout, so the
+reads it out with its `_read`, and its `block` runs `_sweep` from the S it
+carries. They agree to roundoff; optional per-head decay multiplies the
+state by gamma each step. Every view uses the Taylor map's unique-monomial layout, so the
 state width D is 1 + d' + d'(d'+1)/2, and runs the same rows code around
 the core: `T.Heads`' projections and merge, and `_combine_heads_numpy`.
 """
@@ -56,23 +56,21 @@ def default_decay_gammas(heads: int) -> np.ndarray:
 
 @dataclass
 class LinAttnParams(T.Heads):
-    """The `T.Heads` projections plus feature-map choice for one linear-attention layer."""
+    """The `T.Heads` projections plus feature-map choice for one linear-attention
+    layer, its `kind` stored with the layer's d' (the per-head q/k width)."""
 
     kind: fm.FeatureMapKind
-    eps: float = 1e-12
     decay: DecayConfig | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ParameterError(f"eps must be finite and > 0, got {self.eps}")
-        if self.kind.d_prime is not None and self.kind.d_prime != self.d_prime:
+        if self.kind.d_prime not in (None, self.d_prime):
             raise ShapeError(f"feature map {self.kind.tag} reads d_prime {self.kind.d_prime}, but q and k are {self.d_prime} wide per head")
+        self.kind = fm.FeatureMapKind(self.kind.tag, self.d_prime)
         if self.decay is not None and self.decay.gamma.shape != (self.heads,):
             raise ParameterError(f"decay needs one gamma per head, got {self.decay.gamma.shape}")
-        w_mix = self.w_mix
-        if w_mix is not None and (w_mix.shape != (self.d_model, self.heads) or w_mix.dtype != self.wq.dtype):
-            raise ShapeError(f"w_mix must be (d_model, heads) = ({self.d_model}, {self.heads}) in wq's dtype, got {w_mix.shape} {w_mix.dtype.name}")
+        if self.w_mix is not None and self.w_mix.shape != (self.d_model, self.heads):
+            raise ShapeError(f"w_mix must be (d_model, heads) = ({self.d_model}, {self.heads}), got {self.w_mix.shape}")
 
     @property
     def w_mix(self) -> Tensor | None:  # the head-mixing weights, if any
@@ -88,36 +86,38 @@ class LinAttnParams(T.Heads):
 
 
 def create(
-    d_model: int, heads: int, d_prime: int, kind: fm.FeatureMapKind | None = None, eps: float = 1e-12,
+    d_model: int, heads: int, d_prime: int, kind: fm.FeatureMapKind | None = None,
     decay: DecayConfig | None = None, rng: np.random.Generator | None = None, dtype=np.float64,
 ) -> LinAttnParams:
     """Fresh parameters from `T.Heads.draw`, q and k d_prime wide per head."""
     return LinAttnParams.draw(
         rng or np.random.default_rng(0), d_model, heads * d_prime, dtype,
-        heads=heads, kind=kind or fm.taylor_exp2(d_prime), eps=eps, decay=decay,
+        heads=heads, kind=kind or fm.taylor_exp2(d_prime), decay=decay,
     )
 
 
 # -- tiled causal core -----------------------------------------------------------
 
 CORE_TILE = 64
+EPS = 1e-12  # the normalizer's floor: y = num / max(den, EPS)
 IDENTITY = fm.FeatureMapKind("Identity")
 
 
 @functools.lru_cache(maxsize=32)
-def _tile_decay(gamma: float | tuple[float, ...], c: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Causal mask gamma^(i-j), carry-in gamma^(i+1) and lift gamma^(c-1-j) of a
-    c-position tile (the last two as (c, 1) columns), with one leading axis
-    per gamma when `gamma` is a tuple. Cached, read-only."""
+def _tile_decay(gamma: float | tuple[float, ...], c: int, dtype: np.dtype) -> tuple[np.ndarray, ...]:
+    """Causal mask gamma^(i-j), carry-in gamma^(i+1), lift gamma^(c-1-j) and
+    fold gamma^c of a c-position tile (carry and lift as (c, 1) columns), with
+    one leading axis per gamma when `gamma` is a tuple. Cached, read-only."""
     g = np.asarray(gamma, dtype=np.float64)[..., None, None]
     i = np.arange(c)
     expo = i[:, None] - i[None, :]
     mask = np.where(expo >= 0, g ** np.maximum(expo, 0), 0.0).astype(dtype)
     carry = (g ** (i[:, None] + 1)).astype(dtype)
     lift = (g ** (c - 1 - i[:, None])).astype(dtype)
-    for a in (mask, carry, lift):
+    fold = (g ** c).astype(dtype)
+    for a in (mask, carry, lift, fold):
         a.flags.writeable = False
-    return mask, carry, lift
+    return mask, carry, lift, fold
 
 
 def _fold(state, decay, keys: np.ndarray, v1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -130,22 +130,30 @@ def _fold(state, decay, keys: np.ndarray, v1: np.ndarray, out: np.ndarray | None
     return np.add(state if decay is None else decay * state, kv, out=out)
 
 
-def _sweep(q: np.ndarray, k: np.ndarray, v: np.ndarray, kind: fm.FeatureMapKind, g: np.ndarray, tile: int, each,
-           state: np.ndarray | None = None, fold_last: bool = False):
-    """The core's tile loop over the second-to-last axis, in tiles of
-    c = min(tile, N) rows, from the carried [s | z] block `state` (None:
-    nothing carried). Each tile takes its exact quadratic form,
-    `fm.tile_scores` (1 + a + a^2/2 of the raw q.k for the Taylor map) under
-    the causal mask, plus carry * (phi(Q) S) of the S it carries in; `each`
-    gets its span, that S, its scores, [num | den] and [V | 1] rows. Then
-    the tile's keys fold into S, S <- gamma^m S + (lift phi(K))^T [V | 1]
-    for m rows, the ones column carrying z; after the last tile only with
-    `fold_last`. `g` is the float64 gamma, one or one per head. Returns the
-    last S."""
+def _read(nd: np.ndarray, eps: float, out: np.ndarray | None = None) -> np.ndarray:
+    """y = num / max(den, eps) of [num | den] rows, den their last column,
+    written into `out` when given."""
+    return np.divide(nd[..., :-1], np.maximum(nd[..., -1:], eps), out=out)
+
+
+def _sweep(q: np.ndarray, k: np.ndarray, v: np.ndarray, kind: fm.FeatureMapKind, g: float | tuple[float, ...], tile: int,
+           each=None, state: np.ndarray | None = None, fold_last: bool = False, out: np.ndarray | None = None, eps: float = EPS):
+    """The core's tile loop over the second-to-last axis, after `fm.check`
+    of q and k, in tiles of c = min(tile, N) rows, from the carried [s | z]
+    block `state` (None: nothing carried). Each tile takes its exact
+    quadratic form, `fm.tile_scores` (1 + a + a^2/2 of the raw q.k for the
+    Taylor map) under the causal mask, plus carry * (phi(Q) S) of the S it
+    carries in; its [num | den] rows are read out into out[..., s:e, :] when
+    `out` is given (`_read`), and `each`, if any, gets its span, that S, its
+    scores, [num | den] and [V | 1] rows. Then the tile's keys fold into S,
+    S <- gamma^m S + (lift phi(K))^T [V | 1] for m rows, the ones column
+    carrying z; after the last tile only with `fold_last`. `g` is the
+    `_gammas` key of the decay. Returns the last S."""
+    for x in (q, k):
+        fm.check(kind, x)
     n, dtype = q.shape[-2], q.dtype
     c = min(tile, max(n, 1))
-    mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
-    full = (g ** c).astype(dtype)[..., None, None]
+    mask, carry, lift, fold = _tile_decay(g, c, dtype)
     ones = np.ones(v.shape[:-2] + (c, 1), dtype)
     for s in range(0, n, c):
         e = min(s + c, n)
@@ -156,17 +164,20 @@ def _sweep(q: np.ndarray, k: np.ndarray, v: np.ndarray, kind: fm.FeatureMapKind,
         ndt = sc @ vt
         if state is not None:
             ndt += carry[..., :m, :] * (fm.phi(kind, qt) @ state)
-        each(((s, e), state, sc, ndt, vt))
-        if e < n or fold_last:  # lift[c - m:] is gamma^(m-1-j), the lift of an m-row tile
-            decay = full if m == c else (g ** m).astype(dtype)[..., None, None]
+        if out is not None:
+            _read(ndt, eps, out[..., s:e, :])
+        if each is not None:
+            each(((s, e), state, sc, ndt, vt))
+        if e < n or fold_last:  # an m-row tile's lift is lift[c - m:], gamma^(m-1-j), and its fold that of an m-position tile
+            decay = fold if m == c else _tile_decay(g, m, dtype)[3]
             state = _fold(0.0 if state is None else state, decay, fm.phi(kind, kt) * lift[..., c - m:, :], vt)
     return state
 
 
-def _gammas(gamma) -> np.ndarray:
-    """The float64 decay of a core call: a scalar, or a vector of one per head."""
+def _gammas(gamma) -> float | tuple[float, ...]:
+    """The float64 decay of a core call as a `_tile_decay` key: a float, or one per head."""
     g = np.asarray(gamma, dtype=np.float64)
-    return g.reshape(-1 if g.size > 1 else ())
+    return tuple(g.ravel().tolist()) if g.size > 1 else float(g.reshape(()))
 
 
 def attention_core(
@@ -193,29 +204,24 @@ def attention_core(
         raise ShapeError(f"attention_core: shapes {q.shape}, {k.shape}, {v.shape} disagree")
     integer(tile, "attention_core: tile")
     g = _gammas(gamma)
-    if g.ndim and (q.ndim < 3 or q.shape[-3] != g.size):
-        raise ShapeError(f"attention_core: {g.size} gammas for inputs of shape {q.shape}")
+    if isinstance(g, tuple) and (q.ndim < 3 or q.shape[-3] != len(g)):
+        raise ShapeError(f"attention_core: {len(g)} gammas for inputs of shape {q.shape}")
     qd, kd, vd = q.data, k.data, v.data
-    for x in (qd, kd):
-        fm.check(kind, x)
-    d, dtype = v.shape[-1], q.dtype
-    c = min(tile, max(n, 1))
-    mask, carry, lift = _tile_decay(tuple(g.tolist()) if g.ndim else float(g), c, dtype)
-    fold = (g ** c).astype(dtype)[..., None, None]
+    d = v.shape[-1]
+    mask, carry, lift, fold = _tile_decay(g, min(tile, max(n, 1)), q.dtype)
 
-    out, kept = np.empty(v.shape, dtype), []
+    out, kept = np.empty(v.shape, q.dtype), []
     keep = 0 < n <= tile and T.recording(q, k, v)
 
-    def emit(arrays):
-        (s, e), _, _, ndt, vt = arrays
-        yt = np.divide(ndt[..., :d], np.maximum(ndt[..., d:], eps), out=out[..., s:e, :])
+    def each(arrays):
+        (s, e), _, _, _, vt = arrays
         if counter is not None:
-            for key, a in (("q_read", qd[..., s:e, :]), ("k_read", kd[..., s:e, :]), ("v_read", vt[..., :d]), ("y_write", yt)):
+            for key, a in (("q_read", qd[..., s:e, :]), ("k_read", kd[..., s:e, :]), ("v_read", vt[..., :d]), ("y_write", out[..., s:e, :])):
                 counter[key] = counter.get(key, 0) + a.size
         if keep:
             kept.append(arrays)
 
-    _sweep(qd, kd, vd, kind, g, tile, emit)
+    _sweep(qd, kd, vd, kind, g, tile, each, out=out, eps=eps)
 
     def backward(grad):
         tiles = kept or []
@@ -257,10 +263,10 @@ def parallel_forward(params: LinAttnParams, u: Tensor) -> Tensor:
     leaf q, k, v, then `_combine_heads_numpy`. The backward adds u's
     gradient terms in the order head mixing, v, k, q."""
     mix = params.w_mix
-    weights = params.check(u, "parallel_forward", *(() if mix is None else (mix,)))
+    weights = T.check_rows(u, params, "parallel_forward")
     un, grad = u.data, T.recording(u, *weights)
     q, k, v = (T.leaf(a, grad) for a in params.project_rows(un))
-    core = attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
+    core = attention_core(q, k, v, EPS, 1.0 if params.decay is None else params.decay.gamma, params.kind)
 
     def backward(g):
         y, du = core.data, None
@@ -285,7 +291,7 @@ class LinAttnState:
     `step` is the core's tile at N = 1 in the other order: fold, then read."""
 
     def __init__(self, params: LinAttnParams):
-        self.params = params
+        self.params, self.tensors = params, T.tensors(params)
         self.s = np.zeros((params.heads, params.feature_width, params.head_dim + 1), params.wq.dtype)
         self.decay = None if params.decay is None else params.decay.gamma.astype(self.s.dtype)[:, None, None]
         self.t = 0
@@ -296,14 +302,13 @@ class LinAttnState:
     def step(self, x: np.ndarray) -> np.ndarray:
         """Project one (d_model,) row, advance the state, and return the output row."""
         p = self.params
-        T.check_row(x, p.wq, self.s.shape[:-3], "LinAttnState.step")
+        T.check_row(x, self.tensors, self.s.shape[:-3], "LinAttnState.step")
         q, k, v = p.project_rows(x)
         phi_q, phi_k = fm.apply_numpy(p.kind, np.concatenate([q, k])).reshape(2, p.heads, 1, -1)  # one call for q and k
         v1 = np.concatenate([v, np.ones((p.heads, 1, 1), v.dtype)], axis=-1)
         _fold(self.s, self.decay, phi_k, v1, out=self.s)
         self.t += 1
-        nd = phi_q @ self.s
-        return _combine_heads_numpy(p, x[None], nd[..., :-1] / np.maximum(nd[..., -1:], p.eps))[0]
+        return _combine_heads_numpy(p, x[None], _read(phi_q @ self.s, EPS))[0]
 
     def block(self, x: np.ndarray) -> np.ndarray:
         """Run a (..., c, d_model) block of layer-input rows through the
@@ -313,19 +318,11 @@ class LinAttnState:
         starts at a multiple of CORE_TILE; the state takes the block's
         leading dims."""
         p = self.params
-        T.check_block(x, p.wq, self.s.shape[:-3], "LinAttnState.block")
+        T.check_block(x, self.tensors, self.s.shape[:-3], "LinAttnState.block")
         q, k, v = p.project_rows(x)
-        for a in (q, k):
-            fm.check(p.kind, a)
-        d = p.head_dim
         y = np.empty(v.shape, v.dtype)
-
-        def emit(arrays):
-            (s, e), _, _, ndt, _ = arrays
-            np.divide(ndt[..., :d], np.maximum(ndt[..., d:], p.eps), out=y[..., s:e, :])
-
         gamma = _gammas(1.0 if p.decay is None else p.decay.gamma)
-        self.s = _sweep(q, k, v, p.kind, gamma, CORE_TILE, emit, self.s if self.t else None, fold_last=True)
+        self.s = _sweep(q, k, v, p.kind, gamma, CORE_TILE, state=self.s if self.t else None, fold_last=True, out=y)
         self.t += x.shape[-2]
         return _combine_heads_numpy(p, x, y)
 
@@ -335,8 +332,7 @@ def _rows(params: LinAttnParams, u: Tensor | np.ndarray, view: str) -> np.ndarra
     un = u.data if isinstance(u, Tensor) else np.asarray(u)
     if un.ndim != 2 or un.shape[1] != params.d_model:
         raise ShapeError(f"{view}: expected an (N, {params.d_model}) input, got {un.shape}")
-    if un.dtype != params.wq.dtype:
-        raise ShapeError(f"{view}: mixed dtypes {un.dtype.name} and {params.wq.dtype.name}")
+    T.check_rows(un, params, view)
     return un
 
 
@@ -372,5 +368,5 @@ def chunked_forward(params: LinAttnParams, u: Tensor | np.ndarray, chunk: int = 
     un = _rows(params, u, "chunked_forward")
     q, k, v = (Tensor(a) for a in params.project_rows(un))
     gamma = 1.0 if params.decay is None else params.decay.gamma
-    y = attention_core(q, k, v, params.eps, gamma, params.kind, chunk, counter)
+    y = attention_core(q, k, v, EPS, gamma, params.kind, chunk, counter)
     return Tensor(_combine_heads_numpy(params, un, y.data))

@@ -25,7 +25,7 @@ import struct
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +172,7 @@ class HybridModel:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         out = [("embedding", self.embedding)]
         for i, layer in enumerate(self.layers):
-            out += _tensor_fields(layer, f"layers.{i}")
+            out += T.tensors(layer, f"layers.{i}")
         out.append(("final_norm", self.final_norm))
         if self.head is not None:
             out.append(("head", self.head))
@@ -323,19 +323,6 @@ def _step_all(state: "DecodeState", tokens, where: str) -> np.ndarray:
     return np.stack([state.step(t) for t in tokens])
 
 
-def _tensor_fields(params, prefix: str) -> list[tuple[str, Tensor]]:
-    """Tensor fields of a parameter dataclass and of the dataclasses it holds,
-    in field order, each named prefix.field."""
-    out = []
-    for f in fields(params):
-        value = getattr(params, f.name)
-        if isinstance(value, Tensor):
-            out.append((f"{prefix}.{f.name}", value))
-        elif is_dataclass(value):
-            out += _tensor_fields(value, prefix)
-    return out
-
-
 def build(config: ModelConfig) -> HybridModel:
     """Deterministic init: scaled normals (std 0.02), zero biases, unit norms."""
     rng = np.random.default_rng(config.seed)
@@ -438,7 +425,7 @@ def _record_block(layer: Layer, x: Tensor) -> Tensor:
     """`_block` on x as one graph op, its mixer's graph op nested in it on
     a leaf of the normed rows. The backward replays the block's steps in
     reverse, adding each residual's gradient before its norm's."""
-    weights = tuple(t for _, t in _tensor_fields(layer, ""))
+    weights = tuple(t for _, t in T.tensors(layer))
     kept, nested = [], []
 
     def mix(rows):

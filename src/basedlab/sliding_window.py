@@ -132,7 +132,7 @@ def swa_forward(params: SwaParams, u: Tensor) -> Tensor:
     """Windowed causal attention over all positions of (..., N, d_model)
     rows as one graph op over `WindowCache.block`'s rows code: `project_rows`,
     rotary from position 0, `window_core` on leaf q, k, v, `merge_rows`."""
-    weights = params.check(u, "swa_forward")
+    weights = T.check_rows(u, params, "swa_forward")
     q, k, v = params.project_rows(u.data)
     if params.rotary:  # q and k joined, so one pass reads their turns, forward and backward
         q, k = T.rotary_from(np.stack((q, k)), 0)
@@ -155,7 +155,7 @@ class WindowCache:
     tile. `t` is the next position."""
 
     def __init__(self, params: SwaParams):
-        self.params = params
+        self.params, self.tensors = params, T.tensors(params)
         self.k = np.zeros((params.heads, 0, params.head_dim), params.wq.dtype)
         self.v = np.zeros_like(self.k)
         self.t = 0
@@ -174,7 +174,7 @@ class WindowCache:
         to `swa_forward`'s when the block starts at a multiple of
         WINDOW_TILE; the buffers take the block's leading dims."""
         p = self.params
-        T.check_block(x, p.wq, self.k.shape[:-3], "WindowCache.block")
+        T.check_block(x, self.tensors, self.k.shape[:-3], "WindowCache.block")
         n, t = x.shape[-2], self.t
         q, k, v = p.project_rows(x)
         if p.rotary:
@@ -198,7 +198,7 @@ def decode_step(params: SwaParams, cache: WindowCache, x_t: np.ndarray) -> tuple
     output row. The cache must be one built for `params`."""
     if cache.params is not params:
         raise ShapeError("decode_step: the cache was built for another layer's parameters")
-    T.check_row(x_t, params.wq, cache.k.shape[:-3], "decode_step")
+    T.check_row(x_t, cache.tensors, cache.k.shape[:-3], "decode_step")
     q, k, v = params.project_rows(x_t)
     if params.rotary:  # q and k joined along the heads, so their turns are computed once
         q, k = T.rotary_np(np.concatenate([q, k]), cache.t).reshape(2, params.heads, 1, -1)

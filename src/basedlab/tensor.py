@@ -7,9 +7,9 @@ execution order with plain sequential accumulation, which makes gradients
 bit-reproducible across runs. Inside `no_grad()` no op records a graph on
 that thread; `recording` is the one test of whether an op records. An op may
 run other ops in its forward on `leaf` inputs and reach their gradients in
-its backward through `vjp`. `Heads` is the one shell of the two attention
-layers: their four projections, checks and init, the head split and merge
-of their rows, and the backward of both.
+its backward through `vjp`. `tensors` walks a layer's weights for its checks.
+`Heads` is the one shell of the two attention layers: their four projections
+and init, the head split and merge of their rows, and the backward of both.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -221,35 +221,58 @@ def _check_same_dtype(a: Tensor | np.ndarray, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: mixed dtypes {a.dtype.name} and {b.dtype.name}")
 
 
-def check_rows(u: Tensor, weights: Sequence[Tensor], where: str) -> None:
-    """ShapeError unless a layer's input u is (..., N, d) rows, d the rows of
-    its first weight, in the dtype of each of its `weights`."""
-    if u.ndim < 2 or u.shape[-1] != weights[0].shape[0]:
-        raise ShapeError(f"{where}: input {u.shape} does not match d_model {weights[0].shape[0]}")
-    for w in weights:
+def tensors(params, prefix: str = "") -> list[tuple[str, Tensor]]:
+    """The one walk over a layer's weights: the Tensor fields of a parameter
+    dataclass and of the dataclasses it holds, in field order, each named
+    prefix.field (the field's name alone without a prefix)."""
+    out = []
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            out.append((f"{prefix}.{f.name}" if prefix else f.name, value))
+        elif is_dataclass(value):
+            out += tensors(value, prefix)
+    return out
+
+
+def check_rows(u: Tensor | np.ndarray, params, where: str) -> tuple[Tensor, ...]:
+    """The weights of a layer's parameter dataclass `params` (`tensors`),
+    after a ShapeError unless its input u is (..., N, d) rows, d the rows of
+    its first weight, in the dtype of each."""
+    ws = tuple(w for _, w in tensors(params))
+    if u.ndim < 2 or u.shape[-1] != ws[0].shape[0]:
+        raise ShapeError(f"{where}: input {u.shape} does not match d_model {ws[0].shape[0]}")
+    for w in ws:
         _check_same_dtype(u, w, where)
+    return ws
 
 
-def check_row(x: np.ndarray, w: Tensor, lead: tuple[int, ...], where: str) -> None:
+def check_row(x: np.ndarray, named: list[tuple[str, Tensor]], lead: tuple[int, ...], where: str) -> None:
     """ShapeError unless a decode step's input x is one row in the dtype of
-    the input projection w, for a cache that holds no batch (its leading
-    dims `lead` are ())."""
-    if not isinstance(x, np.ndarray) or x.shape != (w.shape[0],):
-        raise ShapeError(f"{where} expects a ({w.shape[0]},) row, got {type(x).__name__} of shape {np.shape(x)}")
+    each of a layer's `tensors`, `named`, for a cache that holds no batch
+    (its leading dims `lead` are ())."""
+    d = named[0][1].shape[0]
+    if not isinstance(x, np.ndarray) or x.shape != (d,):
+        raise ShapeError(f"{where} expects a ({d},) row, got {type(x).__name__} of shape {np.shape(x)}")
     if lead:
         raise ShapeError(f"{where}: one row for a cache that holds a batch of leading dims {lead}")
-    _check_same_dtype(x, w, where)
+    for _, w in named:  # compared here, not by `_check_same_dtype`: a decode step is bound by per-call overhead
+        if w.data.dtype != x.dtype:
+            raise ShapeError(f"{where}: mixed dtypes {x.dtype.name} and {w.dtype.name}")
 
 
-def check_block(x: np.ndarray, w: Tensor, lead: tuple[int, ...], where: str) -> None:
+def check_block(x: np.ndarray, named: list[tuple[str, Tensor]], lead: tuple[int, ...], where: str) -> None:
     """ShapeError unless a decode cache's block x is (..., c, d_model) rows,
-    c >= 1, in the dtype of the input projection w, with the leading dims
-    `lead` of a cache that already holds a batch (none when `lead` is ())."""
-    if not isinstance(x, np.ndarray) or x.ndim < 2 or x.shape[-1] != w.shape[0] or not x.shape[-2]:
-        raise ShapeError(f"{where} expects (..., c, {w.shape[0]}) rows with c >= 1, got {type(x).__name__} of shape {np.shape(x)}")
+    c >= 1, in the dtype of each of a layer's `tensors`, `named`, with the
+    leading dims `lead` of a cache that already holds a batch (none when
+    `lead` is ())."""
+    d = named[0][1].shape[0]
+    if not isinstance(x, np.ndarray) or x.ndim < 2 or x.shape[-1] != d or not x.shape[-2]:
+        raise ShapeError(f"{where} expects (..., c, {d}) rows with c >= 1, got {type(x).__name__} of shape {np.shape(x)}")
     if lead and x.shape[:-2] != lead:
         raise ShapeError(f"{where}: a block of leading dims {x.shape[:-2]} for a cache of {lead}")
-    _check_same_dtype(x, w, where)
+    for _, w in named:
+        _check_same_dtype(x, w, where)
 
 
 # -- elementwise and affine ops ----------------------------------------------
@@ -493,7 +516,7 @@ class Heads:
 
     def __post_init__(self):
         integer(self.heads, "heads")
-        for name, w in (("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)):
+        for name, w in tensors(self):
             if w.ndim != 2 or w.dtype != self.wq.dtype:
                 raise ShapeError(f"{name} must be 2-D in wq's dtype {self.wq.dtype.name}, got {w.shape} {w.dtype.name}")
         if self.wk.shape != self.wq.shape or self.wv.shape[0] != self.d_model:
@@ -517,12 +540,6 @@ class Heads:
     @property
     def head_dim(self) -> int:
         return self.wv.shape[1] // self.heads
-
-    def check(self, u: Tensor, where: str, *extra: Tensor) -> tuple[Tensor, ...]:
-        """The weights wq, wk, wv, wo and then `extra`, after `check_rows`."""
-        weights = (self.wq, self.wk, self.wv, self.wo, *extra)
-        check_rows(u, weights, where)
-        return weights
 
     def project_rows(self, un: np.ndarray) -> list[np.ndarray]:
         """(..., N, d_model) rows, or one (d_model,) row as N = 1, to contiguous

@@ -201,6 +201,10 @@ def test_validation_errors():
             b1=Tensor(np.zeros(8)), b2=Tensor(np.zeros(8)), b3=Tensor(np.zeros(4)),
             filt=Tensor(np.zeros((2, 7))),
         )
+    fields = vars(bc.create_gated(4, rng=np.random.default_rng(12)))
+    for name in NAMES[1:]:  # an f32 weight built, then the op raised while the cache returned f64
+        with pytest.raises(ShapeError, match=f"{name} must be in w1's dtype float64"):
+            bc.GatedBaseConv(**{**fields, name: Tensor(fields[name].data, dtype=np.float32)})
     with pytest.raises(ShapeError, match="w1 must be 2-D"):  # was a bare ValueError from unpacking
         bc.GatedBaseConv(
             w1=Tensor(np.zeros(4)), w2=Tensor(np.zeros((4, 8))), w3=Tensor(np.zeros((8, 4))),

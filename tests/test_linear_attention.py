@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from basedlab import analysis as an
+from basedlab import baseconv as bc
 from basedlab import feature_maps as fm
 from basedlab import linear_attention as la
 from basedlab import sliding_window as sw
@@ -34,7 +35,7 @@ def merge_heads(y, wo):
 def composed_linear(params, u):
     """The reference: the L layer as a graph of matmul, reshape, transpose, softmax and mul ops around its core."""
     q, k, v = (split_heads(u, w, params.heads) for w in (params.wq, params.wk, params.wv))
-    y = la.attention_core(q, k, v, params.eps, 1.0 if params.decay is None else params.decay.gamma, params.kind)
+    y = la.attention_core(q, k, v, la.EPS, 1.0 if params.decay is None else params.decay.gamma, params.kind)
     if params.decay is not None and params.decay.w_mix is not None:
         weights = T.softmax_last(T.matmul(u, params.decay.w_mix))  # (..., N, heads)
         lead = u.ndim - 2
@@ -225,6 +226,46 @@ def test_fused_layers_reject_mixed_dtypes_and_widths(layer):
     assert forward(params, Tensor(u)).dtype == np.float64
 
 
+@pytest.mark.parametrize("path", ["op", "block", "step"])
+@pytest.mark.parametrize("layer", ["L", "S", "C"])
+def test_every_path_rejects_a_weight_of_the_other_dtype(layer, path):
+    # the layer op, its cache's block and its step each check every weight, not only the first
+    rng = np.random.default_rng(27)
+    if layer == "L":
+        w_mix = T.init_normal(rng, 24, 2, np.float64)
+        params, forward, cache = make_params(decay=la.DecayConfig(la.default_decay_gammas(2), w_mix)), la.parallel_forward, la.LinAttnState
+        weights = [params.wq, params.wk, params.wv, params.wo, w_mix]
+    elif layer == "S":
+        params, forward, cache = sw.create(24, 2, 4, rng=rng), sw.swa_forward, sw.WindowCache
+        weights = [params.wq, params.wk, params.wv, params.wo]
+    else:
+        params, forward, cache = bc.create_gated(24, rng=rng), bc.forward_gated, bc.ConvCache
+        weights = [params.w1, params.w2, params.w3, params.b1, params.b2, params.b3, params.filt]
+    u = rng.normal(size=(5, 24))
+    state = cache(params)
+    run = {"op": lambda: forward(params, Tensor(u)), "block": lambda: state.block(u), "step": lambda: state.step(u[0])}[path]
+    for w in weights:
+        saved = w.data
+        w.data = saved.astype(np.float32)
+        with pytest.raises(ShapeError, match="mixed dtypes"):
+            run()
+        w.data = saved
+    assert run().dtype == np.float64
+
+
+@pytest.mark.parametrize("tag", [tag for tag in fm.TAGS if tag != "TaylorExp2"])
+def test_a_map_given_without_d_prime_works_on_every_path(tag):
+    # the layer stores the map with its own d'; the recurrent view and the cache used to raise
+    params = la.create(16, 2, 4, kind=fm.FeatureMapKind(tag), rng=np.random.default_rng(28))
+    u = np.random.default_rng(28).normal(size=(la.CORE_TILE + 6, 16))
+    yp = la.parallel_forward(params, Tensor(u)).data
+    for y in (la.recurrent_forward(params, u).data, la.chunked_forward(params, u).data):
+        # relative to the largest entry: the Identity map's negative normalizers are floored at EPS
+        assert np.abs(y - yp).max() <= 1e-12 * np.abs(yp).max()
+    assert la.LinAttnState(params).scalar_count() == 2 * 4 * (8 + 1)
+    assert params.kind == fm.FeatureMapKind(tag, 4)
+
+
 def test_graph_free_views_reject_mixed_dtypes():
     # a float64 input on float32 parameters raises, as parallel_forward does
     params = make_params(dtype=np.float32)
@@ -379,9 +420,6 @@ def test_validation_errors():
         la.DecayConfig(np.array([1.5]))
     with pytest.raises(ShapeError):
         la.create(d_model=10, heads=3, d_prime=4, rng=rng)  # heads must divide widths
-    for eps in (0.0, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ParameterError, match="eps"):
-            la.create(8, 2, 4, eps=eps)
     params = make_params()
     with pytest.raises(ShapeError):
         la.parallel_forward(params, Tensor(np.ones((4, 7))))

@@ -242,7 +242,7 @@ def test_heads_validation():
     with pytest.raises(ShapeError, match="divide evenly"):
         T.Heads(**good, heads=4)  # q and k 6 wide
     with pytest.raises(ShapeError, match="does not match d_model"):
-        T.Heads(**good, heads=2).check(w(3, 5), "check")
+        T.check_rows(w(3, 5), T.Heads(**good, heads=2), "check")
 
 
 def test_backward_requires_scalar():
